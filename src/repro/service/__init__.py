@@ -12,12 +12,14 @@ logic / control separation the related DB-nets work argues for):
 * :mod:`repro.service.http` — a stdlib-only HTTP JSON transport reusing
   the wire formats of :mod:`repro.server.messages`;
 * :class:`~repro.service.pool.EnginePool` /
-  :mod:`repro.service.shard` — N engine replicas in worker processes with
+  :mod:`repro.service.shard` — N engine replicas in shard processes with
   consistent-hash routing, crash respawn and broadcast cache invalidation,
   behind the same service API;
-* :mod:`repro.service.netshard` — the cross-host shard transport: the same
-  op vocabulary over length-prefixed TCP frames, with heartbeat liveness
-  and bounded reconnect, so ring slots can live on other machines;
+* :mod:`repro.service.wire` / :mod:`repro.service.netshard` — the one shard
+  transport: length-prefixed JSON frames with heartbeat liveness and
+  bounded redial, served by a child forked onto a socketpair for a local
+  slot or by a ``python -m repro.service.netshard`` server on another
+  machine for a remote one;
 * :mod:`repro.service.controllog` / :mod:`repro.service.store` — the
   durable state tier: a crash-safe priors/invalidation write-ahead log
   replayed on boot, plus a compressed, checksummed snapshot store that
@@ -49,16 +51,12 @@ from repro.service.gateway import (
 )
 from repro.service.http import CORGIHTTPServer, serve_http
 from repro.service.metrics import ServiceMetrics
-from repro.service.netshard import (
-    FrameFormatError,
-    NetShardHandle,
-    NetShardServer,
-    RemoteShardError,
-)
+from repro.service.netshard import NetShardServer
 from repro.service.pool import EnginePool, EnginePoolError, PoolTimeoutError
 from repro.service.service import CORGIService, ServiceConfig, ServiceOverloadedError
-from repro.service.shard import ShardCrashedError, ShardState
+from repro.service.shard import RemoteShardError, ShardCrashedError, ShardState
 from repro.service.store import SnapshotStore, StoreFormatError
+from repro.service.wire import FrameFormatError
 
 __all__ = [
     "CORGIService",
@@ -78,7 +76,6 @@ __all__ = [
     "ShardCrashedError",
     "ShardState",
     "FrameFormatError",
-    "NetShardHandle",
     "NetShardServer",
     "RemoteShardError",
     "CacheSnapshot",

@@ -101,7 +101,7 @@ class GatewayProtocolError(ValueError):
 
     A ``ValueError`` subclass so transport-agnostic error mapping treats it
     as a client fault (HTTP-400 class), mirroring
-    :class:`~repro.service.netshard.FrameFormatError`.
+    :class:`~repro.service.wire.FrameFormatError`.
     """
 
 

@@ -19,8 +19,8 @@ protocol rather than ad-hoc cache copying:
   semantic request keys (never engine-internal fingerprints, which fold in
   local config and priors), TTL is shipped as *remaining seconds* (never a
   local monotonic timestamp), and the envelope is versioned JSON — the
-  groundwork for cross-host sharding, where the same blob crosses a socket
-  instead of a ``multiprocessing`` queue.
+  same blob crosses a socketpair to a local shard or a TCP socket to a
+  remote one.
 
 Decoding is strict: a truncated, non-JSON, version-skewed or field-invalid
 blob raises :class:`SnapshotFormatError` (a ``ValueError``, so transports

@@ -1,41 +1,32 @@
-"""Cross-host shard transport: engine replicas behind TCP sockets.
+"""Shard server: one engine replica behind the frame protocol.
 
-:mod:`repro.service.pool` scales serving across worker *processes* on one
-host; this module moves shards off ``multiprocessing`` queues and onto
-sockets, so one :class:`~repro.service.pool.EnginePool` can route over the
-same consistent-hash ring to replicas running in other processes on other
-hosts.  The groundwork was laid deliberately host-agnostic — the ring
-hashes semantic request keys, the op vocabulary ships plain data
+Every :class:`~repro.service.pool.EnginePool` slot talks to one of these
+over the frames of :mod:`repro.service.wire`, and the two kinds of slot
+differ only in how the connection is made:
+
+* a **local** slot's server is a child process the pool forks onto one end
+  of a ``socketpair`` (:func:`serve_local_shard`); it serves that one
+  connection and exits when it ends (``bye`` or EOF) or when the child is
+  orphaned;
+* a **remote** slot dials a ``python -m repro.service.netshard`` server on
+  another host (:func:`serve_netshard` / :func:`main`), which serves one
+  pool connection at a time and keeps its engine — and therefore its hot
+  forest cache — across reconnects, so a transient network blip costs a
+  redial, not a cold rebuild.
+
+The groundwork is host-agnostic on purpose: the ring hashes semantic
+request keys, the op vocabulary ships plain data
 (:class:`~repro.service.shard.ShardOpExecutor`), and the hand-off snapshot
 format (:mod:`repro.service.handoff`) carries relative TTLs and priors
-versions instead of local state — so the socket transport adds *framing,
-liveness and reconnection*, not new semantics:
+versions instead of local state.  Matrices cross the wire via
+:meth:`~repro.core.matrix.ObfuscationMatrix.to_dict` (exact float64
+round-trip — pooled forests stay byte-identical to single-process builds),
+and hand-off snapshots ride as the exact blob
+:func:`~repro.service.handoff.encode_snapshot` produces.
 
-* **Framing** — every message is one length-prefixed frame: a 4-byte magic
-  (``CRGF``, or ``CRGZ`` for a zlib-compressed payload), a 4-byte
-  big-endian payload length, then a UTF-8 JSON object.  Payloads past
-  ``FRAME_COMPRESS_MIN_BYTES`` are deflated at encode time — hand-off and
-  store pre-warm snapshots are multi-megabyte JSON, which compresses
-  several-fold — and inflated with a zip-bomb guard (``MAX_FRAME_BYTES``
-  bounds the *decompressed* size too).  Decoding is strict: wrong magic,
-  oversized, truncated or undecompressable frames and non-object payloads
-  raise :class:`FrameFormatError` (a ``ValueError``, so transports map it
-  to the 400 class) — a malformed peer can never crash a server or a pool.
-  Matrices cross the wire via the existing
-  :meth:`~repro.core.matrix.ObfuscationMatrix.to_dict` encoding (exact
-  float64 round-trip — pooled-over-socket forests stay byte-identical to
-  single-process builds), and hand-off snapshots ride as the exact blob
-  :func:`~repro.service.handoff.encode_snapshot` produces.
-* **Liveness** — the parent heartbeats every ``heartbeat_interval_s`` and
-  the server echoes from its *reader* thread (never behind a long engine
-  build), so a dead or frozen peer is detected within
-  ``liveness_timeout_s`` (default 1 s) even mid-LP-campaign.
-* **Reconnection** — a lost connection fails the in-flight tickets (the
-  pool retries them on the next ring sibling, exactly like a local worker
-  crash) and the handle redials with exponential backoff, bounded by the
-  pool's ``respawn_limit``.  The server keeps its engine — and therefore
-  its hot forest cache — across client reconnects, so a transient network
-  blip costs a redial, not a cold rebuild.
+The pool heartbeats every shard and the server echoes from its *reader*
+thread (never behind a long engine build), so a dead or frozen shard is
+detected within ``liveness_timeout_s`` (default 1 s) even mid-LP-campaign.
 
 Server entry point::
 
@@ -51,548 +42,72 @@ of the pool already obeys.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import queue as queue_module
-import random
-import select
 import socket
-import struct
 import sys
 import threading
-import time
-import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.exceptions import CORGIError, MatrixValidationError
-from repro.core.matrix import ObfuscationMatrix
-from repro.service.handoff import SnapshotFormatError
 from repro.service.shard import (
-    ShardHandle,
     ShardOpExecutor,
     ShardSpec,
-    ShardState,
-    ShardUnavailableError,
+    decode_request,
+    encode_error,
+    encode_result,
 )
+from repro.service.wire import CLIENT_IDLE_TIMEOUT_S, FrameConnection, FrameFormatError
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
 __all__ = [
-    "FRAME_MAGIC",
-    "FRAME_MAGIC_DEFLATE",
-    "FRAME_COMPRESS_MIN_BYTES",
-    "MAX_FRAME_BYTES",
-    "next_backoff_delay",
-    "FrameFormatError",
-    "RemoteShardError",
-    "FrameAssembler",
-    "encode_frame",
-    "decode_frame",
-    "encode_request",
-    "decode_request",
-    "encode_result",
-    "decode_result",
-    "encode_error",
-    "decode_error",
     "NetShardServer",
-    "NetShardHandle",
+    "parse_shard_hosts",
+    "serve_local_shard",
     "serve_netshard",
     "main",
 ]
 
-#: Frame magic: identifies a byte stream as CORGI shard frames.  A peer
-#: speaking anything else (HTTP, TLS, line noise) is rejected on the first
-#: eight bytes instead of being buffered until some bogus length arrives.
-FRAME_MAGIC = b"CRGF"
-
-#: Magic of a frame whose payload is zlib-compressed JSON.  Same header
-#: shape (the length counts the *compressed* bytes); decoders inflate
-#: under a decompressed-size bound so a hostile frame cannot zip-bomb the
-#: receiver.
-FRAME_MAGIC_DEFLATE = b"CRGZ"
-
-#: Payloads at or above this size are deflated at encode time.  Tuned for
-#: snapshot traffic: request/response chatter stays uncompressed (zlib
-#: latency would dominate), while multi-megabyte hand-off and store
-#: pre-warm snapshots — highly redundant JSON-encoded float arrays —
-#: shrink several-fold on the socket.
-FRAME_COMPRESS_MIN_BYTES = 64 << 10
-
-#: Upper bound on one frame's payload.  Large enough for a hand-off
-#: snapshot at the default payload budget (JSON inflates matrix bytes
-#: roughly threefold), small enough that a garbage length prefix is
-#: rejected immediately instead of stalling the stream for gigabytes.
-MAX_FRAME_BYTES = 128 << 20
-
-_HEADER = struct.Struct(">4sI")
-
-#: How often the parent pings a remote shard (seconds).
-HEARTBEAT_INTERVAL_S = 0.25
-
-#: Silence threshold after which a remote shard is declared dead.  Any
-#: frame — response, heartbeat echo, ready — counts as life; the server
-#: echoes heartbeats from its reader thread so long engine builds never
-#: look like death.
-LIVENESS_TIMEOUT_S = 1.0
-
-#: Redial backoff bounds for one connection attempt window (seconds); the
-#: window is bounded by ``connect_timeout_s`` overall and the pool's
-#: ``respawn_limit`` across windows.  Delays are *decorrelated-jittered*
-#: between these bounds (see :func:`next_backoff_delay`) so a whole fleet
-#: redialing one restarted server spreads out instead of thundering in
-#: lockstep.
-CONNECT_BACKOFF_BASE_S = 0.05
-CONNECT_BACKOFF_CAP_S = 0.8
-
-#: Server-side read deadline: a client that has not sent *anything* (the
-#: parent heartbeats every 0.25 s) for this long is presumed gone and the
-#: server returns to accepting, instead of blocking on a half-open socket.
-CLIENT_IDLE_TIMEOUT_S = 10.0
-
-
-class FrameFormatError(CORGIError, ValueError):
-    """The byte stream is not a well-formed CORGI shard frame.
-
-    Subclasses :class:`ValueError` so transports classify it with the other
-    client faults (the 400 class); raised for wrong magic, oversized
-    lengths, truncated payloads and non-object JSON.
-    """
-
-
-class RemoteShardError(CORGIError, RuntimeError):
-    """A remote shard reported an error type this build cannot reconstruct."""
-
-
-def next_backoff_delay(
-    previous: float,
-    *,
-    base: float = CONNECT_BACKOFF_BASE_S,
-    cap: float = CONNECT_BACKOFF_CAP_S,
-    rng: Optional[random.Random] = None,
-) -> float:
-    """Decorrelated-jitter reconnect delay: ``min(cap, U(base, previous*3))``.
-
-    The first call (``previous`` = 0) returns exactly ``base``; later calls
-    draw uniformly between ``base`` and three times the last delay, capped.
-    Unlike a fixed schedule, two clients that lost the same server at the
-    same instant decorrelate after one round — the property that prevents a
-    whole fleet from redialing a restarted server in lockstep.  Pure (pass
-    a seeded ``rng``) so the bounds are directly property-testable.
-    """
-    pick = (rng or random).uniform
-    upper = max(float(base), float(previous) * 3.0)
-    return min(float(cap), pick(float(base), upper))
-
-
-# --------------------------------------------------------------------- #
-# Frame codec
-# --------------------------------------------------------------------- #
-
-
-def encode_frame(
-    message: Dict[str, object],
-    *,
-    compress_min_bytes: Optional[int] = FRAME_COMPRESS_MIN_BYTES,
-) -> bytes:
-    """Serialize one message dict to its framed wire form.
-
-    Payloads at or above *compress_min_bytes* are zlib-deflated and framed
-    under :data:`FRAME_MAGIC_DEFLATE` — but only when compression actually
-    wins, so already-dense payloads never inflate on the wire.  Pass
-    ``compress_min_bytes=None`` to force plain frames.
-    """
-    payload = json.dumps(message, sort_keys=True).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameFormatError(
-            f"frame payload of {len(payload)} bytes exceeds MAX_FRAME_BYTES"
-        )
-    magic = FRAME_MAGIC
-    if compress_min_bytes is not None and len(payload) >= compress_min_bytes:
-        compressed = zlib.compress(payload, 6)
-        if len(compressed) < len(payload):
-            magic = FRAME_MAGIC_DEFLATE
-            payload = compressed
-    return _HEADER.pack(magic, len(payload)) + payload
-
-
-def _inflate_payload(payload: bytes) -> bytes:
-    """Inflate a CRGZ payload under the frame size bound (zip-bomb guard)."""
-    inflater = zlib.decompressobj()
-    try:
-        raw = inflater.decompress(payload, MAX_FRAME_BYTES + 1)
-    except zlib.error as error:
-        raise FrameFormatError(f"corrupt compressed frame payload: {error}") from error
-    if len(raw) > MAX_FRAME_BYTES:
-        raise FrameFormatError(
-            f"compressed frame inflates past MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
-        )
-    if not inflater.eof or inflater.unused_data:
-        raise FrameFormatError(
-            "compressed frame payload is not a single complete zlib stream"
-        )
-    return raw
-
-
-class FrameAssembler:
-    """Incremental frame parser over an untrusted byte stream.
-
-    Feed raw socket bytes with :meth:`feed`; :meth:`next_message` yields
-    complete decoded messages one at a time (``None`` while incomplete).
-    Pure and socket-free, so the strict-rejection properties — garbage
-    prefix, oversized length, truncation, non-JSON payload — are directly
-    property-testable.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    @property
-    def buffered_bytes(self) -> int:
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> None:
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise FrameFormatError(f"frame data must be bytes, got {type(data).__name__}")
-        self._buffer.extend(data)
-
-    def next_message(self) -> Optional[Dict[str, object]]:
-        """The next complete message, or ``None`` until more bytes arrive.
-
-        Raises :class:`FrameFormatError` as soon as the stream is provably
-        corrupt — callers must drop the connection, because a desynced
-        length-prefixed stream cannot be re-synchronized.
-        """
-        if len(self._buffer) < _HEADER.size:
-            return None
-        magic, length = _HEADER.unpack_from(self._buffer)
-        if magic not in (FRAME_MAGIC, FRAME_MAGIC_DEFLATE):
-            raise FrameFormatError(
-                f"bad frame magic {bytes(magic)!r} "
-                f"(expected {FRAME_MAGIC!r} or {FRAME_MAGIC_DEFLATE!r})"
-            )
-        if length > MAX_FRAME_BYTES:
-            raise FrameFormatError(
-                f"frame length {length} exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
-            )
-        end = _HEADER.size + length
-        if len(self._buffer) < end:
-            return None
-        payload = bytes(self._buffer[_HEADER.size : end])
-        del self._buffer[:end]
-        if magic == FRAME_MAGIC_DEFLATE:
-            payload = _inflate_payload(payload)
-        try:
-            message = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise FrameFormatError(f"frame payload is not valid JSON: {error}") from error
-        if not isinstance(message, dict):
-            raise FrameFormatError(
-                f"frame payload must be a JSON object, got {type(message).__name__}"
-            )
-        return message
-
-    def expect_end(self) -> None:
-        """Assert the stream ended on a frame boundary (EOF hygiene)."""
-        if self._buffer:
-            raise FrameFormatError(
-                f"stream ended mid-frame with {len(self._buffer)} buffered byte(s)"
-            )
-
-
-def decode_frame(blob: bytes) -> Dict[str, object]:
-    """Strictly decode exactly one frame from *blob* (no trailing bytes).
-
-    The whole-blob counterpart of :class:`FrameAssembler` used by tests and
-    tools; any prefix garbage, truncation or trailing junk raises
-    :class:`FrameFormatError`.
-    """
-    if not isinstance(blob, (bytes, bytearray)):
-        raise FrameFormatError(f"frame blob must be bytes, got {type(blob).__name__}")
-    assembler = FrameAssembler()
-    assembler.feed(bytes(blob))
-    message = assembler.next_message()
-    if message is None:
-        raise FrameFormatError("truncated frame")
-    if assembler.buffered_bytes:
-        raise FrameFormatError(
-            f"{assembler.buffered_bytes} trailing byte(s) after the frame"
-        )
-    return message
-
-
-# --------------------------------------------------------------------- #
-# Message codec: shard ops and results over JSON
-# --------------------------------------------------------------------- #
-
-
-def _encode_matrices(
-    matrices: Optional[Dict[str, ObfuscationMatrix]],
-) -> Optional[Dict[str, object]]:
-    if matrices is None:
-        return None
-    return {str(root_id): matrix.to_dict() for root_id, matrix in matrices.items()}
-
-
-def _decode_matrices(payload: object) -> Optional[Dict[str, ObfuscationMatrix]]:
-    if payload is None:
-        return None
-    if not isinstance(payload, dict):
-        raise FrameFormatError("matrices payload must be an object or null")
-    decoded: Dict[str, ObfuscationMatrix] = {}
-    for root_id, matrix_payload in payload.items():
-        try:
-            decoded[str(root_id)] = ObfuscationMatrix.from_dict(matrix_payload)
-        except (KeyError, TypeError, ValueError, MatrixValidationError) as error:
-            raise FrameFormatError(
-                f"invalid matrix payload for {root_id!r}: {error}"
-            ) from error
-    return decoded
-
-
-def encode_request(op: str, ticket: int, payload: object) -> Dict[str, object]:
-    """One shard op as a JSON-friendly request message.
-
-    The op vocabulary and payload shapes are exactly those of
-    :class:`~repro.service.shard.ShardOpExecutor`; only the encodings that
-    are not JSON-native change representation (`import_cache`'s snapshot
-    blob rides as its UTF-8 text — it *is* versioned JSON already).
-    """
-    if op == "build":
-        privacy_level, delta, epsilon, use_cache = payload
-        body: object = {
-            "privacy_level": int(privacy_level),
-            "delta": int(delta),
-            "epsilon": float(epsilon),
-            "use_cache": bool(use_cache),
-        }
-    elif op == "set_priors":
-        priors, normalize, version = payload
-        body = {
-            "priors": {str(node): float(mass) for node, mass in priors.items()},
-            "normalize": bool(normalize),
-            "version": int(version),
-        }
-    elif op == "import_cache":
-        if not isinstance(payload, (bytes, bytearray)):
-            raise FrameFormatError("import_cache payload must be a snapshot blob")
-        body = {"snapshot": bytes(payload).decode("utf-8")}
-    else:
-        # invalidate (int | None), export_cache (int), diagnostics / ping (None)
-        body = payload
-    return {"kind": "request", "op": str(op), "ticket": int(ticket), "payload": body}
-
-
-def decode_request(message: Dict[str, object]) -> Tuple[str, int, object]:
-    """Inverse of :func:`encode_request`; strict about shapes."""
-    op = message.get("op")
-    ticket = message.get("ticket")
-    if not isinstance(op, str):
-        raise FrameFormatError(f"request op must be a string, got {op!r}")
-    if isinstance(ticket, bool) or not isinstance(ticket, int):
-        raise FrameFormatError(f"request ticket must be an integer, got {ticket!r}")
-    body = message.get("payload")
-    try:
-        if op == "build":
-            if not isinstance(body, dict):
-                raise FrameFormatError("build payload must be an object")
-            payload: object = (
-                int(body["privacy_level"]),
-                int(body["delta"]),
-                float(body["epsilon"]),
-                bool(body["use_cache"]),
-            )
-        elif op == "set_priors":
-            if not isinstance(body, dict):
-                raise FrameFormatError("set_priors payload must be an object")
-            priors = body["priors"]
-            if not isinstance(priors, dict):
-                raise FrameFormatError("set_priors priors must be an object")
-            payload = (
-                {str(node): float(mass) for node, mass in priors.items()},
-                bool(body["normalize"]),
-                int(body["version"]),
-            )
-        elif op == "import_cache":
-            if not isinstance(body, dict) or not isinstance(body.get("snapshot"), str):
-                raise FrameFormatError("import_cache payload must carry a snapshot string")
-            payload = body["snapshot"].encode("utf-8")
-        else:
-            payload = body
-    except (KeyError, TypeError, ValueError) as error:
-        if isinstance(error, FrameFormatError):
-            raise
-        raise FrameFormatError(f"malformed {op!r} request payload: {error}") from error
-    return op, ticket, payload
-
-
-def encode_result(op: str, result: object) -> object:
-    """Encode one op result for the wire (op-specific matrix handling)."""
-    if op == "build":
-        assert isinstance(result, dict)
-        encoded = dict(result)
-        encoded["matrices"] = _encode_matrices(result["matrices"])
-        return encoded
-    if op == "export_cache":
-        assert isinstance(result, list)
-        entries = []
-        for entry in result:
-            encoded_entry = dict(entry)
-            encoded_entry["matrices"] = _encode_matrices(entry["matrices"])
-            entries.append(encoded_entry)
-        return entries
-    return result
-
-
-def decode_result(op: str, result: object) -> object:
-    """Inverse of :func:`encode_result`."""
-    try:
-        if op == "build":
-            if not isinstance(result, dict):
-                raise FrameFormatError("build result must be an object")
-            decoded = dict(result)
-            decoded["matrices"] = _decode_matrices(result.get("matrices")) or {}
-            return decoded
-        if op == "export_cache":
-            if not isinstance(result, list):
-                raise FrameFormatError("export_cache result must be a list")
-            entries = []
-            for entry in result:
-                if not isinstance(entry, dict):
-                    raise FrameFormatError("export_cache entries must be objects")
-                decoded_entry = dict(entry)
-                decoded_entry["matrices"] = _decode_matrices(entry.get("matrices"))
-                entries.append(decoded_entry)
-            return entries
-    except (KeyError, TypeError, ValueError) as error:
-        if isinstance(error, FrameFormatError):
-            raise
-        raise FrameFormatError(f"malformed {op!r} result: {error}") from error
-    return result
-
-
-#: Exception types reconstructed by name on the client side, most specific
-#: first.  Everything here must be constructible from a single message
-#: string; anything unlisted arrives as :class:`RemoteShardError` (the
-#: pool treats it as a non-retryable request failure, like any other
-#: engine-raised error).
-_ERROR_REGISTRY: Tuple[Tuple[str, type], ...] = (
-    ("SnapshotFormatError", SnapshotFormatError),
-    ("FrameFormatError", FrameFormatError),
-    ("MatrixValidationError", MatrixValidationError),
-    ("ShardUnavailableError", ShardUnavailableError),
-    ("ValueError", ValueError),
-    ("TypeError", TypeError),
-    ("KeyError", KeyError),
-    ("OverflowError", OverflowError),
-    ("RemoteShardError", RemoteShardError),
-)
-
-
-def encode_error(error: BaseException) -> Dict[str, str]:
-    """Encode an exception as its closest reconstructible registry type.
-
-    Walking the registry (most specific first) preserves the *family* of
-    the error — a ``SnapshotFormatError`` subclass still arrives as a
-    ``SnapshotFormatError``, an exotic ``ValueError`` subclass still maps
-    to HTTP 400 on the far side — even when the exact class is unknown to
-    the peer.
-    """
-    name = "RemoteShardError"
-    for registered, cls in _ERROR_REGISTRY:
-        if isinstance(error, cls):
-            name = registered
-            break
-    return {"type": name, "message": str(error)}
-
-
-def decode_error(payload: object) -> BaseException:
-    """Reconstruct a wire error (unknown types become RemoteShardError)."""
-    if not isinstance(payload, dict):
-        return RemoteShardError(f"malformed remote error payload: {payload!r}")
-    name = payload.get("type")
-    message = str(payload.get("message", ""))
-    for registered, cls in _ERROR_REGISTRY:
-        if registered == name:
-            return cls(message)
-    return RemoteShardError(f"{name}: {message}")
-
-
-# --------------------------------------------------------------------- #
-# Server: one engine replica behind a listening socket
-# --------------------------------------------------------------------- #
-
 
 class NetShardServer:
-    """Host one :class:`ForestEngine` replica behind a TCP listener.
+    """One :class:`ForestEngine` replica serving pool connections.
 
-    One pool connection is served at a time (the pool is the only client);
-    the engine — and its warm forest cache — persists across connections,
-    so a reconnecting parent finds the replica exactly as warm as it left
-    it.  Two threads split the work so liveness survives long builds:
+    Connections are served one at a time (a pool is the only client); the
+    engine — and its warm forest cache — persists across connections, so a
+    reconnecting parent finds the replica exactly as warm as it left it.
+    Two threads split the work so liveness survives long builds:
 
-    * the **reader** parses frames, echoes heartbeats immediately, and
-      queues requests;
+    * the **reader** (:meth:`serve_connection`) parses frames, echoes
+      heartbeats immediately, and queues requests;
     * the **worker** runs ops serially through the shared
       :class:`~repro.service.shard.ShardOpExecutor` and writes responses.
 
     Failures are answers: op-level errors ship back typed under their
     ticket, undecodable streams get a best-effort ``protocol_error`` frame
     and a dropped connection — the server never dies on client input.  A
-    ``shutdown`` frame (an operator/tooling affordance — the pool itself
-    only ever says ``bye``, because the remote process belongs to its
-    host's supervisor) stops the
-    server; a ``bye`` frame only ends the connection.
+    ``bye`` frame ends the connection; a ``shutdown`` frame (an
+    operator/tooling affordance — the pool itself only ever says ``bye``)
+    also stops :meth:`serve_forever`.
     """
 
-    def __init__(
-        self,
-        spec: ShardSpec,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
+    def __init__(self, spec: ShardSpec) -> None:
         self._spec = spec
         self._executor = ShardOpExecutor(spec)
-        self._listener = socket.create_server((host, port), backlog=4)
-        self._listener.settimeout(0.2)
-        self.host, self.port = self._listener.getsockname()[:2]
         self._stop = threading.Event()
-        self._work: "queue_module.Queue[Optional[Tuple[int, str, int, object]]]" = (
+        self._work: "queue_module.Queue[Optional[Tuple[FrameConnection, str, int, object]]]" = (
             queue_module.Queue()
         )
-        self._conn_lock = threading.Lock()
-        self._conn: Optional[socket.socket] = None
-        self._conn_id = 0
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
-    # ------------------------------------------------------------------ #
-    # Sending (reader and worker threads share the connection)
-    # ------------------------------------------------------------------ #
-
-    def _send(self, conn_id: int, message: Dict[str, object]) -> None:
-        """Write one frame to the connection iff it is still the current one."""
-        frame = encode_frame(message)
-        with self._conn_lock:
-            if self._conn is None or self._conn_id != conn_id:
-                return  # the client reconnected; drop the stale answer
-            try:
-                self._conn.sendall(frame)
-            except OSError:
-                pass  # the reader will notice the dead socket and move on
-
-    # ------------------------------------------------------------------ #
-    # Worker thread: serial op execution
-    # ------------------------------------------------------------------ #
+        threading.Thread(
+            target=self._worker, name=f"netshard-{spec.shard_id}-worker", daemon=True
+        ).start()
 
     def _worker(self) -> None:
         while True:
             item = self._work.get()
             if item is None:
                 return
-            conn_id, op, ticket, payload = item
+            connection, op, ticket, payload = item
             try:
                 result = encode_result(op, self._executor.execute(op, payload))
             except BaseException as error:  # noqa: BLE001 - shipped to the caller
@@ -611,111 +126,65 @@ class NetShardServer:
                     "status": "ok",
                     "result": result,
                 }
-            self._send(conn_id, response)
+            # A connection that ended meanwhile drops the stale answer.
+            connection.send(response)
 
-    # ------------------------------------------------------------------ #
-    # Serving loop
-    # ------------------------------------------------------------------ #
-
-    def serve_forever(self) -> None:
+    def serve_forever(self, listener: socket.socket) -> None:
         """Accept and serve pool connections until ``shutdown``/stop."""
-        worker = threading.Thread(
-            target=self._worker,
-            name=f"netshard-{self._spec.shard_id}-worker",
-            daemon=True,
-        )
-        worker.start()
+        listener.settimeout(0.2)
+        host, port = listener.getsockname()[:2]
         logger.info(
-            "netshard %d serving on %s:%d (pid %d)",
-            self._spec.shard_id,
-            self.host,
-            self.port,
-            os.getpid(),
+            "netshard %d serving on %s:%d (pid %d)", self._spec.shard_id, host, port, os.getpid()
         )
         try:
             while not self._stop.is_set():
                 try:
-                    conn, peer = self._listener.accept()
+                    conn, peer = listener.accept()
                 except socket.timeout:
                     continue
                 except OSError:
-                    break  # listener closed by shutdown()
-                self._serve_connection(conn, peer)
+                    break  # listener closed under us
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                logger.debug("netshard %d: client %s connected", self._spec.shard_id, peer)
+                self.serve_connection(conn)
         finally:
-            self._work.put(None)
             self.shutdown()
+            listener.close()
 
-    def _serve_connection(self, conn: socket.socket, peer) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # Blocking socket: responses must be all-or-nothing sendalls (reads
-        # are select()-gated, so they never block the loop).
-        conn.settimeout(None)
-        with self._conn_lock:
-            self._conn_id += 1
-            conn_id = self._conn_id
-            self._conn = conn
-        logger.debug("netshard %d: client %s connected", self._spec.shard_id, peer)
-        self._send(conn_id, {"kind": "ready", "shard": self._executor.ready_announcement()})
-        assembler = FrameAssembler()
+    def serve_connection(
+        self, sock: socket.socket, *, stop: Optional[Callable[[], bool]] = None
+    ) -> None:
+        """Serve one pool connection until ``bye``, EOF, silence or *stop*."""
+        connection = FrameConnection(sock)
+        connection.send({"kind": "ready", "shard": self._executor.ready_announcement()})
         try:
-            last_heard = time.monotonic()
-            while not self._stop.is_set():
-                readable, _, _ = select.select([conn], [], [], 0.2)
-                if not readable:
-                    if time.monotonic() - last_heard > CLIENT_IDLE_TIMEOUT_S:
-                        logger.warning(
-                            "netshard %d: client silent for %.0f s; dropping connection",
-                            self._spec.shard_id,
-                            CLIENT_IDLE_TIMEOUT_S,
-                        )
-                        return
-                    continue
-                try:
-                    chunk = conn.recv(1 << 16)
-                except OSError:
-                    return
-                if not chunk:
-                    return  # client went away; back to accepting
-                last_heard = time.monotonic()
-                assembler.feed(chunk)
-                while True:
-                    try:
-                        message = assembler.next_message()
-                    except FrameFormatError as error:
-                        # Strict decode: a desynced length-prefixed stream
-                        # cannot be re-synchronized — answer (best effort)
-                        # and drop the connection, never the server.
-                        logger.warning(
-                            "netshard %d: protocol error from %s: %s",
-                            self._spec.shard_id,
-                            peer,
-                            error,
-                        )
-                        self._send(
-                            conn_id,
-                            {"kind": "protocol_error", "detail": str(error)},
-                        )
-                        return
-                    if message is None:
-                        break
-                    if not self._dispatch(conn_id, message):
-                        return
+            ended = connection.read(
+                lambda message: self._dispatch(connection, message),
+                silence_timeout_s=CLIENT_IDLE_TIMEOUT_S,
+                stop=lambda: self._stop.is_set() or (stop is not None and stop()),
+            )
+            if ended == "silent":
+                logger.warning(
+                    "netshard %d: client silent for %.0f s; dropping connection",
+                    self._spec.shard_id,
+                    CLIENT_IDLE_TIMEOUT_S,
+                )
+        except FrameFormatError as error:
+            # Strict decode: a desynced length-prefixed stream cannot be
+            # re-synchronized — answer (best effort) and drop the
+            # connection, never the server.
+            logger.warning("netshard %d: protocol error: %s", self._spec.shard_id, error)
+            connection.send({"kind": "protocol_error", "detail": str(error)})
         finally:
-            with self._conn_lock:
-                if self._conn is conn:
-                    self._conn = None
-            try:
-                conn.close()
-            except OSError:
-                pass
+            connection.close()
 
-    def _dispatch(self, conn_id: int, message: Dict[str, object]) -> bool:
+    def _dispatch(self, connection: FrameConnection, message: Dict[str, object]) -> bool:
         """Route one decoded message; False ends the connection."""
         kind = message.get("kind")
         if kind == "heartbeat":
             # Echoed from the reader thread so liveness is orthogonal to
             # whatever the worker is building right now.
-            self._send(conn_id, message)
+            connection.send(message)
             return True
         if kind == "request":
             try:
@@ -725,48 +194,47 @@ class NetShardServer:
                 if isinstance(ticket_field, int) and not isinstance(ticket_field, bool):
                     # The envelope is intact — answer the ticket with a
                     # typed client error instead of dropping the stream.
-                    self._send(
-                        conn_id,
+                    connection.send(
                         {
                             "kind": "response",
                             "op": str(message.get("op")),
                             "ticket": ticket_field,
                             "status": "error",
                             "error": encode_error(error),
-                        },
+                        }
                     )
                     return True
-                self._send(conn_id, {"kind": "protocol_error", "detail": str(error)})
+                connection.send({"kind": "protocol_error", "detail": str(error)})
                 return False
-            self._work.put((conn_id, op, ticket, payload))
+            self._work.put((connection, op, ticket, payload))
             return True
         if kind == "bye":
             logger.debug("netshard %d: client said bye", self._spec.shard_id)
             return False
         if kind == "shutdown":
             logger.info("netshard %d: shutdown requested; retiring", self._spec.shard_id)
-            self._stop.set()
+            self.shutdown()
             return False
-        self._send(
-            conn_id,
-            {"kind": "protocol_error", "detail": f"unknown frame kind {kind!r}"},
-        )
+        connection.send({"kind": "protocol_error", "detail": f"unknown frame kind {kind!r}"})
         return False
 
     def shutdown(self) -> None:
-        """Stop serving and release sockets (idempotent, thread-safe)."""
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._conn_lock:
-            conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        """Stop serving: end the current connection and the worker (idempotent)."""
+        if not self._stop.is_set():
+            self._stop.set()
+            self._work.put(None)
+
+
+def serve_local_shard(spec: ShardSpec, sock: socket.socket) -> None:
+    """Process entry point of a local pool slot: serve one socketpair end.
+
+    The child exits when its one connection ends — ``bye`` from the pool,
+    or EOF — and also when it is orphaned: a sibling child forked later
+    inherits the pool's end of this socketpair, so a SIGKILLed head does
+    not always produce EOF here.
+    """
+    parent_pid = os.getppid()
+    NetShardServer(spec).serve_connection(sock, stop=lambda: os.getppid() != parent_pid)
 
 
 def serve_netshard(spec: ShardSpec, host: str, port: int, port_queue=None) -> None:
@@ -777,287 +245,11 @@ def serve_netshard(spec: ShardSpec, host: str, port: int, port_queue=None) -> No
     assigns the port; pass *port_queue* to learn the bound port — the
     race-free alternative to probing for a free port up front.
     """
-    server = NetShardServer(spec, host=host, port=port)
+    listener = socket.create_server((host, port), backlog=4)
+    server = NetShardServer(spec)
     if port_queue is not None:
-        port_queue.put(server.port)
-    server.serve_forever()
-
-
-# --------------------------------------------------------------------- #
-# Client: the pool-side remote shard handle
-# --------------------------------------------------------------------- #
-
-
-class _RemoteChannel:
-    """Queue-shaped sender over one socket (the remote ``request_queue``).
-
-    Matches the surface :class:`~repro.service.shard.ShardHandle` and
-    :class:`~repro.service.pool.EnginePool` use on a ``multiprocessing``
-    queue — ``put`` / ``put_nowait`` / ``close`` / ``cancel_join_thread`` —
-    so the pool's submit, drain and close paths work unchanged on remote
-    slots.  Send failures are swallowed exactly like a put to a dead
-    worker's queue: the session reader detects the dead socket within the
-    liveness timeout and the crash path fails the tickets over.
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._send_lock = threading.Lock()
-
-    def send_message(self, message: Dict[str, object]) -> None:
-        frame = encode_frame(message)
-        with self._send_lock:
-            self._sock.sendall(frame)
-
-    def put(self, item) -> None:
-        try:
-            if item is None:
-                # Pool close / drain retirement.  A *bye*, never a shutdown:
-                # the pool does not own the remote process — its supervisor
-                # does — so retiring the slot only ends the connection.  The
-                # server keeps its engine (and cache) and a later respawn()/
-                # rebalance() or a restarted head node redials it warm.  The
-                # protocol's "shutdown" frame stays for operators and tools.
-                self.send_message({"kind": "bye"})
-            else:
-                op, ticket, payload = item
-                self.send_message(encode_request(op, ticket, payload))
-        except OSError:
-            pass  # dead socket: the reader notices within liveness_timeout_s
-
-    put_nowait = put
-
-    def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def cancel_join_thread(self) -> None:  # multiprocessing.Queue parity
-        pass
-
-
-class NetShardHandle(ShardHandle):
-    """Parent-side handle for a shard living across a socket.
-
-    Same verified lifecycle state machine, ticket rendezvous and pool
-    bookkeeping as a local :class:`~repro.service.shard.ShardHandle`; what
-    changes is session management — instead of a spawned worker process and
-    a queue collector, a *session thread* dials the remote server (with
-    backoff), heartbeats it, resolves response frames, and reports death to
-    the pool's crash handler, which redials through the normal respawn
-    path (bounded by ``respawn_limit``).
-    """
-
-    is_remote = True
-
-    def __init__(
-        self,
-        slot: int,
-        address: Tuple[str, int],
-        *,
-        heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
-        liveness_timeout_s: float = LIVENESS_TIMEOUT_S,
-        connect_timeout_s: float = 5.0,
-    ) -> None:
-        super().__init__(slot)
-        self.address = (str(address[0]), int(address[1]))
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self.liveness_timeout_s = float(liveness_timeout_s)
-        self.connect_timeout_s = float(connect_timeout_s)
-        self.reconnects = 0
-
-    def info(self) -> Dict[str, object]:
-        payload = super().info()
-        with self.lock:
-            payload["remote"] = True
-            payload["address"] = f"{self.address[0]}:{self.address[1]}"
-            payload["reconnects"] = self.reconnects
-            # No local process to probe: a remote slot is "alive" while its
-            # session holds the connection open (READY or mid-drain).
-            payload["alive"] = self.state in (ShardState.READY, ShardState.DRAINING)
-        return payload
-
-    # ------------------------------------------------------------------ #
-    # Session lifecycle (called by the pool)
-    # ------------------------------------------------------------------ #
-
-    def start_session(
-        self,
-        generation: int,
-        *,
-        on_ready: Callable[["NetShardHandle", int, Optional[int]], None],
-        on_crash: Callable[["NetShardHandle", int], None],
-    ) -> None:
-        """Dial and serve one connection generation on a daemon thread."""
-        threading.Thread(
-            target=self._session,
-            args=(generation, on_ready, on_crash),
-            name=f"corgi-netshard-{self.slot}-session",
-            daemon=True,
-        ).start()
-
-    def _stale(self, generation: int) -> bool:
-        with self.lock:
-            return self.generation != generation or self.state in (
-                ShardState.STOPPED,
-                ShardState.DEAD,
-                ShardState.DRAINED,
-            )
-
-    def _dial(self, generation: int) -> Optional[socket.socket]:
-        """Connect with decorrelated-jitter backoff, bounded by ``connect_timeout_s``."""
-        deadline = time.monotonic() + self.connect_timeout_s
-        attempt = 0
-        delay = 0.0
-        while True:
-            if self._stale(generation):
-                return None
-            try:
-                sock = socket.create_connection(self.address, timeout=1.0)
-            except OSError as error:
-                delay = next_backoff_delay(delay)
-                attempt += 1
-                if time.monotonic() + delay > deadline:
-                    logger.warning(
-                        "netshard slot %d: cannot reach %s:%d (%s) after %d attempt(s)",
-                        self.slot,
-                        self.address[0],
-                        self.address[1],
-                        error,
-                        attempt,
-                    )
-                    return None
-                time.sleep(delay)
-                continue
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # Fully blocking from here on (create_connection left the dial
-            # timeout armed): sends must be all-or-nothing — a partial
-            # sendall on a non-blocking or timing-out socket would leave
-            # half a frame on the wire and permanently desync the
-            # length-prefixed stream.  Reads never block: the session loop
-            # polls with select() before every recv.
-            sock.settimeout(None)
-            return sock
-
-    def _session(self, generation: int, on_ready, on_crash) -> None:
-        sock = self._dial(generation)
-        if sock is None:
-            if not self._stale(generation):
-                on_crash(self, generation)
-            return
-        channel = _RemoteChannel(sock)
-        with self.lock:
-            if self.generation != generation:
-                channel.close()
-                return
-            self.request_queue = channel
-            self.response_queue = None
-            if generation > 1:
-                self.reconnects += 1
-        hb_stop = threading.Event()
-
-        def heartbeat() -> None:
-            seq = 0
-            while not hb_stop.wait(self.heartbeat_interval_s):
-                seq += 1
-                try:
-                    channel.send_message({"kind": "heartbeat", "seq": seq})
-                except OSError:
-                    return  # the reader is about to notice
-
-        threading.Thread(
-            target=heartbeat,
-            name=f"corgi-netshard-{self.slot}-heartbeat",
-            daemon=True,
-        ).start()
-        try:
-            self._read_loop(sock, generation, on_ready, on_crash)
-        finally:
-            hb_stop.set()
-            channel.close()
-
-    def _read_loop(self, sock: socket.socket, generation: int, on_ready, on_crash) -> None:
-        assembler = FrameAssembler()
-        last_seen = time.monotonic()
-        poll_s = min(self.heartbeat_interval_s, self.liveness_timeout_s / 4.0)
-        while True:
-            if self._stale(generation):
-                return  # orderly end (drain, close, superseded generation)
-            try:
-                readable, _, _ = select.select([sock], [], [], poll_s)
-            except (OSError, ValueError):
-                break  # socket closed under us
-            now = time.monotonic()
-            if not readable:
-                if now - last_seen > self.liveness_timeout_s:
-                    logger.warning(
-                        "netshard slot %d: no frames for %.2f s (liveness %.2f s); "
-                        "declaring the remote shard dead",
-                        self.slot,
-                        now - last_seen,
-                        self.liveness_timeout_s,
-                    )
-                    break
-                continue
-            try:
-                chunk = sock.recv(1 << 16)
-            except (BlockingIOError, InterruptedError):
-                continue
-            except OSError:
-                break
-            if not chunk:
-                break  # EOF: server went away
-            last_seen = now
-            try:
-                assembler.feed(chunk)
-                while True:
-                    message = assembler.next_message()
-                    if message is None:
-                        break
-                    self._handle_message(message, generation, on_ready)
-            except FrameFormatError as error:
-                logger.warning(
-                    "netshard slot %d: corrupt frame stream (%s); reconnecting",
-                    self.slot,
-                    error,
-                )
-                break
-        if not self._stale(generation):
-            on_crash(self, generation)
-
-    def _handle_message(self, message: Dict[str, object], generation: int, on_ready) -> None:
-        kind = message.get("kind")
-        if kind == "heartbeat":
-            return  # any frame already refreshed last_seen
-        if kind == "ready":
-            shard_info = message.get("shard")
-            announced = None
-            if isinstance(shard_info, dict):
-                version = shard_info.get("priors_version")
-                if isinstance(version, int) and not isinstance(version, bool):
-                    announced = version
-            on_ready(self, generation, announced)
-            return
-        if kind == "response":
-            op = message.get("op")
-            ticket = message.get("ticket")
-            if not isinstance(op, str) or isinstance(ticket, bool) or not isinstance(ticket, int):
-                raise FrameFormatError(f"malformed response envelope: {message!r}")
-            if message.get("status") == "ok":
-                self.resolve(ticket, "ok", decode_result(op, message.get("result")))
-            else:
-                self.resolve(ticket, "error", decode_error(message.get("error")))
-            return
-        if kind == "protocol_error":
-            raise FrameFormatError(
-                f"remote shard reported a protocol error: {message.get('detail')!r}"
-            )
-        raise FrameFormatError(f"unknown frame kind {kind!r}")
+        port_queue.put(listener.getsockname()[1])
+    server.serve_forever(listener)
 
 
 def parse_shard_hosts(text: str) -> List[Tuple[str, int]]:
@@ -1138,10 +330,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         config=server_config,
         targets=workload.targets,
     )
-    server = NetShardServer(spec, host=args.host, port=args.port)
-    print(f"netshard {args.shard_id} serving on {server.host}:{server.port} (Ctrl-C to stop)")
+    listener = socket.create_server((args.host, args.port), backlog=4)
+    host, port = listener.getsockname()[:2]
+    server = NetShardServer(spec)
+    print(f"netshard {args.shard_id} serving on {host}:{port} (Ctrl-C to stop)")
     try:
-        server.serve_forever()
+        server.serve_forever(listener)
     except KeyboardInterrupt:
         server.shutdown()
     return 0

@@ -17,8 +17,11 @@ keys spread across shards and run truly in parallel.  The ring also defines
 each key's failover order — when a shard dies mid-request, the pool fails
 the in-flight tickets, retries them on the next live shard along the ring,
 and respawns the dead slot in the background (up to ``respawn_limit`` times
-per slot).  Worker death is detected by per-shard collector threads that
-poll ``Process.is_alive()`` whenever the response queue goes quiet.
+per slot).  Every shard speaks the frame protocol of
+:mod:`repro.service.wire`: a local slot's shard is a child forked onto one
+end of a ``socketpair`` (:func:`~repro.service.netshard.serve_local_shard`),
+and one session thread per slot heartbeats it, so EOF (a SIGKILLed child)
+or silence past ``liveness_timeout_s`` (a frozen one) reports its death.
 
 Cache lifecycle is a broadcast concern: :meth:`EnginePool.invalidate` and
 :meth:`EnginePool.publish_priors` fan out to every shard so a live prior
@@ -35,10 +38,10 @@ revives a drained slot and :meth:`rebalance` re-homes cached keys after
 the topology settles.
 
 Shards need not live on this host: ``remote_shards`` adds ring slots that
-speak the same op vocabulary over TCP (:mod:`repro.service.netshard`) —
-consistent-hash routing, failover, drain and warm hand-off all work across
-the socket, so a pool can mix worker processes on this machine with
-replicas on other machines behind one service.
+dial ``python -m repro.service.netshard`` servers over TCP instead of
+forking a child — the session, routing, failover, drain and warm hand-off
+are the same code for both, so a pool can mix shard processes on this
+machine with replicas on other machines behind one service.
 
 With ``state_dir`` set, the pool gains a **durable state tier**: control
 events (``publish_priors`` / ``invalidate``) are committed to a crash-safe
@@ -79,6 +82,7 @@ import itertools
 import multiprocessing
 import os
 import queue as queue_module
+import socket
 import threading
 import time
 from dataclasses import replace
@@ -97,7 +101,7 @@ from repro.service.handoff import (
     decode_snapshot,
     encode_snapshot,
 )
-from repro.service.netshard import NetShardHandle, parse_shard_hosts
+from repro.service.netshard import parse_shard_hosts, serve_local_shard
 from repro.service.replication import (
     ReplicationClient,
     ReplicationRoleError,
@@ -106,13 +110,11 @@ from repro.service.replication import (
 )
 from repro.service.store import SnapshotStore, pipeline_store_fingerprint
 from repro.service.shard import (
-    CONTROL_TICKET,
     ShardCrashedError,
     ShardHandle,
     ShardSpec,
     ShardState,
     ShardUnavailableError,
-    shard_worker_main,
 )
 from repro.tree.location_tree import LocationTree
 from repro.utils.logging import get_logger
@@ -133,10 +135,6 @@ __all__ = [
 #: spread at the shard counts a single host runs (2–64).
 RING_VNODES = 32
 
-#: How often collector threads poll ``Process.is_alive()`` while their
-#: response queue is silent — the worst-case crash-detection latency.
-HEALTH_POLL_INTERVAL_S = 0.1
-
 #: Default cumulative size budget for snapshot payloads in one hand-off
 #: (matrix bytes).  Entries past the budget ship key-only and the sibling
 #: pre-warms them by rebuilding.
@@ -151,9 +149,12 @@ HOT_KEY_LEDGER_SIZE = 128
 #: back-pressuring the request path.
 PERSIST_QUEUE_SIZE = 256
 
-#: Terminal (or respawn-gated) states a collector thread treats as "this
-#: generation is over"; DRAINED is reached by an orderly drain, not a crash.
-_COLLECTOR_TERMINAL_STATES = (ShardState.STOPPED, ShardState.DEAD, ShardState.DRAINED)
+#: Serializes socketpair → fork → close-child-end across every pool in the
+#: process.  Forks copy every open descriptor, so a child forked while
+#: another slot's child end is still open in this process would hold that
+#: end too — and the slot's session would never see EOF when its own child
+#: dies.
+_FORK_LOCK = threading.Lock()
 
 
 class EnginePoolError(CORGIError):
@@ -225,14 +226,14 @@ def ring_failover_order(
 
 
 class EnginePool:
-    """N forest-engine replicas in worker processes behind one provider API.
+    """N forest-engine replicas in shard processes behind one provider API.
 
     Parameters
     ----------
     tree:
         The location tree to serve.  The parent keeps its own handle (for
         request normalization and reattaching returned matrices); each
-        worker receives a pickled replica at spawn.
+        local shard inherits a copy when it is forked.
     config:
         Engine configuration, shared by every shard (snapshot — mutating
         the caller's object afterwards is inert, exactly like
@@ -241,17 +242,17 @@ class EnginePool:
     targets:
         Optional explicit service-target distribution, forwarded verbatim.
     num_shards:
-        *Local* worker-process count.  Sized to cores for CPU-bound LP
+        *Local* shard-process count.  Sized to cores for CPU-bound LP
         work; may be 0 when ``remote_shards`` is non-empty (a purely
         remote pool).
     remote_shards:
         Socket shard addresses — ``"host:port"`` strings (comma-joined
         accepted) or ``(host, port)`` pairs.  Each address becomes one
-        ring slot served by a :class:`~repro.service.netshard.NetShardHandle`
-        dialing a ``python -m repro.service.netshard`` server; local and
-        remote slots are indistinguishable to routing, failover and drain.
-        The remote servers must be built over the same tree and engine
-        config as this pool (the replica contract).
+        ring slot that dials a ``python -m repro.service.netshard`` server
+        instead of forking a child; local and remote slots are
+        indistinguishable to routing, failover and drain.  The remote
+        servers must be built over the same tree and engine config as this
+        pool (the replica contract).
     respawn_limit:
         How many times one slot may be respawned after a crash before it is
         declared permanently dead.
@@ -260,8 +261,6 @@ class EnginePool:
     chaos_build_delay_s:
         Test/chaos hook: every shard sleeps this long before each build,
         widening the in-flight window so crash injection is deterministic.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default).
     handoff_payload_budget:
         Cumulative byte budget for forest payloads in one hand-off
         snapshot; entries past it ship key-only and the receiving sibling
@@ -271,10 +270,10 @@ class EnginePool:
         (post-crash warm failover).  On by default; benchmarks disable it
         to measure the cold-failover baseline.
     heartbeat_interval_s / liveness_timeout_s / connect_timeout_s:
-        Remote-slot liveness knobs (ignored for local slots): how often a
-        socket shard is pinged, how long silence means death (the
-        socket-transport analogue of ``Process.is_alive`` polling), and
-        the per-redial budget of the bounded reconnect backoff.
+        Shard liveness knobs: how often every shard is pinged, how long
+        silence means death (a frozen child or host; a dead child is
+        noticed at once by EOF), and — remote slots only — the per-redial
+        budget of the bounded reconnect backoff.
     state_dir:
         Directory for the durable state tier (``None`` = RAM-only, the
         previous behaviour).  Holds the crash-safe control log
@@ -302,7 +301,6 @@ class EnginePool:
         respawn_limit: int = 3,
         request_timeout_s: float = 600.0,
         chaos_build_delay_s: float = 0.0,
-        start_method: Optional[str] = None,
         handoff_payload_budget: int = HANDOFF_PAYLOAD_BUDGET_BYTES,
         warm_recovery: bool = True,
         heartbeat_interval_s: float = 0.25,
@@ -328,7 +326,7 @@ class EnginePool:
                 "replication requires state_dir: the primary streams its durable "
                 "control log and a follower keeps its cursor beside its own"
             )
-        # Parse before any worker spawns so a malformed address cannot leak
+        # Parse before any shard spawns so a malformed address cannot leak
         # half-started shard processes out of a raising constructor.
         replication_source = (
             None if replicate_from is None else parse_replication_source(replicate_from)
@@ -351,7 +349,9 @@ class EnginePool:
         self._handoff_payload_budget = int(handoff_payload_budget)
         self._warm_recovery = bool(warm_recovery)
         self._targets = targets
-        self._ctx = multiprocessing.get_context(start_method)
+        # Fork: a local shard inherits its socketpair end and the tree
+        # without pickling either.
+        self._ctx = multiprocessing.get_context("fork")
         self._lifecycle_lock = threading.Lock()
         self._ticket_lock = threading.Lock()
         # Serializes parent-tree prior mutation against parent-side prior
@@ -387,13 +387,13 @@ class EnginePool:
         # even SIGKILL failover pre-warms instead of cold-building.
         self._ledger_lock = threading.Lock()
         self._hot_keys: Dict[int, Dict[Tuple[int, int, float], float]] = {}
-        # Live-prior-update bookkeeping: a shard spawned (and hence pickled
+        # Live-prior-update bookkeeping: a shard spawned (and hence copied
         # the tree) before the latest publish_priors must have the update
-        # re-sent when it becomes READY — see _collect's READY handler.
+        # re-sent when it becomes READY — see _mark_ready.
         self._priors_version = 0
         self._current_priors: Optional[Tuple[Dict[str, float], bool, int]] = None
         # Durable state tier (optional): replay the control log *before*
-        # spawning shards, so every worker is stamped with the recovered
+        # spawning shards, so every shard is stamped with the recovered
         # priors generation and carries the replayed tree priors.
         self._state_dir: Optional[Path] = None
         self._control_log: Optional[ControlLog] = None
@@ -414,23 +414,21 @@ class EnginePool:
         if state_dir is not None:
             self._open_durable_state(state_dir)
         self._ring: List[Tuple[int, int]] = build_ring(self.num_shards)
-        # Local worker-process slots first, then one slot per remote
-        # address — the ring treats them identically (slot number is all
-        # that is hashed), so keys spread across hosts exactly as they
-        # spread across processes.
+        # Local slots first, then one slot per remote address — the ring
+        # treats them identically (slot number is all that is hashed), so
+        # keys spread across hosts exactly as they spread across processes.
         self._shards: List[ShardHandle] = [
-            ShardHandle(slot) for slot in range(self.local_shards)
-        ]
-        for index, address in enumerate(self.remote_addresses):
-            self._shards.append(
-                NetShardHandle(
-                    self.local_shards + index,
-                    address,
-                    heartbeat_interval_s=heartbeat_interval_s,
-                    liveness_timeout_s=liveness_timeout_s,
-                    connect_timeout_s=connect_timeout_s,
-                )
+            ShardHandle(
+                slot,
+                address,
+                heartbeat_interval_s=heartbeat_interval_s,
+                liveness_timeout_s=liveness_timeout_s,
+                connect_timeout_s=connect_timeout_s,
             )
+            for slot, address in enumerate(
+                [None] * self.local_shards + list(self.remote_addresses)
+            )
+        ]
         for shard in self._shards:
             self._spawn(shard)
         if self._store is not None:
@@ -519,7 +517,7 @@ class EnginePool:
         of the newest committed publish becomes the pool's priors version
         (so a warm replica announcing it at READY is recognized rather than
         reset), and the masses are re-applied to the parent tree so every
-        spawned worker pickles the recovered priors.  A record that fails
+        spawned shard inherits the recovered priors.  A record that fails
         vetting (hand-edited log) is surfaced as a diagnostic and skipped —
         the version still advances so it can never be reissued.
         """
@@ -947,17 +945,13 @@ class EnginePool:
     # ------------------------------------------------------------------ #
 
     def _spawn(self, shard: ShardHandle) -> None:
-        """(Re)launch one slot: a worker process, or a remote session.
+        """(Re)launch one slot on a fresh generation: fork or dial, then serve.
 
-        Remote slots have no process to fork — (re)launching one means
-        dialing its server again (:meth:`_connect_remote`); the crash and
-        respawn machinery is shared, so a lost connection walks the same
-        CRASHED → STARTING → READY path (bounded by ``respawn_limit``) a
-        SIGKILLed local worker walks.
+        A local slot forks a child onto one end of a new socketpair; a
+        remote slot dials its server again.  Everything after that is one
+        session for both, so a lost shard walks the same CRASHED → STARTING
+        → READY path (bounded by ``respawn_limit``) wherever it lived.
         """
-        if getattr(shard, "is_remote", False):
-            self._connect_remote(shard)
-            return
         with shard.lock:
             if shard.state in (ShardState.STOPPED, ShardState.DEAD):
                 # close() (or respawn exhaustion) won the race between the
@@ -968,77 +962,42 @@ class EnginePool:
                 shard.transition(ShardState.STARTING)
             shard.generation += 1
             generation = shard.generation
-            # Record which prior generation this worker will carry.  Read
-            # *before* process.start(): any publish_priors bumping the
-            # version after this read makes the READY handler re-send the
-            # update (a publish landing in between merely causes one
-            # redundant, idempotent re-send).
-            shard.priors_version = self._priors_version
-            spec = ShardSpec(
-                shard_id=shard.slot,
-                tree=self.tree,
-                config=self.config,
-                targets=self._targets,
-                chaos_build_delay_s=self._chaos_build_delay_s,
-                priors_version=shard.priors_version,
-            )
-            request_queue = self._ctx.Queue()
-            response_queue = self._ctx.Queue()
+            # Record which prior generation this shard will carry.  Read
+            # *before* the fork: any publish_priors bumping the version
+            # after this read makes the READY handler re-send the update (a
+            # publish landing in between merely causes one redundant,
+            # idempotent re-send).  A remote shard announces its own.
+            shard.priors_version = priors_version = self._priors_version
+        sock = None if shard.address is not None else self._fork_local(shard, priors_version)
+        shard.start_session(
+            generation, sock, on_ready=self._mark_ready, on_crash=self._handle_crash
+        )
+
+    def _fork_local(self, shard: ShardHandle, priors_version: int) -> socket.socket:
+        """Fork a local slot's child onto a new socketpair; return the pool's end."""
+        spec = ShardSpec(
+            shard_id=shard.slot,
+            tree=self.tree,
+            config=self.config,
+            targets=self._targets,
+            chaos_build_delay_s=self._chaos_build_delay_s,
+            priors_version=priors_version,
+        )
+        with _FORK_LOCK:
+            parent_end, child_end = socket.socketpair()
             process = self._ctx.Process(
-                target=shard_worker_main,
-                args=(spec, request_queue, response_queue),
+                target=serve_local_shard,
+                args=(spec, child_end),
                 name=f"corgi-shard-{shard.slot}",
                 daemon=True,
             )
-            shard.request_queue = request_queue
-            shard.response_queue = response_queue
-            shard.process = process
-        process.start()
-        collector = threading.Thread(
-            target=self._collect,
-            args=(shard, process, response_queue, generation),
-            name=f"corgi-shard-{shard.slot}-collector",
-            daemon=True,
-        )
-        collector.start()
-
-    def _connect_remote(self, shard: ShardHandle) -> None:
-        """(Re)dial one remote slot's server on a fresh session generation."""
-        with shard.lock:
-            if shard.state in (ShardState.STOPPED, ShardState.DEAD):
-                return
-            if shard.state is not ShardState.STARTING:
-                shard.transition(ShardState.STARTING)
-            shard.generation += 1
-            generation = shard.generation
-        shard.start_session(
-            generation, on_ready=self._mark_ready, on_crash=self._handle_crash
-        )
-
-    def _collect(self, shard: ShardHandle, process, response_queue, generation: int) -> None:
-        """Drain one worker generation's responses; detect its death."""
-        while True:
             try:
-                message = response_queue.get(timeout=HEALTH_POLL_INTERVAL_S)
-            except queue_module.Empty:
-                with shard.lock:
-                    stale = shard.generation != generation
-                    terminal = shard.state in _COLLECTOR_TERMINAL_STATES
-                if stale or terminal:
-                    return
-                if not process.is_alive():
-                    self._handle_crash(shard, generation)
-                    return
-                continue
-            ticket, status, payload = message
-            if ticket == CONTROL_TICKET:
-                if status == "ready":
-                    announced = None
-                    if isinstance(payload, dict):
-                        announced = payload.get("priors_version")
-                    self._mark_ready(shard, generation, announced)
-                continue
-            shard.resolve(ticket, status, payload)
+                process.start()
+            finally:
+                child_end.close()
+        with shard.lock:
+            shard.process = process
+        return parent_end
 
     def _mark_ready(
         self,
@@ -1046,17 +1005,17 @@ class EnginePool:
         generation: int,
         announced_priors_version: Optional[int] = None,
     ) -> None:
-        """Transition a freshly-announced worker to READY.
+        """Transition a freshly-announced shard to READY.
 
-        If the worker was spawned (tree pickled) before the latest
-        ``publish_priors``, the update is queued *ahead of* the READY
-        transition — the worker drains its queue serially, so the priors
+        If the shard was spawned (tree copied) before the latest
+        ``publish_priors``, the update is sent *ahead of* the READY
+        transition — the shard runs its requests serially, so the priors
         land before any request submitted post-READY can build on them.
         Without this, a shard respawned around a live update would serve
         forests from outdated priors forever.
 
         *announced_priors_version* is what the replica itself claims to
-        carry.  For a spawned worker it equals what :meth:`_spawn` recorded;
+        carry.  For a forked shard it equals what :meth:`_spawn` recorded;
         for a remote shard it is authoritative — a reconnect may find a
         server that kept state (and priors) across the outage, and trusting
         the spawn-time guess would either skip a needed re-send or waste a
@@ -1092,16 +1051,12 @@ class EnginePool:
             if shard.generation != generation or shard.state is not ShardState.STARTING:
                 return
             if reset_priors is not None:
-                shard.request_queue.put_nowait(
-                    ("set_priors", self._next_ticket(), reset_priors)
-                )
+                shard.send("set_priors", reset_priors, self._next_ticket())
                 shard.priors_version = current_version
             elif announced is not None:
                 shard.priors_version = announced
             if current_priors is not None and shard.priors_version < current_version:
-                shard.request_queue.put_nowait(
-                    ("set_priors", self._next_ticket(), current_priors)
-                )
+                shard.send("set_priors", current_priors, self._next_ticket())
                 shard.priors_version = current_version
                 logger.info(
                     "re-sent published priors (v%d) to respawned shard %d",
@@ -1117,16 +1072,19 @@ class EnginePool:
         ledger is replayed to its ring siblings on a background thread —
         post-crash warm recovery: by the time failed-over requests land on
         a sibling, the dead shard's hot keys are (being) pre-warmed there
-        instead of cold-built on the request path.
+        instead of cold-built on the request path.  A local slot's child is
+        killed and reaped before its successor forks: a frozen child never
+        exits on its own.
 
         Stat bumps are deferred until the lifecycle lock is released: the
         bump path notifies the user-supplied stats listener, and running
         foreign code (which may raise, block, or call back into the pool)
         from inside the crash handler's critical section could deadlock or
-        kill the collector thread that detects shard death.
+        kill the session thread that detects shard death.
         """
         bumps: List[Tuple[str, int]] = []
         respawn = False
+        crashed = False
         try:
             with self._lifecycle_lock:
                 with shard.lock:
@@ -1137,6 +1095,7 @@ class EnginePool:
                     ):
                         return
                     shard.transition(ShardState.CRASHED)
+                    crashed = True
                     exhausted = shard.respawns >= self.respawn_limit
                     closed = self._closed
                 failed = shard.fail_pending(
@@ -1173,6 +1132,8 @@ class EnginePool:
         finally:
             for name, amount in bumps:
                 self._bump(name, amount)
+            if crashed:
+                shard.reap(0.0)
         if respawn:
             self._spawn(shard)
 
@@ -1226,33 +1187,12 @@ class EnginePool:
             self._replication_server.close()
         for shard in self._shards:
             with shard.lock:
-                if shard.state in (
-                    ShardState.STARTING,
-                    ShardState.READY,
-                    ShardState.DRAINING,
-                ):
-                    try:
-                        if shard.request_queue is not None:
-                            shard.request_queue.put_nowait(None)
-                    except (ValueError, OSError, queue_module.Full):
-                        pass
                 if shard.state not in (ShardState.STOPPED, ShardState.DEAD):
                     shard.transition(ShardState.STOPPED)
-                process = shard.process
             shard.fail_pending(EnginePoolError("engine pool closed"))
-            if process is not None:
-                try:
-                    process.join(timeout=5.0)
-                    if process.is_alive():
-                        process.terminate()
-                        process.join(timeout=2.0)
-                except (AssertionError, ValueError):
-                    pass  # a respawn raced close() and never start()ed this one
+            shard.retire()
         for shard in self._shards:
-            for q in (shard.request_queue, shard.response_queue):
-                if q is not None:
-                    q.close()
-                    q.cancel_join_thread()
+            shard.reap(5.0)
         # Flush the durable tier: the persister drains queued writes (a
         # sentinel lands behind them), then the control log is released.
         if self._persist_queue is not None:
@@ -1272,7 +1212,7 @@ class EnginePool:
             self.wait_ready()
         except BaseException:
             # __exit__ never runs when __enter__ raises — clean up here or
-            # leak every worker process and collector thread.
+            # leak every shard process and session thread.
             self.close()
             raise
         return self
@@ -1379,7 +1319,7 @@ class EnginePool:
         The listener is user-supplied code: it is invoked with no pool lock
         held and inside a try/except, so a listener that raises (or calls
         back into the pool) can never deadlock the crash handler or kill
-        the collector thread that detects shard death.
+        the session thread that detects shard death.
         """
         if amount <= 0:
             return
@@ -1587,8 +1527,8 @@ class EnginePool:
         deadline = time.monotonic() + timeout
         logger.info("draining shard %d (flushing in-flight work)", slot)
         try:
-            # Flush: the worker keeps answering what it already accepted;
-            # the collector resolves the tickets.  New work cannot arrive
+            # Flush: the shard keeps answering what it already accepted;
+            # the session resolves the tickets.  New work cannot arrive
             # (not READY).
             while True:
                 with shard.lock:
@@ -1634,23 +1574,13 @@ class EnginePool:
                     shard.transition(ShardState.READY)
             logger.warning("drain of shard %d failed; slot returned to ready", slot)
             raise
-        # Retire: mark DRAINED *before* the worker exits so the collector
-        # treats the dead process as an orderly end, not a crash.
+        # Retire: mark DRAINED *before* the connection ends so the session
+        # treats it as an orderly end, not a crash.
         with shard.lock:
             if shard.state is ShardState.DRAINING:
                 shard.transition(ShardState.DRAINED)
-            process = shard.process
-            request_queue = shard.request_queue
-        if request_queue is not None:
-            try:
-                request_queue.put_nowait(None)
-            except (ValueError, OSError, queue_module.Full):
-                pass
-        if process is not None:
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
+        shard.retire()
+        shard.reap(10.0)
         with self._ledger_lock:
             self._hot_keys.pop(slot, None)
         self._bump("drains", 1)
@@ -1700,16 +1630,8 @@ class EnginePool:
                 )
             # Claim the slot *before* releasing the lock: a concurrent
             # respawn/rebalance now fails the DRAINED check above instead
-            # of double-spawning the worker.
+            # of double-spawning the shard.
             shard.transition(ShardState.STARTING)
-            # The retired generation's queues are dead; release them before
-            # _spawn replaces the references.
-            for stale_queue in (shard.request_queue, shard.response_queue):
-                if stale_queue is not None:
-                    stale_queue.close()
-                    stale_queue.cancel_join_thread()
-            shard.request_queue = None
-            shard.response_queue = None
         self._spawn(shard)
 
     def rebalance(self, timeout_s: Optional[float] = None) -> Dict[str, int]:
@@ -2027,10 +1949,10 @@ class EnginePool:
     def cache_diagnostics(self, timeout_s: float = 10.0) -> Dict[str, object]:
         """Aggregated engine diagnostics plus pool lifecycle state.
 
-        The per-shard engine numbers are fetched over the request queues;
-        the broadcast is partial, so a shard stuck in a long build is merely
-        absent from ``shards_reporting`` rather than blocking monitoring or
-        zeroing its siblings' counters.  Scalar counters are summed across
+        The per-shard engine numbers are fetched with one ``diagnostics`` op
+        per shard; the broadcast is partial, so a shard stuck in a long
+        build is merely absent from ``shards_reporting`` rather than
+        blocking monitoring or zeroing its siblings' counters.  Scalar counters are summed across
         the shards that answered; the summary keeps the single-engine key
         shape (``forest_entries``, ``structure_sharing``, …) so existing
         dashboards and :meth:`CORGIService.snapshot` work unchanged.

@@ -9,9 +9,9 @@ durable-queue design of the MSMQ multi-branch synchronization literature:
   writes exactly as before — the control log allocates the version and
   commits the record with write+fsync.  A :class:`ReplicationServer`
   attached to that log streams every *durable* record to subscribed
-  followers over the same CRGF frame codec the netshard transport uses
-  (length-prefixed JSON, heartbeat liveness; see
-  :mod:`repro.service.netshard`).
+  followers over the same CRGF frames, read loop and dial helper every
+  shard session uses (length-prefixed JSON, heartbeat liveness; see
+  :mod:`repro.service.wire`).
 * A **follower** head (:class:`ReplicationClient`, owned by its
   :class:`~repro.service.pool.EnginePool`) dials the primary with bounded
   decorrelated-jitter backoff, subscribes from its durable cursor, and for
@@ -61,21 +61,20 @@ import queue as queue_module
 import select
 import socket
 import threading
-import time
 from collections import deque
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.exceptions import CORGIError
 from repro.service.controllog import ControlLog
-from repro.service.netshard import (
+from repro.service.wire import (
     CLIENT_IDLE_TIMEOUT_S,
+    CONNECT_BACKOFF_BASE_S,
     HEARTBEAT_INTERVAL_S,
     LIVENESS_TIMEOUT_S,
-    FrameAssembler,
+    FrameConnection,
     FrameFormatError,
-    encode_frame,
-    next_backoff_delay,
+    dial,
 )
 
 __all__ = [
@@ -96,10 +95,8 @@ logger = logging.getLogger(__name__)
 #: so eviction loses liveness, never records).
 REPLICATION_SEND_QUEUE = 512
 
-#: Socket read chunk for both sides' reader loops.
-_READ_CHUNK = 64 << 10
-
-#: Poll granularity of the select loops (also bounds shutdown latency).
+#: Poll granularity of the accept and dispatch loops (also bounds shutdown
+#: latency).
 _POLL_INTERVAL_S = 0.1
 
 #: Name of a follower's durable cursor file inside its state directory.
@@ -194,15 +191,14 @@ class _FollowerConn:
 
     def __init__(self, conn_id: int, sock: socket.socket, peer: str) -> None:
         self.conn_id = conn_id
-        self.sock = sock
+        # Whole-frame sends are serialized inside the connection, so the
+        # writer thread and the rare synchronous send (the pre-drop
+        # ``sub_reject``) never interleave mid-stream.
+        self.connection = FrameConnection(sock)
         self.peer = peer
         self.outbox: "queue_module.Queue[Optional[Dict[str, object]]]" = queue_module.Queue(
             maxsize=REPLICATION_SEND_QUEUE
         )
-        # Serializes socket writes between the writer thread and the rare
-        # synchronous send (the pre-drop ``sub_reject``) so frames never
-        # interleave mid-stream.
-        self.write_lock = threading.Lock()
         self.subscribed = False  # dispatcher-owned: only it flips/reads this
         self.cursor = 0
         self.acked = 0
@@ -224,10 +220,7 @@ class _FollowerConn:
             self.outbox.put_nowait(None)
         except queue_module.Full:
             pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        self.connection.close()
 
 
 class ReplicationServer:
@@ -314,7 +307,6 @@ class ReplicationServer:
                 sock, address = self._listener.accept()
             except OSError:
                 continue
-            sock.setblocking(True)
             peer = f"{address[0]}:{address[1]}"
             with self._lock:
                 if self._closed:
@@ -334,43 +326,23 @@ class ReplicationServer:
             ).start()
 
     def _reader_loop(self, conn: _FollowerConn) -> None:
-        assembler = FrameAssembler()
-        last_activity = time.monotonic()
         try:
-            while conn.alive and not self._closed:
-                try:
-                    readable, _, _ = select.select([conn.sock], [], [], _POLL_INTERVAL_S)
-                except (OSError, ValueError):
-                    break
-                if not readable:
-                    if time.monotonic() - last_activity > self._client_idle_timeout_s:
-                        logger.info("replication follower %s idle; dropping", conn.peer)
-                        break
-                    continue
-                try:
-                    data = conn.sock.recv(_READ_CHUNK)
-                except OSError:
-                    break
-                if not data:
-                    break
-                last_activity = time.monotonic()
-                try:
-                    assembler.feed(data)
-                    while True:
-                        message = assembler.next_message()
-                        if message is None:
-                            break
-                        self._dispatch_message(conn, message)
-                except FrameFormatError as error:
-                    self._bump("protocol_errors")
-                    logger.warning(
-                        "replication follower %s sent garbage (%s); dropping", conn.peer, error
-                    )
-                    break
+            ended = conn.connection.read(
+                lambda message: self._dispatch_message(conn, message),
+                silence_timeout_s=self._client_idle_timeout_s,
+                stop=lambda: not conn.alive or self._closed,
+            )
+            if ended == "silent":
+                logger.info("replication follower %s idle; dropping", conn.peer)
+        except FrameFormatError as error:
+            self._bump("protocol_errors")
+            logger.warning(
+                "replication follower %s sent garbage (%s); dropping", conn.peer, error
+            )
         finally:
             self._drop_conn(conn)
 
-    def _dispatch_message(self, conn: _FollowerConn, message: Dict[str, object]) -> None:
+    def _dispatch_message(self, conn: _FollowerConn, message: Dict[str, object]) -> bool:
         kind = message.get("kind")
         if kind == "heartbeat":
             conn.send({"kind": "heartbeat"})
@@ -388,18 +360,17 @@ class ReplicationServer:
                 conn.acked = max(conn.acked, version)
         elif kind == "bye":
             conn.alive = False
+            return False
         else:
             self._bump("protocol_errors")
+        return True
 
     def _writer_loop(self, conn: _FollowerConn) -> None:
         while True:
             message = conn.outbox.get()
             if message is None:
                 return
-            try:
-                with conn.write_lock:
-                    conn.sock.sendall(encode_frame(message))
-            except OSError:
+            if not conn.connection.send(message):
                 conn.alive = False
                 return
 
@@ -464,18 +435,9 @@ class ReplicationServer:
             # Synchronous send: shutdown() closes the socket immediately, so
             # an outbox-queued reject would race the writer thread and the
             # follower would see a bare EOF instead of the typed refusal.
-            try:
-                with conn.write_lock:
-                    conn.sock.sendall(
-                        encode_frame(
-                            {
-                                "kind": "sub_reject",
-                                "reason": "pipeline fingerprint mismatch",
-                            }
-                        )
-                    )
-            except OSError:
-                pass
+            conn.connection.send(
+                {"kind": "sub_reject", "reason": "pipeline fingerprint mismatch"}
+            )
             self._drop_conn(conn)
             return
         self._bump("subscribes")
@@ -562,10 +524,10 @@ class ReplicationClient:
     """Follower-side tailer owned by an :class:`EnginePool`.
 
     Runs one daemon session thread: dial the primary (decorrelated-jitter
-    backoff between attempts), subscribe from the durable cursor, then for
-    every received record run commit-before-apply: local log append
-    (primary's version, verbatim), pool apply, fsync'd cursor advance,
-    ack.  The pool half of the contract lives in
+    backoff between attempts, :func:`repro.service.wire.dial`), subscribe
+    from the durable cursor, then for every received record run
+    commit-before-apply: local log append (primary's version, verbatim),
+    pool apply, fsync'd cursor advance, ack.  The pool half of the contract lives in
     ``EnginePool.apply_replicated_control`` and
     ``EnginePool.reset_for_replication``.
     """
@@ -590,9 +552,8 @@ class ReplicationClient:
         self._connect_timeout_s = float(connect_timeout_s)
         self._cursor_path = Path(state_dir) / CURSOR_FILENAME
         self._lock = threading.Lock()
-        self._send_lock = threading.Lock()
         self._closed = threading.Event()
-        self._sock: Optional[socket.socket] = None
+        self._connection: Optional[FrameConnection] = None
         self._connected = False
         # Resume point: everything up to the local log's durable head was
         # applied by the pool's own boot replay; the cursor file covers the
@@ -628,89 +589,56 @@ class ReplicationClient:
     # -- session ------------------------------------------------------- #
 
     def _session_loop(self) -> None:
-        delay = 0.0
         while not self._closed.is_set():
-            try:
-                sock = socket.create_connection(self.address, timeout=self._connect_timeout_s)
-            except OSError:
-                delay = next_backoff_delay(delay)
-                self._closed.wait(delay)
+            sock = dial(self.address, timeout_s=self._connect_timeout_s, stop=self._closed.is_set)
+            if sock is None:
                 continue
-            sock.setblocking(True)
+            connection = FrameConnection(sock)
             with self._lock:
                 if self._closed.is_set():
-                    sock.close()
+                    connection.close()
                     return
-                self._sock = sock
+                self._connection = connection
                 self._connected = True
-            delay = 0.0
             try:
-                self._run_session(sock)
-            except OSError:
-                pass
+                self._run_session(connection)
             finally:
                 with self._lock:
                     self._connected = False
-                    self._sock = None
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                    self._connection = None
+                connection.close()
             if not self._closed.is_set():
                 self._bump("reconnects")
-                delay = next_backoff_delay(delay)
-                self._closed.wait(delay)
+                self._closed.wait(CONNECT_BACKOFF_BASE_S)
 
-    def _send(self, sock: socket.socket, message: Dict[str, object]) -> None:
-        with self._send_lock:
-            sock.sendall(encode_frame(message))
-
-    def _run_session(self, sock: socket.socket) -> None:
+    def _run_session(self, connection: FrameConnection) -> None:
         with self._lock:
             cursor = self._applied
-        self._send(sock, {"kind": "subscribe", "cursor": cursor, "fingerprint": self.fingerprint})
-        assembler = FrameAssembler()
-        last_frame = time.monotonic()
-        last_heartbeat = 0.0
-        while not self._closed.is_set():
-            now = time.monotonic()
-            if now - last_heartbeat >= self._heartbeat_interval_s:
-                self._send(sock, {"kind": "heartbeat"})
-                last_heartbeat = now
-            if now - last_frame > self._liveness_timeout_s:
-                logger.warning(
-                    "replication primary %s silent for %.2f s; redialing",
-                    self.source,
-                    now - last_frame,
-                )
-                return
-            try:
-                readable, _, _ = select.select([sock], [], [], _POLL_INTERVAL_S)
-            except (OSError, ValueError):
-                return
-            if not readable:
-                continue
-            data = sock.recv(_READ_CHUNK)
-            if not data:
-                return
-            last_frame = time.monotonic()
-            try:
-                assembler.feed(data)
-                while True:
-                    message = assembler.next_message()
-                    if message is None:
-                        break
-                    if not self._handle_message(sock, message):
-                        return
-            except FrameFormatError as error:
-                logger.warning(
-                    "replication primary %s sent a malformed frame (%s); redialing",
-                    self.source,
-                    error,
-                )
-                return
+        connection.send(
+            {"kind": "subscribe", "cursor": cursor, "fingerprint": self.fingerprint}
+        )
+        try:
+            ended = connection.read(
+                lambda message: self._handle_message(connection, message),
+                silence_timeout_s=self._liveness_timeout_s,
+                heartbeat_s=self._heartbeat_interval_s,
+                stop=self._closed.is_set,
+            )
+        except FrameFormatError as error:
+            logger.warning(
+                "replication primary %s sent a malformed frame (%s); redialing",
+                self.source,
+                error,
+            )
+            return
+        if ended == "silent":
+            logger.warning(
+                "replication primary %s silent for %.2f s; redialing",
+                self.source,
+                self._liveness_timeout_s,
+            )
 
-    def _handle_message(self, sock: socket.socket, message: Dict[str, object]) -> bool:
+    def _handle_message(self, connection: FrameConnection, message: Dict[str, object]) -> bool:
         kind = message.get("kind")
         if kind == "heartbeat":
             return True
@@ -729,17 +657,16 @@ class ReplicationClient:
             )
             return False
         if kind == "reset":
-            return self._handle_reset(sock, message)
+            return self._handle_reset(connection, message)
         if kind == "record":
-            return self._handle_record(sock, message.get("record"))
+            return self._handle_record(connection, message.get("record"))
         logger.warning("replication primary %s sent unknown frame %r", self.source, kind)
         return True
 
-    def _handle_reset(self, sock: socket.socket, message: Dict[str, object]) -> bool:
+    def _handle_reset(self, connection: FrameConnection, message: Dict[str, object]) -> bool:
         version = message.get("last_version")
         if not isinstance(version, int) or isinstance(version, bool) or version < 0:
             return False
-        self._bump("resets")
         logger.warning(
             "replication: this head replayed v%d but primary %s is at v%d — "
             "divergent generation never happened; resetting defensively",
@@ -755,14 +682,17 @@ class ReplicationClient:
             self._bump("apply_errors")
             logger.exception("replication reset failed; will retry on reconnect")
             return False
+        # One critical section: diagnostics never report the reset without
+        # the cursor it moved to.
         with self._lock:
             self._applied = version
             self._primary_version = max(self._primary_version, version)
+            self._counters["resets"] += 1
         write_cursor(self._cursor_path, self.source, version)
-        self._send(sock, {"kind": "ack", "version": version})
+        connection.send({"kind": "ack", "version": version})
         return True
 
-    def _handle_record(self, sock: socket.socket, record: object) -> bool:
+    def _handle_record(self, connection: FrameConnection, record: object) -> bool:
         if not isinstance(record, dict):
             return True
         version = record.get("version")
@@ -793,7 +723,7 @@ class ReplicationClient:
             self._applied = version
         self._bump("records_applied")
         write_cursor(self._cursor_path, self.source, version)
-        self._send(sock, {"kind": "ack", "version": version})
+        connection.send({"kind": "ack", "version": version})
         return True
 
     # -- lifecycle / diagnostics --------------------------------------- #
@@ -818,16 +748,10 @@ class ReplicationClient:
     def close(self) -> None:
         self._closed.set()
         with self._lock:
-            sock = self._sock
-        if sock is not None:
-            try:
-                self._send(sock, {"kind": "bye"})
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            connection = self._connection
+        if connection is not None:
+            connection.send({"kind": "bye"})
+            connection.close()
         self._thread.join(timeout=2.0)
 
 

@@ -1,4 +1,4 @@
-"""One engine shard: a worker process hosting a :class:`ForestEngine` replica.
+"""One engine shard: a :class:`ForestEngine` replica behind the frame protocol.
 
 The :class:`~repro.service.pool.EnginePool` runs N of these behind one
 :class:`~repro.service.service.CORGIService`.  Following the DB-nets idea of
@@ -8,35 +8,54 @@ parent-side handle enforces the legal transition graph — an illegal
 transition is a bug and raises immediately instead of corrupting the pool's
 bookkeeping.
 
-Dispatch shape (the MSMQ-style queue-per-shard design): every shard owns a
-private request queue and a private response queue.  The parent posts
-`(op, ticket, payload)` tuples; the worker loop processes them serially
-against its engine and posts ``(ticket, "ok"|"error", result)`` back.  A
-collector thread in the parent drains the response queue and resolves the
-per-ticket rendezvous; the same thread doubles as the health check — when
-the queue stays silent it polls ``Process.is_alive()``, so a SIGKILLed
-worker is detected within one poll interval and every request in flight on
-it fails over (see :class:`~repro.service.pool.EnginePool`).
+Every shard speaks one transport, the length-prefixed JSON frames of
+:mod:`repro.service.wire`, whether it is a child process the pool forked
+onto one end of a ``socketpair`` or a ``python -m repro.service.netshard``
+server on another host.  The parent posts ``request`` frames carrying
+``(op, ticket, payload)``; the shard runs them serially through
+:class:`ShardOpExecutor` and answers with ``response`` frames under the
+same ticket.  The handle's session thread reads those frames, resolves the
+per-ticket rendezvous, and heartbeats the shard: EOF or silence past
+``liveness_timeout_s`` — a SIGKILLed, frozen or unreachable shard — fails
+every request in flight over to the next ring sibling (see
+:class:`~repro.service.pool.EnginePool`).
 
-Only plain picklable data crosses the process boundary: requests carry
-scalars, responses carry ``{root_id: ObfuscationMatrix}`` mappings — never
-the tree, never a :class:`~repro.server.privacy_forest.PrivacyForest` (the
-parent reattaches matrices to its own tree handle).
+Only plain data crosses the boundary: requests carry scalars, responses
+carry ``{root_id: ObfuscationMatrix}`` mappings in their exact
+``to_dict`` encoding — never the tree, never a
+:class:`~repro.server.privacy_forest.PrivacyForest` (the parent reattaches
+matrices to its own tree handle).
 """
 
 from __future__ import annotations
 
 import os
-import queue
+import socket
 import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.exceptions import (
+    CORGIError,
+    InfeasibleMatrixError,
+    MatrixValidationError,
+    PrecisionReductionError,
+    PruningError,
+)
+from repro.core.matrix import ObfuscationMatrix
 from repro.core.objective import TargetDistribution
+from repro.core.solver import SolverBackendUnavailableError
 from repro.server.engine import ForestEngine, ServerConfig
-from repro.service.handoff import decode_snapshot
+from repro.service.handoff import SnapshotFormatError, decode_snapshot
+from repro.service.wire import (
+    HEARTBEAT_INTERVAL_S,
+    LIVENESS_TIMEOUT_S,
+    FrameConnection,
+    FrameFormatError,
+    dial,
+)
 from repro.tree.location_tree import LocationTree
 from repro.utils.logging import get_logger
 
@@ -46,14 +65,17 @@ __all__ = [
     "ShardState",
     "ShardCrashedError",
     "ShardUnavailableError",
-    "CONTROL_TICKET",
+    "RemoteShardError",
+    "ShardSpec",
     "ShardOpExecutor",
-    "shard_worker_main",
+    "ShardHandle",
+    "encode_request",
+    "decode_request",
+    "encode_result",
+    "decode_result",
+    "encode_error",
+    "decode_error",
 ]
-
-#: Ticket id reserved for unsolicited worker → parent control messages
-#: (currently only the post-construction ``ready`` announcement).
-CONTROL_TICKET = -1
 
 
 class ShardState(Enum):
@@ -109,12 +131,16 @@ class ShardUnavailableError(RuntimeError):
     """The shard cannot accept work right now (not READY, or shutting down)."""
 
 
+class RemoteShardError(CORGIError, RuntimeError):
+    """A shard reported an error type this build cannot reconstruct."""
+
+
 @dataclass(frozen=True)
 class ShardSpec:
     """Everything a worker process needs to host an engine replica (picklable).
 
     ``max_workers`` is forced to 1: shard processes *are* the parallelism,
-    and nested process fan-out inside a daemonic worker is not allowed by
+    and nested process fan-out inside a daemonic child is not allowed by
     ``multiprocessing`` anyway.  ``keep_generation_results`` is forced off
     because convergence traces never cross the process boundary.
     """
@@ -124,8 +150,8 @@ class ShardSpec:
     config: ServerConfig
     targets: Optional[TargetDistribution] = None
     chaos_build_delay_s: float = 0.0
-    #: Published-priors generation the pickled tree carries at spawn.  The
-    #: worker tracks it through ``set_priors`` ops and uses it to reject
+    #: Published-priors generation the tree carries at spawn.  The
+    #: replica tracks it through ``set_priors`` ops and uses it to reject
     #: snapshot payloads built under different priors (see ``import_cache``).
     priors_version: int = 0
 
@@ -134,15 +160,13 @@ class ShardSpec:
 
 
 class ShardOpExecutor:
-    """One engine replica's serial op interpreter (transport-agnostic).
+    """One engine replica's serial op interpreter.
 
-    Both shard transports speak the same op vocabulary — the
-    ``multiprocessing``-queue worker (:func:`shard_worker_main`) and the TCP
-    socket server (:class:`repro.service.netshard.NetShardServer`) — so the
-    engine-facing semantics live here once.  The executor owns the engine
-    and the replica's current priors generation; callers feed it one
-    ``(op, payload)`` at a time from a single thread (the queue/serving
-    loop), exactly like the original worker loop.
+    :class:`repro.service.netshard.NetShardServer` runs it for every shard,
+    local child or remote host alike, so the engine-facing semantics live
+    here once.  The executor owns the engine and the replica's current
+    priors generation; callers feed it one ``(op, payload)`` at a time from
+    a single thread (the server's worker thread).
 
     Ops:
 
@@ -178,9 +202,9 @@ class ShardOpExecutor:
         """The control payload a fresh replica announces itself with.
 
         Carries the replica's current priors generation so a parent
-        (re)connecting to an already-warm replica — the socket-transport
-        reconnect path — learns what the replica actually serves instead of
-        assuming the spawn-time version.
+        (re)connecting to an already-warm replica — the remote reconnect
+        path — learns what the replica actually serves instead of assuming
+        the spawn-time version.
         """
         return {
             "shard_id": self.spec.shard_id,
@@ -242,69 +266,266 @@ class ShardOpExecutor:
         raise ValueError(f"unknown shard op {op!r}")
 
 
-def shard_worker_main(spec: ShardSpec, request_queue, response_queue) -> None:
-    """Worker-process entry point: serve the shard's request queue forever.
+# --------------------------------------------------------------------- #
+# Message codec: shard ops and results over JSON frames
+# --------------------------------------------------------------------- #
 
-    Messages are ``(op, ticket, payload)`` tuples (``None`` = orderly
-    shutdown); the op vocabulary and semantics live in
-    :class:`ShardOpExecutor`, shared with the socket transport.
 
-    Failures are *answers*, not crashes: any exception raised by the engine
-    is shipped back under the request's ticket and re-raised in the caller.
-    Only a process-level death (OOM kill, SIGKILL) leaves a ticket
-    unanswered — that is the case the parent's collector thread detects.
+def _encode_matrices(
+    matrices: Optional[Dict[str, ObfuscationMatrix]],
+) -> Optional[Dict[str, object]]:
+    if matrices is None:
+        return None
+    return {str(root_id): matrix.to_dict() for root_id, matrix in matrices.items()}
+
+
+def _decode_matrices(payload: object) -> Optional[Dict[str, ObfuscationMatrix]]:
+    if payload is None:
+        return None
+    if not isinstance(payload, dict):
+        raise FrameFormatError("matrices payload must be an object or null")
+    decoded: Dict[str, ObfuscationMatrix] = {}
+    for root_id, matrix_payload in payload.items():
+        try:
+            decoded[str(root_id)] = ObfuscationMatrix.from_dict(matrix_payload)
+        except (KeyError, TypeError, ValueError, MatrixValidationError) as error:
+            raise FrameFormatError(
+                f"invalid matrix payload for {root_id!r}: {error}"
+            ) from error
+    return decoded
+
+
+def encode_request(op: str, ticket: int, payload: object) -> Dict[str, object]:
+    """One shard op as a JSON-friendly request message.
+
+    The op vocabulary and payload shapes are exactly those of
+    :class:`ShardOpExecutor`; only the encodings that are not JSON-native
+    change representation (`import_cache`'s snapshot blob rides as its
+    UTF-8 text — it *is* versioned JSON already).
     """
-    executor = ShardOpExecutor(spec)
-    response_queue.put((CONTROL_TICKET, "ready", executor.ready_announcement()))
-    logger.debug("shard %d ready (pid %d)", spec.shard_id, os.getpid())
-    parent_pid = os.getppid()
-    while True:
-        try:
-            message = request_queue.get(timeout=1.0)
-        except queue.Empty:
-            # A SIGKILL'd parent never sends the ``None`` shutdown sentinel;
-            # detect re-parenting and exit rather than linger as an orphan.
-            if os.getppid() != parent_pid:
-                logger.debug(
-                    "shard %d orphaned (pid %d); exiting", spec.shard_id, os.getpid()
-                )
-                return
-            continue
-        if message is None:
-            logger.debug("shard %d stopping (pid %d)", spec.shard_id, os.getpid())
-            return
-        op, ticket, payload = message
-        try:
-            result = executor.execute(op, payload)
-        except BaseException as error:  # noqa: BLE001 - shipped to the caller
-            response_queue.put((ticket, "error", error))
+    if op == "build":
+        privacy_level, delta, epsilon, use_cache = payload
+        body: object = {
+            "privacy_level": int(privacy_level),
+            "delta": int(delta),
+            "epsilon": float(epsilon),
+            "use_cache": bool(use_cache),
+        }
+    elif op == "set_priors":
+        priors, normalize, version = payload
+        body = {
+            "priors": {str(node): float(mass) for node, mass in priors.items()},
+            "normalize": bool(normalize),
+            "version": int(version),
+        }
+    elif op == "import_cache":
+        if not isinstance(payload, (bytes, bytearray)):
+            raise FrameFormatError("import_cache payload must be a snapshot blob")
+        body = {"snapshot": bytes(payload).decode("utf-8")}
+    else:
+        # invalidate (int | None), export_cache (int), diagnostics / ping (None)
+        body = payload
+    return {"kind": "request", "op": str(op), "ticket": int(ticket), "payload": body}
+
+
+def decode_request(message: Dict[str, object]) -> Tuple[str, int, object]:
+    """Inverse of :func:`encode_request`; strict about shapes."""
+    op = message.get("op")
+    ticket = message.get("ticket")
+    if not isinstance(op, str):
+        raise FrameFormatError(f"request op must be a string, got {op!r}")
+    if isinstance(ticket, bool) or not isinstance(ticket, int):
+        raise FrameFormatError(f"request ticket must be an integer, got {ticket!r}")
+    body = message.get("payload")
+    try:
+        if op == "build":
+            if not isinstance(body, dict):
+                raise FrameFormatError("build payload must be an object")
+            payload: object = (
+                int(body["privacy_level"]),
+                int(body["delta"]),
+                float(body["epsilon"]),
+                bool(body["use_cache"]),
+            )
+        elif op == "set_priors":
+            if not isinstance(body, dict):
+                raise FrameFormatError("set_priors payload must be an object")
+            priors = body["priors"]
+            if not isinstance(priors, dict):
+                raise FrameFormatError("set_priors priors must be an object")
+            payload = (
+                {str(node): float(mass) for node, mass in priors.items()},
+                bool(body["normalize"]),
+                int(body["version"]),
+            )
+        elif op == "import_cache":
+            if not isinstance(body, dict) or not isinstance(body.get("snapshot"), str):
+                raise FrameFormatError("import_cache payload must carry a snapshot string")
+            payload = body["snapshot"].encode("utf-8")
         else:
-            response_queue.put((ticket, "ok", result))
+            payload = body
+    except (KeyError, TypeError, ValueError) as error:
+        if isinstance(error, FrameFormatError):
+            raise
+        raise FrameFormatError(f"malformed {op!r} request payload: {error}") from error
+    return op, ticket, payload
+
+
+def encode_result(op: str, result: object) -> object:
+    """Encode one op result for the wire (op-specific matrix handling)."""
+    if op == "build":
+        assert isinstance(result, dict)
+        encoded = dict(result)
+        encoded["matrices"] = _encode_matrices(result["matrices"])
+        return encoded
+    if op == "export_cache":
+        assert isinstance(result, list)
+        entries = []
+        for entry in result:
+            encoded_entry = dict(entry)
+            encoded_entry["matrices"] = _encode_matrices(entry["matrices"])
+            entries.append(encoded_entry)
+        return entries
+    return result
+
+
+def decode_result(op: str, result: object) -> object:
+    """Inverse of :func:`encode_result`."""
+    try:
+        if op == "build":
+            if not isinstance(result, dict):
+                raise FrameFormatError("build result must be an object")
+            decoded = dict(result)
+            decoded["matrices"] = _decode_matrices(result.get("matrices")) or {}
+            return decoded
+        if op == "export_cache":
+            if not isinstance(result, list):
+                raise FrameFormatError("export_cache result must be a list")
+            entries = []
+            for entry in result:
+                if not isinstance(entry, dict):
+                    raise FrameFormatError("export_cache entries must be objects")
+                decoded_entry = dict(entry)
+                decoded_entry["matrices"] = _decode_matrices(entry.get("matrices"))
+                entries.append(decoded_entry)
+            return entries
+    except (KeyError, TypeError, ValueError) as error:
+        if isinstance(error, FrameFormatError):
+            raise
+        raise FrameFormatError(f"malformed {op!r} result: {error}") from error
+    return result
+
+
+#: Exception types reconstructed by name on the receiving side, most
+#: specific first.  Everything here must be constructible from a single
+#: message string; anything unlisted arrives as :class:`RemoteShardError`
+#: (the pool treats it as a non-retryable request failure, like any other
+#: engine-raised error).  Builtins precede ``CORGIError`` so an unlisted
+#: library error that is also a ``ValueError`` keeps its 400 class.
+_ERROR_REGISTRY: Tuple[Tuple[str, type], ...] = (
+    ("SnapshotFormatError", SnapshotFormatError),
+    ("FrameFormatError", FrameFormatError),
+    ("MatrixValidationError", MatrixValidationError),
+    ("InfeasibleMatrixError", InfeasibleMatrixError),
+    ("PruningError", PruningError),
+    ("PrecisionReductionError", PrecisionReductionError),
+    ("SolverBackendUnavailableError", SolverBackendUnavailableError),
+    ("ShardUnavailableError", ShardUnavailableError),
+    ("RemoteShardError", RemoteShardError),
+    ("ValueError", ValueError),
+    ("TypeError", TypeError),
+    ("KeyError", KeyError),
+    ("OverflowError", OverflowError),
+    ("CORGIError", CORGIError),
+)
+
+
+def encode_error(error: BaseException) -> Dict[str, object]:
+    """Encode an exception as its closest reconstructible registry type.
+
+    Walking the registry (most specific first) preserves the *family* of
+    the error — a ``SnapshotFormatError`` subclass still arrives as a
+    ``SnapshotFormatError``, an exotic ``ValueError`` subclass still maps
+    to HTTP 400 on the far side — even when the exact class is unknown to
+    the peer.  A ``KeyError`` ships its key (``str()`` of a ``KeyError``
+    adds quotes) and an ``InfeasibleMatrixError`` its ``solver_status``.
+    """
+    name = "RemoteShardError"
+    for registered, cls in _ERROR_REGISTRY:
+        if isinstance(error, cls):
+            name = registered
+            break
+    if isinstance(error, KeyError) and error.args:
+        message = str(error.args[0])
+    else:
+        message = str(error)
+    encoded: Dict[str, object] = {"type": name, "message": message}
+    solver_status = getattr(error, "solver_status", None)
+    if solver_status is not None:
+        encoded["solver_status"] = str(solver_status)
+    return encoded
+
+
+def decode_error(payload: object) -> BaseException:
+    """Reconstruct a wire error (unknown types become RemoteShardError)."""
+    if not isinstance(payload, dict):
+        return RemoteShardError(f"malformed remote error payload: {payload!r}")
+    name = payload.get("type")
+    message = str(payload.get("message", ""))
+    for registered, cls in _ERROR_REGISTRY:
+        if registered == name:
+            error = cls(message)
+            if isinstance(error, InfeasibleMatrixError):
+                error.solver_status = payload.get("solver_status")
+            return error
+    return RemoteShardError(f"{name}: {message}")
+
+
+# --------------------------------------------------------------------- #
+# Parent-side handle: one slot's session, tickets and lifecycle
+# --------------------------------------------------------------------- #
 
 
 class ShardHandle:
-    """Parent-side view of one shard slot: process, queues, tickets, state.
+    """Parent-side view of one shard slot: session, tickets, state.
 
-    The handle owns the per-ticket rendezvous map and the verified state
-    machine; process management (spawn, respawn, collector threads) is the
-    pool's job.  All mutation happens under ``self.lock``.
+    Every slot runs the same session over one framed socket: the ready
+    frame moves it to READY, response frames resolve tickets, heartbeats
+    prove liveness, and EOF or silence reports death to the pool's crash
+    handler, which respawns the slot (bounded by ``respawn_limit``).  The
+    only difference between slots is where the socket comes from: a
+    *local* slot's is one end of a socketpair whose other end a forked
+    child serves (``process`` is that child); a *remote* slot dials
+    ``address``.  All mutation happens under ``self.lock``.
     """
 
-    def __init__(self, slot: int) -> None:
+    def __init__(
+        self,
+        slot: int,
+        address: Optional[Tuple[str, int]] = None,
+        *,
+        heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
+        liveness_timeout_s: float = LIVENESS_TIMEOUT_S,
+        connect_timeout_s: float = 5.0,
+    ) -> None:
         self.slot = slot
+        self.address = None if address is None else (str(address[0]), int(address[1]))
+        self.heartbeat_interval_s = float(heartbeat_interval_s)
+        self.liveness_timeout_s = float(liveness_timeout_s)
+        self.connect_timeout_s = float(connect_timeout_s)
         self.lock = threading.Lock()
         self.state = ShardState.STARTING
-        self.process = None  # multiprocessing.Process, attached by the pool
-        self.request_queue = None
-        self.response_queue = None
+        self.process = None  # the forked child serving a local slot
+        self.connection: Optional[FrameConnection] = None
         self.ready_event = threading.Event()
         self.pending: Dict[int, "_PendingTicket"] = {}
         self.respawns = 0
         self.generation = 0  # bumped on every (re)spawn
-        self.priors_version = 0  # last published-priors version this worker carries
+        self.priors_version = 0  # last published-priors version this shard carries
         self.dispatched = 0
         self.completed = 0
         self.crash_failures = 0
+        self.reconnects = 0
 
     # ------------------------------------------------------------------ #
     # State machine
@@ -326,6 +547,141 @@ class ShardHandle:
         else:
             self.ready_event.clear()
 
+    def stale(self, generation: int) -> bool:
+        """Whether *generation*'s session is over (superseded or retired)."""
+        with self.lock:
+            return self.generation != generation or self.state in (
+                ShardState.STOPPED,
+                ShardState.DEAD,
+                ShardState.DRAINED,
+            )
+
+    # ------------------------------------------------------------------ #
+    # Session: one connection generation, driven on a daemon thread
+    # ------------------------------------------------------------------ #
+
+    def start_session(
+        self,
+        generation: int,
+        sock: Optional[socket.socket],
+        *,
+        on_ready: Callable[["ShardHandle", int, Optional[int]], None],
+        on_crash: Callable[["ShardHandle", int], None],
+    ) -> None:
+        """Serve one generation on a daemon thread, over *sock* (a local
+        child's socketpair end) or, when it is None, over a connection the
+        session dials to ``address``."""
+        threading.Thread(
+            target=self._session,
+            args=(generation, sock, on_ready, on_crash),
+            name=f"corgi-shard-{self.slot}-session",
+            daemon=True,
+        ).start()
+
+    def _session(self, generation: int, sock, on_ready, on_crash) -> None:
+        if sock is None:
+            sock = dial(
+                self.address,
+                timeout_s=self.connect_timeout_s,
+                stop=lambda: self.stale(generation),
+            )
+        if sock is None:
+            if not self.stale(generation):
+                logger.warning("shard slot %d: cannot reach %s", self.slot, self.address)
+                on_crash(self, generation)
+            return
+        connection = FrameConnection(sock)
+        with self.lock:
+            if self.generation != generation:
+                connection.close()
+                return
+            self.connection = connection
+            if self.address is not None and generation > 1:
+                self.reconnects += 1
+        try:
+            ended = connection.read(
+                lambda message: self._handle_message(message, generation, on_ready),
+                silence_timeout_s=self.liveness_timeout_s,
+                heartbeat_s=self.heartbeat_interval_s,
+                stop=lambda: self.stale(generation),
+            )
+            if ended == "silent":
+                logger.warning(
+                    "shard slot %d: no frames for %.2f s; declaring the shard dead",
+                    self.slot,
+                    self.liveness_timeout_s,
+                )
+        except FrameFormatError as error:
+            logger.warning("shard slot %d: corrupt frame stream (%s)", self.slot, error)
+        finally:
+            connection.close()
+        if not self.stale(generation):
+            on_crash(self, generation)
+
+    def _handle_message(self, message: Dict[str, object], generation: int, on_ready) -> bool:
+        kind = message.get("kind")
+        if kind == "response":
+            op = message.get("op")
+            ticket = message.get("ticket")
+            if not isinstance(op, str) or isinstance(ticket, bool) or not isinstance(ticket, int):
+                raise FrameFormatError(f"malformed response envelope: {message!r}")
+            if message.get("status") == "ok":
+                self.resolve(ticket, "ok", decode_result(op, message.get("result")))
+            else:
+                self.resolve(ticket, "error", decode_error(message.get("error")))
+            return True
+        if kind == "heartbeat":
+            return True  # any frame already counted as life
+        if kind == "ready":
+            shard_info = message.get("shard")
+            announced = None
+            if isinstance(shard_info, dict):
+                version = shard_info.get("priors_version")
+                if isinstance(version, int) and not isinstance(version, bool):
+                    announced = version
+            on_ready(self, generation, announced)
+            return True
+        if kind == "protocol_error":
+            raise FrameFormatError(
+                f"shard reported a protocol error: {message.get('detail')!r}"
+            )
+        raise FrameFormatError(f"unknown frame kind {kind!r}")
+
+    def send(self, op: str, payload, ticket: int) -> None:
+        """Post one request frame without registering a ticket.
+
+        Its answer is dropped by :meth:`resolve`; the pool uses this for
+        the priors re-send queued ahead of the READY transition.
+        """
+        connection = self.connection
+        if connection is not None:
+            connection.send(encode_request(op, ticket, payload))
+
+    def retire(self) -> None:
+        """End the current connection with ``bye``; a local child exits on it.
+
+        ``bye``, never ``shutdown``, for a remote slot too: the pool does not
+        own the remote process — its host's supervisor does — so retiring
+        the slot only ends the connection, and the server keeps its engine
+        (and cache) for a later respawn or a restarted head to redial.
+        """
+        with self.lock:
+            connection = self.connection
+        if connection is not None:
+            connection.send({"kind": "bye"})
+            connection.close()
+
+    def reap(self, timeout_s: float) -> None:
+        """Join a local slot's child, killing it if it outlives *timeout_s*."""
+        with self.lock:
+            process = self.process
+        if process is None:
+            return
+        process.join(timeout=timeout_s)
+        if process.is_alive():
+            process.kill()  # also ends a frozen (SIGSTOPped) child
+            process.join(timeout=5.0)
+
     # ------------------------------------------------------------------ #
     # Tickets
     # ------------------------------------------------------------------ #
@@ -340,6 +696,7 @@ class ShardHandle:
         READY days are over by definition) — regular routed work is never
         submitted with it.
         """
+        message = encode_request(op, ticket, payload)
         with self.lock:
             accepted = (
                 (ShardState.READY, ShardState.DRAINING)
@@ -353,19 +710,21 @@ class ShardHandle:
             entry = _PendingTicket()
             self.pending[ticket] = entry
             self.dispatched += 1
-            request_queue = self.request_queue
-        # Posting outside the lock: Queue.put can block on a full pipe and
-        # must never do so while holding the ticket lock.
-        request_queue.put((op, ticket, payload))
+            connection = self.connection
+        # Sending outside the lock: sendall can block on a full socket and
+        # must never do so while holding the ticket lock.  A failed send
+        # is noticed by the session reader, whose crash path fails the
+        # ticket over.
+        connection.send(message)
         return entry
 
     def resolve(self, ticket: int, status: str, payload) -> None:
-        """Deliver a worker answer to its waiting caller (collector thread)."""
+        """Deliver a shard answer to its waiting caller (session thread)."""
         with self.lock:
             entry = self.pending.pop(ticket, None)
             if entry is None:
                 # Ticket already failed over (e.g. resolved as crashed just
-                # before the respawned worker's answer arrived) — drop it.
+                # before the respawned shard's answer arrived) — drop it.
                 return
             self.completed += 1
         if status == "ok":
@@ -400,11 +759,17 @@ class ShardHandle:
         """JSON-friendly snapshot of this slot's lifecycle counters."""
         with self.lock:
             process = self.process
-            return {
+            payload: Dict[str, object] = {
                 "slot": self.slot,
                 "state": self.state.value,
                 "pid": None if process is None else process.pid,
-                "alive": bool(process is not None and process.is_alive()),
+                # A remote slot has no process to probe: it is alive while
+                # its session holds the connection open.
+                "alive": (
+                    process.is_alive()
+                    if process is not None
+                    else self.state in (ShardState.READY, ShardState.DRAINING)
+                ),
                 "respawns": self.respawns,
                 "generation": self.generation,
                 "dispatched": self.dispatched,
@@ -412,6 +777,11 @@ class ShardHandle:
                 "in_flight": len(self.pending),
                 "crash_failures": self.crash_failures,
             }
+            if self.address is not None:
+                payload["remote"] = True
+                payload["address"] = f"{self.address[0]}:{self.address[1]}"
+                payload["reconnects"] = self.reconnects
+            return payload
 
 
 class _PendingTicket:

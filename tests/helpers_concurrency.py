@@ -118,7 +118,7 @@ def free_port(max_attempts: int = 64) -> int:
 
     The bind-probe-close pattern is inherently racy against *other*
     processes (only binding port 0 yourself is race-free — servers that can
-    do so, like ``NetShardServer(port=0)``, should); this helper closes the
+    do so, like ``serve_netshard(spec, host, 0)``, should); this helper closes the
     realistic hole: the same port being handed to two callers of this
     process before either binds.  Each probe binds a fresh socket, and the
     port is retried (up to *max_attempts*) until the OS hands back one this

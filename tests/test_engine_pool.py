@@ -13,6 +13,7 @@ All synchronization goes through the conftest helpers (`run_burst`,
 
 import copy
 import json
+import multiprocessing
 import threading
 import time
 
@@ -304,6 +305,31 @@ class TestCrashRecovery:
         finally:
             pool.close()
 
+    def test_shards_exit_when_their_head_is_killed(self, pool_tree):
+        """A SIGKILLed head sends no ``bye``, and a sibling forked later holds
+        a copy of each earlier shard's socket end — every shard must still
+        notice it is orphaned and exit."""
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        head = context.Process(target=_head_with_two_shards, args=(pool_tree, writer))
+        head.start()
+        writer.close()
+        try:
+            assert reader.poll(60), "the head never reported its shard pids"
+            pids = reader.recv()
+            assert len(pids) == 2 and all(pids)
+            head.kill()
+            head.join(timeout=10)
+            wait_until(
+                lambda: not any(_running(pid) for pid in pids),
+                timeout_s=5,
+                message=f"every orphaned shard of {pids} to exit",
+            )
+        finally:
+            head.kill()
+            head.join(timeout=10)
+            reader.close()
+
     def test_closed_pool_rejects_requests(self, pool_tree):
         pool = EnginePool(pool_tree, ServerConfig(**POOL_CONFIG), num_shards=1)
         pool.wait_ready()
@@ -311,6 +337,23 @@ class TestCrashRecovery:
         pool.close()  # idempotent
         with pytest.raises(EnginePoolError):
             pool.build_forest(1, 0)
+
+
+def _head_with_two_shards(tree, writer) -> None:
+    """Head process: build a 2-shard pool, report its shard pids, idle."""
+    pool = EnginePool(tree, ServerConfig(**POOL_CONFIG), num_shards=2)
+    pool.wait_ready()
+    writer.send([info["pid"] for info in pool.shard_states()])
+    time.sleep(300)  # until the test SIGKILLs this head
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live process (an unreaped zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
 
 
 # --------------------------------------------------------------------- #

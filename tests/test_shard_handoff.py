@@ -425,54 +425,36 @@ class TestSnapshotHygiene:
         against its own at import time — a payload stamped with another
         generation is pre-warmed (rebuilt), never installed, even if the
         pool-side check raced a publish."""
-        import multiprocessing
+        from repro.service.shard import ShardOpExecutor, ShardSpec
 
-        from repro.service.shard import ShardSpec, shard_worker_main
-
-        ctx = multiprocessing.get_context()
-        request_queue, response_queue = ctx.Queue(), ctx.Queue()
         spec = ShardSpec(
             shard_id=0,
             tree=copy.deepcopy(small_tree_with_priors),
             config=ServerConfig(**POOL_CONFIG),
             priors_version=5,
         )
-        worker = threading.Thread(
-            target=shard_worker_main, args=(spec, request_queue, response_queue),
-            daemon=True,
+        executor = ShardOpExecutor(spec)
+        reference = ForestEngine(
+            copy.deepcopy(small_tree_with_priors), ServerConfig(**POOL_CONFIG)
         )
-        worker.start()
-        try:
-            _, status, _ = response_queue.get(timeout=60)
-            assert status == "ready"
-            reference = ForestEngine(
-                copy.deepcopy(small_tree_with_priors), ServerConfig(**POOL_CONFIG)
-            )
-            forest, _ = reference.build_forest_traced(1, 1)
-            entry = SnapshotEntry(
-                privacy_level=1,
-                delta=1,
-                epsilon=POOL_CONFIG["epsilon"],
-                matrices=dict(forest),
-            )
+        forest, _ = reference.build_forest_traced(1, 1)
+        entry = SnapshotEntry(
+            privacy_level=1,
+            delta=1,
+            epsilon=POOL_CONFIG["epsilon"],
+            matrices=dict(forest),
+        )
 
-            def import_with_version(ticket, version):
-                blob = encode_snapshot(
-                    CacheSnapshot(shard_slot=1, priors_version=version, entries=(entry,))
-                )
-                request_queue.put(("import_cache", ticket, blob))
-                answered, status, result = response_queue.get(timeout=120)
-                assert answered == ticket and status == "ok"
-                return result
+        def import_with_version(version):
+            blob = encode_snapshot(
+                CacheSnapshot(shard_slot=1, priors_version=version, entries=(entry,))
+            )
+            return executor.execute("import_cache", blob)
 
-            skewed = import_with_version(1, version=4)  # != the worker's 5
-            assert skewed == {"imported": 0, "prewarmed": 1, "skipped": 0}
-            matching = import_with_version(2, version=5)
-            assert matching["imported"] == 1
-        finally:
-            request_queue.put(None)
-            worker.join(timeout=30)
-            assert not worker.is_alive()
+        skewed = import_with_version(version=4)  # != the worker's 5
+        assert skewed == {"imported": 0, "prewarmed": 1, "skipped": 0}
+        matching = import_with_version(version=5)
+        assert matching["imported"] == 1
 
     def test_import_foreign_topology_rebuilds(self, small_tree_with_priors):
         """A payload whose sub-tree roots don't match this tree must be

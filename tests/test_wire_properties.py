@@ -68,7 +68,7 @@ from repro.service.controllog import (  # noqa: E402
     scan_records,
 )
 from repro.service.http import CORGIHTTPServer  # noqa: E402
-from repro.service.netshard import (  # noqa: E402
+from repro.service.wire import (  # noqa: E402
     FRAME_MAGIC,
     FRAME_MAGIC_DEFLATE,
     CONNECT_BACKOFF_BASE_S,
