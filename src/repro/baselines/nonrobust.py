@@ -39,7 +39,7 @@ class NonRobustLPMechanism(ObfuscationMechanism):
         Optional constraint pairs (pass a graph-approximation set for the
         efficient O(K²) formulation).
     solver_method:
-        scipy ``linprog`` method.
+        HiGHS method, spelled as ``linprog`` spells it.
     solver_backend:
         Solver engine (``"auto"``, ``"scipy"`` or ``"highs-native"``; see
         :mod:`repro.core.solver`).

@@ -10,11 +10,12 @@ only difference is the effective ε used per pair, so one builder serves
 both, taking an optional reserved-privacy-budget matrix.
 
 The LP is solved through a pluggable :class:`~repro.core.solver.SolverSession`
-(scipy ``linprog`` fallback, or the warm-started native HiGHS backend when
-:mod:`highspy` is installed — see :mod:`repro.core.solver`).  Constraints are
-assembled as sparse matrices: with the graph approximation the problem has
-``K²`` variables, ``K`` equality rows and ``~24·K·K`` inequality rows — a few
-tens of thousands of rows for the paper's K = 49, well within HiGHS territory.
+(scipy's bundled HiGHS, bit-identical to ``linprog``, or the warm-started
+native HiGHS backend when :mod:`highspy` is installed — see
+:mod:`repro.core.solver`).  Constraints are assembled as sparse matrices:
+with the graph approximation the problem has ``K²`` variables, ``K``
+equality rows and ``~24·K·K`` inequality rows — a few tens of thousands of
+rows for the paper's K = 49, well within HiGHS territory.
 
 Constraint assembly is split into a one-time *structural* part and a cheap
 per-iteration *coefficient refresh* (:class:`ConstraintStructure`).  The
@@ -345,9 +346,9 @@ class ObfuscationLP:
         delta:
             Recorded on the produced matrix (provenance only).
         solver_method:
-            scipy ``linprog`` method, used verbatim by the scipy backend
-            and ignored by the native backend (which always runs dual
-            simplex — the warm-startable algorithm).
+            HiGHS method, spelled as ``linprog`` spells it, used verbatim
+            by the scipy backend and ignored by the native backend (which
+            always runs dual simplex — the warm-startable algorithm).
 
         Raises
         ------

@@ -220,8 +220,9 @@ class RobustMatrixGenerator:
     basis_row:
         Passed through to :func:`reserved_privacy_budget_approx`.
     solver_method:
-        scipy ``linprog`` method used for every solve (ignored by the
-        native backend, which always runs dual simplex).
+        HiGHS method, spelled as ``linprog`` spells it, used for every
+        solve (ignored by the native backend, which always runs dual
+        simplex).
     solver_backend:
         Solver backend choice (``"auto"`` / ``"scipy"`` /
         ``"highs-native"``); see :mod:`repro.core.solver`.  One

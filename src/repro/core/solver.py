@@ -1,38 +1,49 @@
-"""Pluggable LP solver backends: scipy fallback and warm-started native HiGHS.
+"""Pluggable LP solver backends: scipy's bundled HiGHS and warm-started native HiGHS.
 
-Every obfuscation LP in the repo used to go through
-:func:`scipy.optimize.linprog`, which re-presolves and re-factorizes the
-constraint matrix from scratch on every call — ~95% of the hot-path time,
-which is why :class:`~repro.core.lp.ConstraintStructure` reuse alone only
-bought ~1.05× (`BENCH_pipeline.json` ``lp_incremental_s``).  Algorithm 1
-solves the *same* LP ``t``≈10 times with only the ``e^{ε_eff·d}``
-inequality coefficients changing (Eq. 14→16), and ε/δ sweeps repeat that
-across a grid: the textbook case for simplex warm-starting from the
+Every obfuscation LP in the repo is a HiGHS solve.  Reached through
+:func:`scipy.optimize.linprog`, HiGHS's own ``run`` was only ~24% of the
+solve stage (0.94 of 3.87 s under cProfile, over the 490 K = 7 solves that
+pre-build six level-1 forests); the rest was ``linprog``'s per-call Python
+layers: input validation, a ``vstack`` plus COO→CSC conversion of a
+constraint pattern that never changes, a fresh ``_Highs()`` with per-option
+validation, and the post-solve feasibility check.  Algorithm 1 solves the
+*same* LP ``t``≈10 times with only the ``e^{ε_eff·d}`` inequality
+coefficients changing (Eq. 14→16), and ε/δ sweeps repeat that across a
+grid, so the stacked pattern can be bound once per constraint structure;
+with :mod:`highspy` the solve can also warm-start simplex from the
 previous optimal basis.
 
 This module abstracts the solve behind a :class:`SolverSession` with two
 implementations:
 
-* :class:`ScipySolverSession` — the existing ``linprog`` path, kept as the
-  zero-extra-deps fallback.  Stateless: every solve is cold.
+* :class:`ScipySolverSession` — the zero-extra-deps path.  It drives the
+  HiGHS bindings bundled with scipy (``scipy.optimize._highspy._core``,
+  the ones ``linprog(method="highs*")`` calls) with ``linprog``'s options
+  and checks, so its ``x`` equals ``linprog``'s bit for bit.  Every solve
+  is cold: a warm start would change which optimal vertex a degenerate LP
+  returns, and so the served matrices.  Where scipy does not ship that
+  module, every solve is a ``linprog`` call.
 * :class:`HighsNativeSession` — a persistent ``highspy.Highs`` instance.
-  The combined (inequality + equality) column-wise sparsity pattern is
-  computed once per bound :class:`~repro.core.lp.ConstraintStructure`;
-  each solve pushes only refreshed coefficient values and re-solves the
-  dual simplex warm from the retained optimal basis of the previous solve
-  (presolve is disabled on warm solves so the basis maps onto the model
-  one-to-one).  A stale or singular basis can never fail a solve: the
-  session falls back to one cold re-solve before reporting infeasibility.
+  Each solve pushes only refreshed coefficient values into the stacked
+  pattern and re-solves the dual simplex warm from the retained optimal
+  basis of the previous solve (presolve is disabled on warm solves so the
+  basis maps onto the model one-to-one).  A stale or singular basis can
+  never fail a solve: the session falls back to one cold re-solve before
+  reporting infeasibility.
+
+Both sessions bind the stacked ``[A_ub; A_eq]`` column-wise pattern once
+per :class:`~repro.core.lp.ConstraintStructure` through
+:class:`StackedPattern` and build the model with :func:`highs_lp`.
 
 Backend selection (``solver_backend`` everywhere in the stack):
 
 * ``"auto"`` (default) — ``highs-native`` when :mod:`highspy` is
-  importable *and* the requested scipy ``solver_method`` is a simplex
-  method (``highs`` / ``highs-ds``); ``scipy`` otherwise.  An explicit
+  importable *and* the requested ``solver_method`` is a simplex method
+  (``highs`` / ``highs-ds``); ``scipy`` otherwise.  An explicit
   ``highs-ipm`` request keeps its scipy semantics — interior-point
   solutions of degenerate LPs differ from vertex solutions, and existing
   call sites rely on them.
-* ``"scipy"`` — always the fallback path.
+* ``"scipy"`` — always the bundled-HiGHS path.
 * ``"highs-native"`` — the native path; raises
   :class:`SolverBackendUnavailableError` where :mod:`highspy` is absent
   (install via the ``repro[native]`` extra).
@@ -53,8 +64,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix, vstack
+from scipy.optimize import OptimizeResult, linprog
+from scipy.sparse import issparse, vstack
 
 from repro.utils.timing import Timer
 
@@ -63,15 +74,29 @@ try:  # pragma: no cover - absent in scipy-only environments (CI runs both)
 except ImportError:  # pragma: no cover
     highspy = None
 
+try:  # the bindings linprog(method="highs*") itself calls
+    from scipy.optimize._highspy import _core as _scipy_highs
+except ImportError:  # pragma: no cover - scipy releases without the module
+    _scipy_highs = None
+
 SCIPY_BACKEND = "scipy"
 NATIVE_BACKEND = "highs-native"
 AUTO_BACKEND = "auto"
 KNOWN_BACKENDS = (AUTO_BACKEND, SCIPY_BACKEND, NATIVE_BACKEND)
 
-#: scipy ``linprog`` methods that are semantically interchangeable with the
-#: native dual-simplex path; only these are promoted to ``highs-native`` by
+#: HiGHS methods, spelled as ``linprog`` spells them, and the HiGHS
+#: ``solver`` option each one sets (``None`` leaves HiGHS's choice).
+_HIGHS_SOLVER_OPTION = {"highs": None, "highs-ds": "simplex", "highs-ipm": "ipm"}
+HIGHS_METHODS = tuple(_HIGHS_SOLVER_OPTION)
+
+#: HiGHS methods that are semantically interchangeable with the native
+#: dual-simplex path; only these are promoted to ``highs-native`` by
 #: ``auto`` resolution.
 SIMPLEX_METHODS = frozenset({"highs", "highs-ds"})
+
+#: ``linprog``'s post-solve feasibility tolerance (``_check_result``:
+#: the square root of its default ``tol`` of 1e-9, times 10).
+LINPROG_FEASIBILITY_TOL = float(np.sqrt(1e-9) * 10)
 
 
 class SolverBackendUnavailableError(RuntimeError):
@@ -119,15 +144,128 @@ def resolve_backend(name: Optional[str], *, solver_method: str = "highs") -> str
     raise ValueError(f"unknown solver_backend {name!r}; known: {KNOWN_BACKENDS}")
 
 
+@dataclass(frozen=True, eq=False)
+class StackedPattern:
+    """Column-wise pattern of the stacked ``[A_ub; A_eq]`` system.
+
+    Bound to the *identity* of the two source matrices: a
+    :class:`~repro.core.lp.ConstraintStructure` rewrites its sparse data in
+    place between solves, so object identity is an exact "same pattern"
+    check.  ``perm`` takes the concatenated source data ``[A_ub.data,
+    A_eq.data]`` into the stacked column-wise value order, so a solve
+    pushes O(nnz) values and never re-stacks.
+    """
+
+    a_ub: object
+    a_eq: object
+    indptr: np.ndarray
+    indices: np.ndarray
+    perm: np.ndarray
+    num_ub_rows: int
+    num_rows: int
+    num_cols: int
+
+    @classmethod
+    def bind(cls, a_ub, a_eq) -> "StackedPattern":
+        if not (issparse(a_ub) and issparse(a_eq)):
+            raise TypeError("solver sessions take scipy.sparse constraint matrices")
+        # Number every source entry 1..nnz; after stacking and canonical CSC
+        # conversion the data array tells us where each entry landed.
+        markers = []
+        start = 1
+        for matrix in (a_ub, a_eq):
+            marker = matrix.copy()
+            marker.data = np.arange(start, start + matrix.data.size, dtype=float)
+            start += matrix.data.size
+            markers.append(marker)
+        combined = vstack(markers, format="csc")
+        combined.sum_duplicates()
+        if combined.nnz != start - 1:
+            raise ValueError("constraint matrices must not hold duplicate entries")
+        return cls(
+            a_ub=a_ub,
+            a_eq=a_eq,
+            indptr=combined.indptr.astype(np.int32),
+            indices=combined.indices.astype(np.int32),
+            perm=combined.data.astype(np.int64) - 1,
+            num_ub_rows=int(a_ub.shape[0]),
+            num_rows=int(combined.shape[0]),
+            num_cols=int(combined.shape[1]),
+        )
+
+    def matches(self, a_ub, a_eq) -> bool:
+        return self.a_ub is a_ub and self.a_eq is a_eq
+
+    def values(self) -> np.ndarray:
+        """The current coefficients of the bound matrices, in stacked order."""
+        return np.concatenate((self.a_ub.data, self.a_eq.data))[self.perm]
+
+
+def highs_lp(bindings, pattern: StackedPattern, objective, b_ub, b_eq, bounds):
+    """The stacked LP as a ``HighsLp`` of ``bindings``.
+
+    ``bindings`` is :mod:`highspy` or scipy's bundled copy; both expose the
+    same classes.  Like :func:`~scipy.optimize.linprog`, raises
+    :class:`ValueError` for non-finite or mis-sized data instead of
+    handing it to HiGHS.
+    """
+    cost = np.asarray(objective, dtype=float)
+    b_ub = np.asarray(b_ub, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float)
+    values = pattern.values()
+    if (
+        cost.shape != (pattern.num_cols,)
+        or b_ub.shape != (pattern.num_ub_rows,)
+        or b_eq.shape != (pattern.num_rows - pattern.num_ub_rows,)
+    ):
+        raise ValueError("objective and right-hand sides do not match the constraint matrices")
+    for name, array in (("c", cost), ("A_ub/A_eq", values), ("b_ub", b_ub), ("b_eq", b_eq)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} must not contain values inf, nan, or None")
+    lp = bindings.HighsLp()
+    lp.num_col_ = pattern.num_cols
+    lp.num_row_ = pattern.num_rows
+    lp.sense_ = bindings.ObjSense.kMinimize
+    lp.offset_ = 0.0
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.full(pattern.num_cols, float(bounds[0]))
+    lp.col_upper_ = np.full(pattern.num_cols, float(bounds[1]))
+    lp.row_lower_ = np.concatenate((np.full(pattern.num_ub_rows, -bindings.kHighsInf), b_eq))
+    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    lp.a_matrix_.format_ = bindings.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = pattern.num_cols
+    lp.a_matrix_.num_row_ = pattern.num_rows
+    lp.a_matrix_.start_ = pattern.indptr
+    lp.a_matrix_.index_ = pattern.indices
+    lp.a_matrix_.value_ = values
+    return lp
+
+
+def _linprog_status(bindings, model_status) -> int:
+    """``linprog``'s status number for a HiGHS model status."""
+    kinds = bindings.HighsModelStatus
+    if model_status == kinds.kOptimal:
+        return 0
+    if model_status in (kinds.kTimeLimit, kinds.kIterationLimit):
+        return 1
+    if model_status in (kinds.kInfeasible, kinds.kModelError):
+        return 2
+    if model_status == kinds.kUnbounded:
+        return 3
+    return 4
+
+
 @dataclass
 class RawSolution:
     """Backend-agnostic outcome of one LP solve.
 
     ``x`` is the raw variable vector (``None`` on failure); ``timings_s``
     breaks the solve into ``presolve`` / ``build`` / ``solve`` / ``extract``
-    stages.  scipy cannot split presolve out of :func:`linprog` (reported
-    0.0, included in ``solve``); the native backend reports 0.0 on warm
-    solves because presolve is genuinely disabled there.
+    stages.  The scipy session reports its whole call, model push and
+    presolve included, as ``solve`` (``presolve`` and ``build`` read 0.0),
+    on its bundled-HiGHS and its ``linprog`` path alike; the native backend
+    reports 0.0 presolve on warm solves because presolve is genuinely
+    disabled there.
     """
 
     ok: bool
@@ -217,9 +355,27 @@ class SolverSession:
 
 
 class ScipySolverSession(SolverSession):
-    """The zero-extra-deps fallback: every solve is a cold ``linprog`` call."""
+    """The zero-extra-deps path: cold solves, bit-identical to ``linprog``.
+
+    The session drives the HiGHS bindings that ``linprog`` itself calls.  It
+    binds the stacked pattern once per constraint structure, holds one
+    ``_Highs`` (cleared before every model push, so every solve is cold),
+    and passes ``linprog``'s options for the method.  It keeps
+    ``linprog``'s contract: non-finite data raises :class:`ValueError`, a
+    solution is rechecked against the constraints within
+    :data:`LINPROG_FEASIBILITY_TOL`, and statuses are ``linprog``'s numbers.
+    Where scipy does not ship those bindings, every solve is a ``linprog``
+    call.
+    """
 
     backend = SCIPY_BACKEND
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._bindings = _scipy_highs
+        self._highs = None if _scipy_highs is None else _scipy_highs._Highs()
+        self._pattern: Optional[StackedPattern] = None
+        self._options: Dict[str, object] = {}
 
     def solve(
         self,
@@ -233,16 +389,21 @@ class ScipySolverSession(SolverSession):
         solver_method: str = "highs",
         warm: bool = True,
     ) -> RawSolution:
+        if solver_method not in HIGHS_METHODS:
+            raise ValueError(f"unknown solver_method {solver_method!r}; known: {HIGHS_METHODS}")
         with Timer() as solve_timer:
-            result = linprog(
-                c=objective,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=bounds,
-                method=solver_method,
-            )
+            if self._highs is None:
+                result = linprog(
+                    c=objective,
+                    A_ub=a_ub,
+                    b_ub=b_ub,
+                    A_eq=a_eq,
+                    b_eq=b_eq,
+                    bounds=bounds,
+                    method=solver_method,
+                )
+            else:
+                result = self._solve_bundled(objective, a_ub, b_ub, a_eq, b_eq, bounds, solver_method)
         with Timer() as extract_timer:
             x = None if result.x is None else np.asarray(result.x, dtype=float)
             nit = getattr(result, "nit", None)
@@ -261,7 +422,7 @@ class ScipySolverSession(SolverSession):
             basis_reused=False,
             cold_retry=False,
             timings_s={
-                "presolve": 0.0,  # folded into linprog; scipy exposes no split
+                "presolve": 0.0,  # folded into solve, as linprog folds it
                 "build": 0.0,
                 "solve": solve_timer.elapsed,
                 "extract": extract_timer.elapsed,
@@ -269,6 +430,67 @@ class ScipySolverSession(SolverSession):
         )
         self.stats.record(raw)
         return raw
+
+    def _linprog_options(self, solver_method: str):
+        """``HighsOptions`` with exactly the settings ``linprog`` passes."""
+        options = self._options.get(solver_method)
+        if options is None:
+            bindings = self._bindings
+            options = bindings.HighsOptions()
+            options.presolve = "on"
+            if _HIGHS_SOLVER_OPTION[solver_method] is not None:
+                options.solver = _HIGHS_SOLVER_OPTION[solver_method]
+            options.highs_debug_level = bindings.HighsDebugLevel.kHighsDebugLevelNone
+            options.log_to_console = False
+            options.output_flag = False
+            options.simplex_strategy = bindings.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+            self._options[solver_method] = options
+        return options
+
+    def _solve_bundled(self, objective, a_ub, b_ub, a_eq, b_eq, bounds, solver_method):
+        """One cold solve on the bundled bindings, as ``linprog`` reports it."""
+        bindings = self._bindings
+        if self._pattern is None or not self._pattern.matches(a_ub, a_eq):
+            self._pattern = StackedPattern.bind(a_ub, a_eq)
+        lp = highs_lp(bindings, self._pattern, objective, b_ub, b_eq, bounds)
+        highs = self._highs
+        highs.clearSolver()
+        highs.passOptions(self._linprog_options(solver_method))
+        error = bindings.HighsStatus.kError
+        if highs.passModel(lp) == error:
+            model_status, ran = bindings.HighsModelStatus.kModelError, False
+        else:
+            ran = highs.run() != error
+            model_status = highs.getModelStatus()
+        status = _linprog_status(bindings, model_status)
+        if status == 0 and not ran:
+            status = 4  # linprog's verdict on "optimal" without a solution
+        info = highs.getInfo()
+        result = OptimizeResult(
+            x=None,
+            fun=None,
+            status=status,
+            message=f"HiGHS model status {int(model_status)}: {highs.modelStatusToString(model_status)}",
+            nit=info.simplex_iteration_count or info.ipm_iteration_count,
+        )
+        if status == 0:
+            solution = highs.getSolution()
+            result.x = np.array(solution.col_value)
+            result.fun = info.objective_function_value
+            rows = np.array(solution.row_value)
+            num_ub_rows = self._pattern.num_ub_rows
+            tol = LINPROG_FEASIBILITY_TOL
+            feasible = (
+                not np.isnan(result.fun)
+                and np.all((result.x >= bounds[0] - tol) & (result.x <= bounds[1] + tol))
+                and np.all(np.asarray(b_ub) - rows[:num_ub_rows] >= -tol)
+                and np.all(np.abs(np.asarray(b_eq) - rows[num_ub_rows:]) <= tol)
+            )
+            if not feasible:
+                result.status = 4
+                result.message = f"the solution does not satisfy the constraints within {tol:.2E}"
+        result.success = result.status == 0
+        return result
 
 
 class HighsNativeSession(SolverSession):
@@ -298,60 +520,12 @@ class HighsNativeSession(SolverSession):
         # single-threaded and deterministic.
         self._highs.setOptionValue("threads", 1)
         self._basis = None
-        self._bound_a_ub = None
-        self._bound_a_eq = None
-        self._indptr: Optional[np.ndarray] = None
-        self._indices: Optional[np.ndarray] = None
-        self._perm: Optional[np.ndarray] = None
-        self._eq_values: Optional[np.ndarray] = None
-        self._num_rows = 0
-        self._num_cols = 0
-        self._num_ub_rows = 0
-
-    # ------------------------------------------------------------------ #
-    # Model pattern binding
-    # ------------------------------------------------------------------ #
+        self._pattern: Optional[StackedPattern] = None
 
     def _bind_pattern(self, a_ub, a_eq) -> None:
         """(Re)compute the stacked column-wise pattern for new matrices."""
-        a_ub_csc = a_ub if isinstance(a_ub, csc_matrix) else csc_matrix(a_ub)
-        a_eq_csc = a_eq if isinstance(a_eq, csc_matrix) else csc_matrix(a_eq)
-        nnz_ub = int(a_ub_csc.nnz)
-        nnz_eq = int(a_eq_csc.nnz)
-        # Number every entry 1..nnz in source order; after stacking and CSC
-        # conversion the data array tells us where each source entry landed.
-        marker_ub = csc_matrix(
-            (
-                np.arange(1, nnz_ub + 1, dtype=float),
-                a_ub_csc.indices.copy(),
-                a_ub_csc.indptr.copy(),
-            ),
-            shape=a_ub_csc.shape,
-        )
-        marker_eq = csc_matrix(
-            (
-                np.arange(nnz_ub + 1, nnz_ub + nnz_eq + 1, dtype=float),
-                a_eq_csc.indices.copy(),
-                a_eq_csc.indptr.copy(),
-            ),
-            shape=a_eq_csc.shape,
-        )
-        combined = vstack([marker_ub, marker_eq]).tocsc()
-        combined.sort_indices()
-        self._perm = combined.data.astype(np.int64) - 1
-        self._indptr = combined.indptr.astype(np.int32)
-        self._indices = combined.indices.astype(np.int32)
-        self._eq_values = np.asarray(a_eq_csc.data, dtype=float).copy()
-        self._num_ub_rows = int(a_ub_csc.shape[0])
-        self._num_rows = int(a_ub_csc.shape[0] + a_eq_csc.shape[0])
-        self._num_cols = int(a_ub_csc.shape[1])
-        self._bound_a_ub = a_ub
-        self._bound_a_eq = a_eq
+        self._pattern = StackedPattern.bind(a_ub, a_eq)
         self._basis = None  # a new pattern invalidates any retained basis
-
-    # ------------------------------------------------------------------ #
-    # Solving
-    # ------------------------------------------------------------------ #
 
     def solve(
         self,
@@ -367,31 +541,9 @@ class HighsNativeSession(SolverSession):
     ) -> RawSolution:
         del solver_method  # native backend always runs (dual) simplex
         with Timer() as build_timer:
-            if self._bound_a_ub is not a_ub or self._bound_a_eq is not a_eq:
+            if self._pattern is None or not self._pattern.matches(a_ub, a_eq):
                 self._bind_pattern(a_ub, a_eq)
-            source = np.concatenate((np.asarray(a_ub.data, dtype=float), self._eq_values))
-            values = source[self._perm]
-            infinity = highspy.kHighsInf
-            lp = highspy.HighsLp()
-            lp.num_col_ = self._num_cols
-            lp.num_row_ = self._num_rows
-            lp.sense_ = highspy.ObjSense.kMinimize
-            lp.offset_ = 0.0
-            lp.col_cost_ = np.asarray(objective, dtype=float)
-            lp.col_lower_ = np.full(self._num_cols, float(bounds[0]))
-            lp.col_upper_ = np.full(self._num_cols, float(bounds[1]))
-            lp.row_lower_ = np.concatenate(
-                (np.full(self._num_ub_rows, -infinity), np.asarray(b_eq, dtype=float))
-            )
-            lp.row_upper_ = np.concatenate(
-                (np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float))
-            )
-            lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-            lp.a_matrix_.num_col_ = self._num_cols
-            lp.a_matrix_.num_row_ = self._num_rows
-            lp.a_matrix_.start_ = self._indptr
-            lp.a_matrix_.index_ = self._indices
-            lp.a_matrix_.value_ = values
+            lp = highs_lp(highspy, self._pattern, objective, b_ub, b_eq, bounds)
             pass_status = self._highs.passModel(lp)
             if pass_status == highspy.HighsStatus.kError:
                 raise RuntimeError("HiGHS rejected the LP model (passModel returned kError)")

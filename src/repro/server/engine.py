@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.graphapprox import HexNeighborhoodGraph, Weighting
 from repro.core.objective import QualityLossModel, TargetDistribution
 from repro.core.robust import BasisRow, RobustGenerationResult
-from repro.core.solver import KNOWN_BACKENDS, native_available, resolve_backend
+from repro.core.solver import HIGHS_METHODS, KNOWN_BACKENDS, native_available, resolve_backend
 from repro.pipeline.cache import CacheStats, MatrixCache
 from repro.pipeline.executor import (
     RobustGenerationTask,
@@ -80,8 +80,10 @@ class ServerConfig:
     rpb_method / rpb_basis_row:
         Reserved-privacy-budget estimator options (Eq. 12 vs Eq. 14).
     solver_method:
-        scipy ``linprog`` method, threaded through every LP solve (the
-        native backend ignores it and always runs dual simplex).
+        HiGHS method, spelled as ``linprog`` spells it (one of
+        :data:`~repro.core.solver.HIGHS_METHODS`), threaded through every
+        LP solve (the native backend ignores it and always runs dual
+        simplex).
     solver_backend:
         LP solver backend: ``"auto"`` (default — warm-started native HiGHS
         when :mod:`highspy` is installed and the solver method is
@@ -151,6 +153,8 @@ class ServerConfig:
             raise ValueError("robust_iterations must be non-negative")
         if self.rpb_method not in ("approx", "exact"):
             raise ValueError(f"unknown rpb_method {self.rpb_method!r}")
+        if self.solver_method not in HIGHS_METHODS:
+            raise ValueError(f"unknown solver_method {self.solver_method!r}; known: {HIGHS_METHODS}")
         if self.solver_backend not in KNOWN_BACKENDS:
             raise ValueError(
                 f"unknown solver_backend {self.solver_backend!r}; known: {KNOWN_BACKENDS}"

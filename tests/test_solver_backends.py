@@ -1,9 +1,11 @@
 """Tests for the pluggable LP solver backends (repro.core.solver).
 
-Covers backend resolution policy, the scipy fallback session, the
-all-zero-row NaN guard in :meth:`ObfuscationLP.solve`, warm-session reuse
-across Algorithm-1 iterations and across executor task groups, and the
-solver diagnostics surfaced through the engine / HTTP admin path.
+Covers backend resolution policy, the scipy session (its direct path on
+scipy's bundled HiGHS against ``linprog`` bit for bit, its failures, and
+its ``linprog`` fallback), the all-zero-row NaN guard in
+:meth:`ObfuscationLP.solve`, warm-session reuse across Algorithm-1
+iterations and across executor task groups, and the solver diagnostics
+surfaced through the engine / HTTP admin path.
 
 The scipy ↔ native equivalence suite runs only where :mod:`highspy` is
 installed (the ``repro[native]`` extra; CI exercises both environments) —
@@ -12,12 +14,18 @@ everything else runs on the stock scipy-only toolchain.
 
 import numpy as np
 import pytest
+import scipy
+from scipy.optimize import linprog
 
 import repro.core.solver as solver_mod
 from repro.core.exceptions import InfeasibleMatrixError
-from repro.core.lp import ObfuscationLP
-from repro.core.robust import RobustMatrixGenerator
+from repro.core.geoind import all_pairs_constraints
+from repro.core.graphapprox import HexNeighborhoodGraph
+from repro.core.lp import ConstraintStructure, ObfuscationLP
+from repro.core.objective import QualityLossModel
+from repro.core.robust import RobustMatrixGenerator, reserved_privacy_budget_approx
 from repro.core.solver import (
+    HIGHS_METHODS,
     NATIVE_BACKEND,
     SCIPY_BACKEND,
     RawSolution,
@@ -51,6 +59,18 @@ def _make_lp(location_set, *, epsilon=TEST_EPSILON, **kwargs):
         epsilon,
         constraint_set=location_set["graph"].constraint_set(),
         **kwargs,
+    )
+
+
+def _lp_arguments(lp):
+    """``(c, A_ub, b_ub, A_eq, b_eq)`` of ``lp``, in ``linprog``'s positional order."""
+    structure = lp.structure
+    return (
+        lp.quality_model.objective_vector(),
+        lp.build_inequalities(),
+        structure.b_ub,
+        structure.a_eq,
+        structure.b_eq,
     )
 
 
@@ -257,6 +277,12 @@ class TestServerConfigValidation:
         with pytest.raises(ValueError, match="solver_backend"):
             ServerConfig(epsilon=2.0, solver_backend="cplex").validate()
 
+    def test_unknown_solver_method_rejected(self):
+        # linprog's legacy dense-only methods would fail every request with
+        # a client-side 400; reject them when the config is validated.
+        with pytest.raises(ValueError, match="solver_method"):
+            ServerConfig(epsilon=2.0, solver_method="simplex").validate()
+
     def test_explicit_native_requires_highspy(self):
         config = ServerConfig(epsilon=2.0, solver_backend="highs-native")
         if native_available():
@@ -276,6 +302,117 @@ class TestServerConfigValidation:
         # Switching the backend must invalidate cached forests: warm simplex
         # and interior point may sit at different optimal vertices.
         assert fingerprint("auto") != fingerprint("scipy")
+
+
+class TestBundledHighsMatchesLinprog:
+    """The scipy session's direct HiGHS path against ``linprog`` itself."""
+
+    @pytest.mark.parametrize("method", HIGHS_METHODS)
+    @pytest.mark.parametrize("robust", [False, True], ids=["no-budget", "eq14-delta1"])
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("constraints", ["graph", "all-pairs"])
+    def test_x_equals_linprog(self, small_location_set, constraints, size, robust, method):
+        distances = small_location_set["distance_matrix"][:size, :size]
+        if constraints == "graph":
+            graph = small_location_set["graph"]
+            constraint_set = HexNeighborhoodGraph(
+                graph.grid, small_location_set["cells"][:size]
+            ).constraint_set()
+        else:
+            constraint_set = all_pairs_constraints(distances)
+        priors = small_location_set["priors"][:size]
+        quality = QualityLossModel(
+            small_location_set["centers"][:size], small_location_set["targets"], priors / priors.sum()
+        )
+        structure = ConstraintStructure(size, constraint_set)
+        session = ScipySolverSession()
+        current = np.random.default_rng(size).dirichlet(np.ones(size), size=size)
+        # Two solves on one session; the second refreshes A_ub in place, so
+        # a stale binding or leftover solver state would show.
+        for epsilon in (TEST_EPSILON, 1.5 * TEST_EPSILON):
+            lp = ObfuscationLP(
+                small_location_set["node_ids"][:size],
+                distances,
+                quality,
+                epsilon,
+                constraint_set=constraint_set,
+                structure=structure,
+                session=session,
+            )
+            budget = reserved_privacy_budget_approx(current, distances, epsilon, 1) if robust else None
+            arguments = (
+                quality.objective_vector(),
+                lp.build_inequalities(budget),
+                structure.b_ub,
+                structure.a_eq,
+                structure.b_eq,
+            )
+            raw = session.solve(*arguments, bounds=(0.0, 1.0), solver_method=method)
+            reference = linprog(*arguments, bounds=(0.0, 1.0), method=method)
+            assert raw.ok and reference.success
+            assert np.array_equal(raw.x, reference.x)
+            assert raw.objective_value == reference.fun
+
+    def test_infeasible_lp_keeps_linprog_status(self, small_location_set):
+        class ZeroBoundsSession(ScipySolverSession):
+            def solve(self, *args, **kwargs):
+                return super().solve(*args, **{**kwargs, "bounds": (0.0, 0.0)})
+
+        # Every variable pinned to 0 cannot meet the row sums of 1.
+        arguments = _lp_arguments(_make_lp(small_location_set, solver_backend="scipy"))
+        assert linprog(*arguments, bounds=(0.0, 0.0)).status == 2
+        raw = ScipySolverSession().solve(*arguments, bounds=(0.0, 0.0))
+        assert (raw.ok, raw.status, raw.x) == (False, "2", None)
+        lp = _make_lp(small_location_set, session=ZeroBoundsSession())
+        with pytest.raises(InfeasibleMatrixError, match="status 2") as caught:
+            lp.solve_nonrobust()
+        assert caught.value.solver_status == "2"
+
+    @pytest.mark.parametrize("target", ["objective", "a_ub"])
+    def test_non_finite_coefficient_raises_value_error(self, small_location_set, target):
+        objective, a_ub, b_ub, a_eq, b_eq = _lp_arguments(_make_lp(small_location_set, solver_backend="scipy"))
+        objective, a_ub = objective.copy(), a_ub.copy()
+        if target == "objective":
+            objective[3] = np.nan
+        else:
+            a_ub.data[5] = np.inf
+        arguments = (objective, a_ub, b_ub, a_eq, b_eq)
+        with pytest.raises(ValueError):
+            linprog(*arguments, bounds=(0.0, 1.0))
+        with pytest.raises(ValueError):
+            ScipySolverSession().solve(*arguments)
+
+    def test_linprog_fallback_returns_the_same_bits(self, small_location_set, monkeypatch):
+        arguments = _lp_arguments(_make_lp(small_location_set, solver_backend="scipy"))
+        direct = ScipySolverSession().solve(*arguments)
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "_scipy_highs", None)
+        monkeypatch.setattr(solver_mod, "linprog", counting_linprog)
+        fallback = ScipySolverSession().solve(*arguments)
+        assert calls == ["highs"]
+        assert np.array_equal(fallback.x, direct.x)
+        assert (fallback.objective_value, fallback.status) == (direct.objective_value, direct.status)
+
+
+def _scipy_release():
+    return tuple(int(part) for part in scipy.__version__.split(".")[:2])
+
+
+@pytest.mark.skipif(_scipy_release() < (1, 17), reason="the direct HiGHS path is measured on scipy >= 1.17")
+def test_scipy_session_does_not_fall_back_to_linprog(small_location_set, monkeypatch):
+    # A scipy release that moves its HiGHS bindings would silently halve
+    # cold-build throughput; fail here instead.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ScipySolverSession fell back to linprog")
+
+    monkeypatch.setattr(solver_mod, "linprog", forbidden)
+    solution = _make_lp(small_location_set, solver_backend="scipy").solve_nonrobust()
+    assert solution.diagnostics["solver_backend"] == SCIPY_BACKEND
 
 
 class TestEngineSolverDiagnostics:
