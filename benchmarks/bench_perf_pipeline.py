@@ -3,7 +3,7 @@
 Times three forest-generation regimes at small scale and records them in
 ``BENCH_pipeline.json`` (repo root) so future PRs can track the trend:
 
-* **cold** — a fresh server, every per-sub-tree LP solved from scratch;
+* **cold** — a fresh engine, every per-sub-tree LP solved from scratch;
 * **warm (matrix cache)** — forest-level cache dropped, per-sub-tree
   problems served from the content-addressed :class:`MatrixCache`;
 * **warm (forest cache)** — the full forest served from the forest cache.
@@ -44,7 +44,7 @@ from repro.core.objective import QualityLossModel, TargetDistribution
 from repro.core.solver import native_available
 from repro.geometry.haversine import LatLng
 from repro.core.graphapprox import HexNeighborhoodGraph
-from repro.server.server import CORGIServer, ServerConfig
+from repro.server.engine import ForestEngine, ServerConfig
 from repro.tree.builder import tree_for_point
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
@@ -58,7 +58,7 @@ DELTA = 1
 ITERATIONS = 3
 
 
-def _build_server(**config_overrides) -> CORGIServer:
+def _build_engine(**config_overrides) -> ForestEngine:
     tree = tree_for_point(LatLng(37.77, -122.42), height=TREE_HEIGHT, root_resolution=7)
     config = ServerConfig(
         epsilon=EPSILON,
@@ -66,7 +66,7 @@ def _build_server(**config_overrides) -> CORGIServer:
         robust_iterations=ITERATIONS,
         **config_overrides,
     )
-    return CORGIServer(tree, config)
+    return ForestEngine(tree, config)
 
 
 def _timed(func, *args, **kwargs):
@@ -77,26 +77,26 @@ def _timed(func, *args, **kwargs):
 
 @pytest.mark.perf
 def test_perf_pipeline_speedups():
-    server = _build_server()
+    engine = _build_engine()
 
     cold_forest, cold_s = _timed(
-        server.generate_forest, PRIVACY_LEVEL, DELTA
+        engine.build_forest, PRIVACY_LEVEL, DELTA
     )
     assert cold_forest.is_complete()
-    cold_misses = server.matrix_cache.stats.misses
+    cold_misses = engine.matrix_cache.stats.misses
 
     # Warm path 1: forest cache dropped, per-sub-tree problems unchanged →
     # served from the matrix cache without a single LP solve.
-    server._forest_cache.clear()
+    engine._forest_cache.clear()
     warm_matrix_forest, warm_matrix_s = _timed(
-        server.generate_forest, PRIVACY_LEVEL, DELTA
+        engine.build_forest, PRIVACY_LEVEL, DELTA
     )
-    assert server.matrix_cache.stats.misses == cold_misses
-    assert server.matrix_cache.stats.hits >= len(warm_matrix_forest)
+    assert engine.matrix_cache.stats.misses == cold_misses
+    assert engine.matrix_cache.stats.hits >= len(warm_matrix_forest)
 
     # Warm path 2: full forest cache hit.
     warm_forest, warm_forest_s = _timed(
-        server.generate_forest, PRIVACY_LEVEL, DELTA
+        engine.build_forest, PRIVACY_LEVEL, DELTA
     )
     assert warm_forest is warm_matrix_forest
 
@@ -105,12 +105,12 @@ def test_perf_pipeline_speedups():
 
     # LP-level microbenchmark: rebuild-everything vs incremental refresh
     # across the t solves of Algorithm 1 (same problem, same budgets).
-    leaves = server.tree.descendant_leaves(
-        server.tree.nodes_at_level(PRIVACY_LEVEL)[0].node_id
+    leaves = engine.tree.descendant_leaves(
+        engine.tree.nodes_at_level(PRIVACY_LEVEL)[0].node_id
     )
     node_ids = [leaf.node_id for leaf in leaves]
     centers = [leaf.center.as_tuple() for leaf in leaves]
-    graph = HexNeighborhoodGraph(server.tree.grid, [leaf.cell for leaf in leaves])
+    graph = HexNeighborhoodGraph(engine.tree.grid, [leaf.cell for leaf in leaves])
     distance_matrix = graph.euclidean_distance_matrix()
     constraint_set = graph.constraint_set()
     targets = TargetDistribution.sample_from_centers(centers, 10, seed=1)
@@ -147,10 +147,10 @@ def test_perf_pipeline_speedups():
     # whose single SolverSession absorbs the whole solve sequence — on the
     # native backend every solve after the first re-starts dual simplex
     # from the retained optimal basis.
-    all_leaves = server.tree.leaves()
+    all_leaves = engine.tree.leaves()
     warm_node_ids = [leaf.node_id for leaf in all_leaves]
     warm_centers = [leaf.center.as_tuple() for leaf in all_leaves]
-    warm_graph = HexNeighborhoodGraph(server.tree.grid, [leaf.cell for leaf in all_leaves])
+    warm_graph = HexNeighborhoodGraph(engine.tree.grid, [leaf.cell for leaf in all_leaves])
     warm_distances = warm_graph.euclidean_distance_matrix()
     warm_constraints = warm_graph.constraint_set()
     warm_targets = TargetDistribution.sample_from_centers(warm_centers, 10, seed=2)
@@ -216,7 +216,7 @@ def test_perf_pipeline_speedups():
             "warm": lp_warm_s,
             "speedup": lp_warm_cold_s / lp_warm_s if lp_warm_s else float("inf"),
         },
-        "matrix_cache_stats": server.matrix_cache.stats.as_dict(),
+        "matrix_cache_stats": engine.matrix_cache.stats.as_dict(),
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\nwrote {RESULT_PATH}")

@@ -152,14 +152,12 @@ def _update_results(section: str, payload: Dict[str, object]) -> None:
 
 @pytest.mark.perf
 def test_perf_service_coalescing():
-    # Uncoalesced: every request pays a full forest build (use_cache=False
-    # models N requests that a cache-less, coalescing-less server computes).
-    uncoalesced_engine = _build_engine()
+    # Uncoalesced: every request pays a full forest build on its own cold
+    # engine (N requests that a cache-less, coalescing-less server computes).
+    # The engines are built before the burst so only the forest builds are timed.
+    cold_engines = [_build_engine() for _ in range(BURST_SIZE)]
     uncoalesced_s = _run_burst(
-        [
-            lambda: uncoalesced_engine.build_forest(PRIVACY_LEVEL, DELTA, use_cache=False)
-        ]
-        * BURST_SIZE
+        [lambda engine=engine: engine.build_forest(PRIVACY_LEVEL, DELTA) for engine in cold_engines]
     )
 
     # Coalesced: the same burst through the service's single-flight gate.

@@ -20,7 +20,7 @@ from collections import Counter
 
 from repro import (
     CORGIClient,
-    CORGIServer,
+    ForestEngine,
     Policy,
     ServerConfig,
     annotate_tree_with_dataset,
@@ -40,7 +40,7 @@ def main() -> None:
     priors_from_checkins(tree, dataset)
     annotate_tree_with_dataset(tree, dataset)
 
-    server = CORGIServer(tree, ServerConfig(epsilon=10.0, num_targets=20, robust_iterations=3))
+    engine = ForestEngine(tree, ServerConfig(epsilon=10.0, num_targets=20, robust_iterations=3))
 
     # Pick a user with a rich history so the home/office heuristics fire.
     user_id = max(dataset.by_user(), key=lambda user: len(dataset.by_user()[user]))
@@ -50,7 +50,7 @@ def main() -> None:
 
     client = CORGIClient(
         tree,
-        server,
+        engine,
         user_id=user_id,
         history=dataset,
         overflow_strategy=DeltaOverflowStrategy.FAVOR_PREFERENCES,

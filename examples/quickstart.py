@@ -12,7 +12,7 @@ Run with::
 
 from repro import (
     CORGIClient,
-    CORGIServer,
+    ForestEngine,
     Policy,
     ServerConfig,
     annotate_tree_with_dataset,
@@ -35,10 +35,10 @@ def main() -> None:
     print("location tree:", tree.summary())
 
     # 3. Server configuration: privacy budget epsilon (per km), robust iterations.
-    server = CORGIServer(tree, ServerConfig(epsilon=10.0, num_targets=20, robust_iterations=3))
+    engine = ForestEngine(tree, ServerConfig(epsilon=10.0, num_targets=20, robust_iterations=3))
 
     # 4. The user device holds the real location and the customization policy.
-    client = CORGIClient(tree, server)
+    client = CORGIClient(tree, engine)
     real_lat, real_lng = tree.root.center.as_tuple()  # pretend the user stands here
     policy = Policy.from_strings(
         privacy_level=2,        # obfuscation range: the 49-leaf sub-tree around the user

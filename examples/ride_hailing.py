@@ -21,7 +21,7 @@ import numpy as np
 from repro import (
     BayesianAttacker,
     CORGIClient,
-    CORGIServer,
+    ForestEngine,
     NonRobustLPMechanism,
     PlanarLaplaceMechanism,
     Policy,
@@ -54,10 +54,10 @@ def main() -> None:
     popular = sorted(leaf_counts, key=leaf_counts.get, reverse=True)[:15]
     targets = TargetDistribution.uniform([tree.node(node_id).center.as_tuple() for node_id in popular])
 
-    server = CORGIServer(
+    engine = ForestEngine(
         tree, ServerConfig(epsilon=EPSILON, num_targets=15, robust_iterations=3), targets=targets
     )
-    client = CORGIClient(tree, server)
+    client = CORGIClient(tree, engine)
     policy = Policy(privacy_level=2, precision_level=0, delta=2)
 
     # Baselines are built over the same 49-leaf obfuscation range.
@@ -106,7 +106,7 @@ def main() -> None:
     for name, mechanism_matrix in (
         (
             "CORGI (robust, delta=2)",
-            server.generate_privacy_forest(2, 2).matrix_for_subtree(subtree_root.node_id),
+            engine.build_forest(2, 2).matrix_for_subtree(subtree_root.node_id),
         ),
         ("non-robust LP", nonrobust.matrix),
         ("planar Laplace", laplace.to_matrix(num_samples=100, seed=1)),

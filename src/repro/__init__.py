@@ -10,14 +10,14 @@ Typical usage::
 
     from repro import (
         SAN_FRANCISCO, tree_for_region, priors_from_checkins,
-        GowallaLikeGenerator, CORGIServer, CORGIClient, Policy,
+        GowallaLikeGenerator, ForestEngine, CORGIClient, Policy,
     )
 
     dataset = GowallaLikeGenerator(seed=7).generate()
     tree = tree_for_region(SAN_FRANCISCO, height=2, root_resolution=7)
     priors_from_checkins(tree, dataset)
-    server = CORGIServer(tree)
-    client = CORGIClient(tree, server)
+    engine = ForestEngine(tree)  # the server side: builds privacy forests
+    client = CORGIClient(tree, engine)  # wraps the engine in a CORGIService
     outcome = client.obfuscate(37.78, -122.41, Policy(privacy_level=2, precision_level=0, delta=3))
     print(outcome.reported_center)
 
@@ -59,7 +59,7 @@ from repro.geometry import BoundingBox, LatLng, haversine_km
 from repro.hexgrid import HexCell, HexGridSystem
 from repro.pipeline import CacheStats, MatrixCache, RobustGenerationTask, run_robust_tasks
 from repro.policy import Policy, Predicate, annotate_tree_with_dataset, user_location_profile
-from repro.server import CORGIServer, ForestEngine, PrivacyForest, ServerConfig
+from repro.server import ForestEngine, PrivacyForest, ServerConfig
 from repro.service import CORGIHTTPServer, CORGIService, EnginePool, ServiceConfig
 from repro.tree import LocationTree, build_location_tree, priors_from_checkins, tree_for_region
 
@@ -107,7 +107,6 @@ __all__ = [
     "RobustGenerationTask",
     "run_robust_tasks",
     # Server / service / client
-    "CORGIServer",
     "ForestEngine",
     "ServerConfig",
     "PrivacyForest",

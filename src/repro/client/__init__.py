@@ -15,7 +15,6 @@ from repro.client.transport import (
     ForestTransport,
     HTTPTransport,
     InProcessTransport,
-    ResponseForest,
     TransportError,
     TransportForestProvider,
     as_forest_provider,
@@ -31,7 +30,6 @@ __all__ = [
     "ForestTransport",
     "HTTPTransport",
     "InProcessTransport",
-    "ResponseForest",
     "TransportError",
     "TransportForestProvider",
     "as_forest_provider",

@@ -86,15 +86,16 @@ class CORGIClient:
         The shared location tree (steps 2-3 of Figure 1: the server
         publishes it, the user uses it to express preferences).
     server:
-        Where privacy forests come from: a
-        :class:`~repro.server.server.CORGIServer`, a
-        :class:`~repro.server.engine.ForestEngine`, a coalescing
-        :class:`~repro.service.service.CORGIService`, a client transport
+        Where privacy forests come from: a provider (a coalescing
+        :class:`~repro.service.service.CORGIService`, or any object with a
+        compatible ``generate_privacy_forest``), a client transport
         (:class:`~repro.client.transport.InProcessTransport` /
-        :class:`~repro.client.transport.HTTPTransport`), or any object with
-        a compatible ``generate_privacy_forest``.  Transports are adapted
-        via :func:`~repro.client.transport.as_forest_provider`, so the
-        client pipeline is identical in-process and over the wire.
+        :class:`~repro.client.transport.HTTPTransport`), or an engine
+        (:class:`~repro.server.engine.ForestEngine` /
+        :class:`~repro.service.pool.EnginePool`).
+        :func:`~repro.client.transport.as_forest_provider` wraps transports
+        and engines into providers, so the client pipeline is identical
+        in-process and over the wire.
     user_id / history:
         Optional identity and check-in history of the user; when provided,
         per-user attributes (home / office / outlier) are derived locally so

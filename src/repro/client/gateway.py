@@ -22,10 +22,9 @@ import asyncio
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.client.transport import ResponseForest
 from repro.server.messages import PrivacyForestResponse
 from repro.service.gateway import (
     MAX_FRAME_BYTES,
@@ -53,9 +52,9 @@ class GatewayPush:
     reason: str
     response: Dict[str, object]
 
-    def forest(self) -> ResponseForest:
-        """The pushed payload as a client-side :class:`ResponseForest`."""
-        return ResponseForest.from_response(PrivacyForestResponse.from_dict(self.response))
+    def forest(self) -> PrivacyForestResponse:
+        """The pushed payload as a client-side :class:`PrivacyForestResponse`."""
+        return PrivacyForestResponse.from_dict(self.response)
 
 
 class _PushStore:

@@ -10,14 +10,17 @@ Figure 1's protocol is two messages — a request carrying ``(privacy_level,
 * :class:`HTTPTransport` — speaks the JSON protocol of
   :mod:`repro.service.http` over ``urllib`` (stdlib only).
 
-:class:`TransportForestProvider` adapts any transport to the
-``generate_privacy_forest`` duck type the :class:`~repro.client.client.CORGIClient`
-and :class:`~repro.client.session.ObfuscationSession` consume, returning a
-:class:`ResponseForest` — the client-side view of the wire response with
+:class:`TransportForestProvider` adapts any transport to the provider
+protocol — one method, ``generate_privacy_forest`` — that
+:class:`~repro.client.client.CORGIClient` and
+:class:`~repro.client.session.ObfuscationSession` consume, returning the
+wire :class:`~repro.server.messages.PrivacyForestResponse`, which carries
 the same lookup surface as a server-side
-:class:`~repro.server.privacy_forest.PrivacyForest`.  The
-:func:`as_forest_provider` helper is what lets ``CORGIClient`` accept a
-server, an engine, a service or a transport interchangeably.
+:class:`~repro.server.privacy_forest.PrivacyForest`.  The other provider is
+:class:`~repro.service.service.CORGIService`; :func:`as_forest_provider`
+wraps a bare engine in a default service and a transport in a
+:class:`TransportForestProvider`, which is what lets ``CORGIClient``
+accept an engine, a service or a transport interchangeably.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.exceptions import CORGIError
-from repro.core.matrix import ObfuscationMatrix
 from repro.server.messages import ObfuscationRequest, PrivacyForestResponse
 from repro.utils.logging import get_logger
 
@@ -39,7 +40,6 @@ __all__ = [
     "ForestTransport",
     "HTTPTransport",
     "InProcessTransport",
-    "ResponseForest",
     "TransportError",
     "TransportForestProvider",
     "as_forest_provider",
@@ -78,10 +78,11 @@ class ForestTransport(Protocol):
 class InProcessTransport:
     """Transport that calls a :class:`CORGIService` in the same process.
 
-    Accepts a service, or a :class:`~repro.server.server.CORGIServer` /
-    :class:`~repro.server.engine.ForestEngine` (wrapped in a
-    default-configured service), so tests and single-process deployments
-    exercise the exact request path of the HTTP transport minus the wire.
+    Accepts a service, or an engine (a
+    :class:`~repro.server.engine.ForestEngine` or
+    :class:`~repro.service.pool.EnginePool`, wrapped in a default-configured
+    service), so tests and single-process deployments exercise the exact
+    request path of the HTTP transport minus the wire.
     """
 
     def __init__(self, target: object) -> None:
@@ -256,56 +257,8 @@ class HTTPTransport:
         return None
 
 
-@dataclass
-class ResponseForest:
-    """Client-side privacy forest reconstructed from a wire response.
-
-    Offers the lookup surface :class:`~repro.client.client.CORGIClient`
-    needs (``matrix_for_subtree`` and the generation parameters) without
-    requiring the server-side tree handle a
-    :class:`~repro.server.privacy_forest.PrivacyForest` carries.
-    """
-
-    privacy_level: int
-    delta: int
-    epsilon: float
-    matrices: Dict[str, ObfuscationMatrix] = field(default_factory=dict)
-
-    @classmethod
-    def from_response(cls, response: PrivacyForestResponse) -> "ResponseForest":
-        return cls(
-            privacy_level=response.privacy_level,
-            delta=response.delta,
-            epsilon=response.epsilon,
-            matrices=dict(response.matrices),
-        )
-
-    def matrix_for_subtree(self, subtree_root_id: str) -> ObfuscationMatrix:
-        """Matrix over the leaves of the given sub-tree root."""
-        try:
-            return self.matrices[subtree_root_id]
-        except KeyError:
-            raise KeyError(
-                f"no matrix for sub-tree {subtree_root_id!r}; available roots: "
-                f"{sorted(self.matrices)[:5]}"
-            ) from None
-
-    def subtree_roots(self) -> List[str]:
-        """Ids of the sub-tree roots covered by the forest."""
-        return list(self.matrices.keys())
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def __contains__(self, subtree_root_id: str) -> bool:
-        return subtree_root_id in self.matrices
-
-    def __iter__(self) -> Iterator[Tuple[str, ObfuscationMatrix]]:
-        return iter(self.matrices.items())
-
-
 class TransportForestProvider:
-    """Adapts a :class:`ForestTransport` to the forest-provider duck type.
+    """Adapts a :class:`ForestTransport` to the provider protocol.
 
     ``CORGIClient`` and ``ObfuscationSession`` call
     ``generate_privacy_forest(privacy_level, delta, epsilon=...)``; this
@@ -323,18 +276,13 @@ class TransportForestProvider:
         delta: int,
         *,
         epsilon: Optional[float] = None,
-        use_cache: bool = True,
-    ) -> ResponseForest:
-        del use_cache  # cache policy is the server's; see CORGIService
+    ) -> PrivacyForestResponse:
         request = ObfuscationRequest(
             privacy_level=int(privacy_level),
             delta=int(delta),
             epsilon=None if epsilon is None else float(epsilon),
         )
-        response = self.transport.fetch_forest(request)
-        return ResponseForest.from_response(response)
-
-    generate_forest = generate_privacy_forest
+        return self.transport.fetch_forest(request)
 
 
 def as_forest_provider(target: object):
@@ -342,19 +290,28 @@ def as_forest_provider(target: object):
 
     Accepts (in resolution order):
 
-    1. an object already exposing ``generate_privacy_forest`` —
-       :class:`~repro.server.server.CORGIServer`,
-       :class:`~repro.server.engine.ForestEngine`,
-       :class:`~repro.service.service.CORGIService`, or anything
-       duck-compatible — returned unchanged;
+    1. a provider — :class:`~repro.service.service.CORGIService`,
+       :class:`TransportForestProvider`, or anything exposing
+       ``generate_privacy_forest`` — returned unchanged;
     2. a :class:`ForestTransport` (``fetch_forest``) — wrapped in a
-       :class:`TransportForestProvider`.
+       :class:`TransportForestProvider`;
+    3. an engine (``build_forest_traced``) —
+       :class:`~repro.server.engine.ForestEngine` or
+       :class:`~repro.service.pool.EnginePool` — wrapped in a
+       default-configured :class:`~repro.service.service.CORGIService`.
+       When a service already fronts the engine, pass that service: a new
+       one over an ``EnginePool`` takes over the pool's stats listener.
     """
     if callable(getattr(target, "generate_privacy_forest", None)):
         return target
     if callable(getattr(target, "fetch_forest", None)):
         return TransportForestProvider(target)  # type: ignore[arg-type]
+    if callable(getattr(target, "build_forest_traced", None)):
+        from repro.service.service import CORGIService
+
+        return CORGIService(target)  # type: ignore[arg-type]
     raise TypeError(
         f"{type(target).__name__} is neither a forest provider "
-        "(generate_privacy_forest) nor a transport (fetch_forest)"
+        "(generate_privacy_forest), a transport (fetch_forest) nor an engine "
+        "(build_forest_traced)"
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from typing import IO, Dict, List, Optional
 
 from repro.loadgen.replay import TraceReplayer

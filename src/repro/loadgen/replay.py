@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.client.transport import ForestTransport, ResponseForest
+from repro.client.transport import ForestTransport
 from repro.loadgen.adversary import OnlineAdversary
 from repro.loadgen.report import latency_percentiles
 from repro.loadgen.trace import ReplayEvent, TraceSchedule
@@ -296,9 +296,8 @@ class TraceReplayer:
             )
             response = self.transport.fetch_forest(request)
             record.latency_s = time.perf_counter() - began
-            forest = ResponseForest.from_response(response)
             root = self.tree.ancestor_at_level(event.leaf_id, event.privacy_level)
-            matrix = forest.matrix_for_subtree(root.node_id)
+            matrix = response.matrix_for_subtree(root.node_id)
             if self.adversary is not None:
                 record.digest = self.adversary.consume(matrix, epsilon=response.epsilon)
             # Empirical utility: sample the report the device would send and

@@ -36,11 +36,7 @@ from repro.core.objective import QualityLossModel, TargetDistribution
 from repro.core.robust import BasisRow, RobustGenerationResult
 from repro.core.solver import HIGHS_METHODS, KNOWN_BACKENDS, native_available, resolve_backend
 from repro.pipeline.cache import CacheStats, MatrixCache
-from repro.pipeline.executor import (
-    RobustGenerationTask,
-    execute_robust_task,
-    run_robust_task_groups,
-)
+from repro.pipeline.executor import RobustGenerationTask, run_robust_task_groups
 from repro.pipeline.fingerprint import (
     array_digest,
     constraint_set_digest,
@@ -54,6 +50,9 @@ from repro.utils.logging import get_logger
 from repro.utils.timing import Stopwatch, Timer
 
 logger = get_logger(__name__)
+
+#: Bound on each engine's content-addressed per-sub-tree matrix cache (LRU).
+MATRIX_CACHE_ENTRIES = 256
 
 
 @dataclass
@@ -93,21 +92,9 @@ class ServerConfig:
         solver session per constraint structure.
     target_seed:
         Seed for sampling the default target distribution.
-    keep_generation_results:
-        Retain per-sub-tree convergence traces in the forest (used by the
-        convergence experiment; off by default to save memory).
     max_workers:
         Worker processes for per-sub-tree generation fan-out; 1 = serial.
         Results are identical for every value.
-    matrix_cache_entries:
-        Bound on the content-addressed per-sub-tree matrix cache (LRU);
-        0 disables matrix caching.  Snapshot at engine construction — the
-        cache is not resized by later mutation.
-    share_structures:
-        Share one :class:`~repro.core.lp.ConstraintStructure` across sibling
-        sub-trees whose constraint pairs are congruent (the common case for
-        hexagon sub-trees at one level).  Execution strategy only — results
-        are identical either way.
     forest_ttl_s:
         Time-to-live for cached privacy forests, in seconds; ``0`` (the
         default) means entries never expire.  Expiry is checked lazily on
@@ -122,9 +109,7 @@ class ServerConfig:
     Mutating ``engine.config`` itself is safe for every result-affecting
     field: the forest cache key folds all of them in, and the derived
     default target distribution is refreshed when ``num_targets`` /
-    ``target_seed`` change.  ``max_workers`` and ``share_structures`` take
-    effect on the next build; ``matrix_cache_entries`` is applied only at
-    construction.
+    ``target_seed`` change.  ``max_workers`` takes effect on the next build.
     """
 
     epsilon: float = 15.0
@@ -137,10 +122,7 @@ class ServerConfig:
     solver_method: str = "highs"
     solver_backend: str = "auto"
     target_seed: int = 13
-    keep_generation_results: bool = False
     max_workers: int = 1
-    matrix_cache_entries: int = 256
-    share_structures: bool = True
     forest_ttl_s: float = 0.0
 
     def validate(self) -> None:
@@ -166,8 +148,6 @@ class ServerConfig:
             )
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.matrix_cache_entries < 0:
-            raise ValueError("matrix_cache_entries must be non-negative")
         if self.forest_ttl_s < 0:
             raise ValueError("forest_ttl_s must be non-negative")
 
@@ -238,7 +218,7 @@ class ForestEngine:
         self._invalidations = 0
         self._handoff_imports = 0
         self._handoff_prewarms = 0
-        self.matrix_cache = MatrixCache(self.config.matrix_cache_entries)
+        self.matrix_cache = MatrixCache(MATRIX_CACHE_ENTRIES)
         self._structure_stats: Dict[str, int] = {"groups": 0, "builds": 0, "reuses": 0}
         self._solver_stats: Dict[str, object] = {
             "solves": 0,
@@ -308,12 +288,10 @@ class ForestEngine:
         )
 
     #: Config fields that do not affect the generated forest (execution
-    #: strategy / cache sizing only).  Everything else is fingerprinted, so a
-    #: future result-affecting field is keyed automatically — forgetting to
+    #: strategy / cache lifecycle only).  Everything else is fingerprinted, so
+    #: a future result-affecting field is keyed automatically — forgetting to
     #: update this list can only over-invalidate, never serve a stale forest.
-    _NON_RESULT_CONFIG_FIELDS = frozenset(
-        {"epsilon", "max_workers", "matrix_cache_entries", "share_structures", "forest_ttl_s"}
-    )
+    _NON_RESULT_CONFIG_FIELDS = frozenset({"epsilon", "max_workers", "forest_ttl_s"})
 
     def _forest_fingerprint(self, privacy_level: int, delta: int, epsilon: float) -> str:
         """Cache key folding the full effective configuration.
@@ -351,19 +329,10 @@ class ForestEngine:
         delta: int,
         *,
         epsilon: Optional[float] = None,
-        use_cache: bool = True,
     ) -> PrivacyForest:
         """Generate (or fetch from cache) the privacy forest for the given parameters."""
-        forest, _ = self.build_forest_traced(
-            privacy_level, delta, epsilon=epsilon, use_cache=use_cache
-        )
+        forest, _ = self.build_forest_traced(privacy_level, delta, epsilon=epsilon)
         return forest
-
-    #: Aliases so the engine satisfies the same forest-provider duck type as
-    #: :class:`~repro.server.server.CORGIServer` and
-    #: :class:`~repro.service.service.CORGIService`.
-    generate_privacy_forest = build_forest
-    generate_forest = build_forest
 
     def build_forest_traced(
         self,
@@ -371,7 +340,6 @@ class ForestEngine:
         delta: int,
         *,
         epsilon: Optional[float] = None,
-        use_cache: bool = True,
     ) -> Tuple[PrivacyForest, bool]:
         """:meth:`build_forest`, additionally reporting whether the forest cache served it.
 
@@ -382,7 +350,7 @@ class ForestEngine:
         if delta < 0:
             raise ValueError(f"delta must be non-negative, got {delta}")
         with self._priors_reader():
-            return self._build_forest_gated(privacy_level, delta, epsilon, use_cache)
+            return self._build_forest_gated(privacy_level, delta, epsilon)
 
     @contextlib.contextmanager
     def _priors_reader(self) -> Iterator[None]:
@@ -408,16 +376,14 @@ class ForestEngine:
         privacy_level: int,
         delta: int,
         epsilon: float,
-        use_cache: bool,
     ) -> Tuple[PrivacyForest, bool]:
         """The build body, run while holding a reader slot of the priors gate."""
         forest_key = self._forest_fingerprint(privacy_level, delta, epsilon)
         with self._state_lock:
-            if use_cache:
-                cached_forest = self._cache_lookup_locked(forest_key)
-                if cached_forest is not None:
-                    self.forest_cache_stats.hits += 1
-                    return cached_forest, True
+            cached_forest = self._cache_lookup_locked(forest_key)
+            if cached_forest is not None:
+                self.forest_cache_stats.hits += 1
+                return cached_forest, True
             self.forest_cache_stats.misses += 1
 
         forest = PrivacyForest(self.tree, privacy_level, delta, epsilon)
@@ -428,11 +394,8 @@ class ForestEngine:
             results: Dict[str, RobustGenerationResult] = {}
             pending: List[Tuple[RobustGenerationTask, str]] = []
             for task, problem_key in prepared:
-                if use_cache:
-                    with self._state_lock:
-                        hit = self.matrix_cache.get(problem_key)
-                else:
-                    hit = None
+                with self._state_lock:
+                    hit = self.matrix_cache.get(problem_key)
                 if hit is not None:
                     results[task.key] = hit
                 else:
@@ -440,18 +403,12 @@ class ForestEngine:
             generated = self._run_pending([task for task, _ in pending])
             self._accumulate_solver_stats(generated)
             for (task, problem_key), result in zip(pending, generated):
-                if use_cache:
-                    with self._state_lock:
-                        self.matrix_cache.put(problem_key, result)
+                with self._state_lock:
+                    self.matrix_cache.put(problem_key, result)
                 results[task.key] = result
 
             for root in roots:
-                result = results[root.node_id]
-                forest.add(
-                    root.node_id,
-                    result.matrix,
-                    result if self.config.keep_generation_results else None,
-                )
+                forest.add(root.node_id, results[root.node_id].matrix)
         with self._state_lock:
             elapsed = self.stopwatch.record("forest_generation", timer.elapsed)
         logger.info(
@@ -466,9 +423,8 @@ class ForestEngine:
             self.config.max_workers,
             elapsed,
         )
-        if use_cache:
-            with self._state_lock:
-                self._forest_cache[forest_key] = (forest, self._clock())
+        with self._state_lock:
+            self._forest_cache[forest_key] = (forest, self._clock())
         return forest, False
 
     # ------------------------------------------------------------------ #
@@ -719,13 +675,10 @@ class ForestEngine:
         """
         if not tasks:
             return []
-        if not self.config.share_structures:
-            groups: Dict[str, List[int]] = {f"task-{index}": [index] for index in range(len(tasks))}
-        else:
-            groups = {}
-            for index, task in enumerate(tasks):
-                key = structure_fingerprint(len(task.node_ids), task.constraint_pairs)
-                groups.setdefault(key, []).append(index)
+        groups: Dict[str, List[int]] = {}
+        for index, task in enumerate(tasks):
+            key = structure_fingerprint(len(task.node_ids), task.constraint_pairs)
+            groups.setdefault(key, []).append(index)
 
         index_chunks: List[List[int]] = []
         max_workers = self.config.max_workers
@@ -811,22 +764,6 @@ class ForestEngine:
         )
         return task, problem_key
 
-    def generate_subtree_matrix(
-        self,
-        subtree_root_id: str,
-        delta: int,
-        epsilon: float,
-    ) -> Tuple:
-        """Generate the robust leaf-level matrix for one sub-tree (Algorithm 1).
-
-        Kept as the uncached single-sub-tree entry point; forest generation
-        goes through the pipeline in :meth:`build_forest`.
-        """
-        task, _ = self._subtree_task(subtree_root_id, delta, epsilon)
-        result = execute_robust_task(task)
-        self._accumulate_solver_stats([result])
-        return result.matrix, result
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -840,12 +777,6 @@ class ForestEngine:
         with self._priors_reader():
             leaves = self.tree.descendant_leaves(subtree_root_id)
             return {leaf.node_id: leaf.prior for leaf in leaves}
-
-    def clear_cache(self) -> None:
-        """Drop every cached privacy forest and per-sub-tree matrix."""
-        with self._state_lock:
-            self._forest_cache.clear()
-            self.matrix_cache.clear()
 
     def cache_size(self) -> int:
         """Number of live (non-expired) cached forests."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.matrix import ObfuscationMatrix
 
@@ -87,6 +87,11 @@ class ObfuscationRequest:
 class PrivacyForestResponse:
     """Response carrying one leaf-level obfuscation matrix per sub-tree.
 
+    It is also the client-side privacy forest: it offers the lookup surface
+    :class:`~repro.client.client.CORGIClient` needs (``matrix_for_subtree``
+    and the generation parameters) without the server-side tree handle a
+    :class:`~repro.server.privacy_forest.PrivacyForest` carries.
+
     Attributes
     ----------
     privacy_level, delta, epsilon:
@@ -99,6 +104,29 @@ class PrivacyForestResponse:
     delta: int
     epsilon: float
     matrices: Dict[str, ObfuscationMatrix] = field(default_factory=dict)
+
+    def matrix_for_subtree(self, subtree_root_id: str) -> ObfuscationMatrix:
+        """Matrix over the leaves of the given sub-tree root."""
+        try:
+            return self.matrices[subtree_root_id]
+        except KeyError:
+            raise KeyError(
+                f"no matrix for sub-tree {subtree_root_id!r}; available roots: "
+                f"{sorted(self.matrices)[:5]}"
+            ) from None
+
+    def subtree_roots(self) -> List[str]:
+        """Ids of the sub-tree roots covered by the forest."""
+        return list(self.matrices.keys())
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def __contains__(self, subtree_root_id: str) -> bool:
+        return subtree_root_id in self.matrices
+
+    def __iter__(self) -> Iterator[Tuple[str, ObfuscationMatrix]]:
+        return iter(self.matrices.items())
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly representation (matrices serialised via their own ``to_dict``)."""

@@ -9,10 +9,9 @@ sub-trees, it learns nothing about which one that is.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.core.matrix import ObfuscationMatrix
-from repro.core.robust import RobustGenerationResult
 from repro.tree.location_tree import LocationTree
 
 
@@ -29,18 +28,12 @@ class PrivacyForest:
         self.delta = int(delta)
         self.epsilon = float(epsilon)
         self._matrices: Dict[str, ObfuscationMatrix] = {}
-        self._generation_results: Dict[str, RobustGenerationResult] = {}
 
     # ------------------------------------------------------------------ #
     # Population
     # ------------------------------------------------------------------ #
 
-    def add(
-        self,
-        subtree_root_id: str,
-        matrix: ObfuscationMatrix,
-        generation_result: Optional[RobustGenerationResult] = None,
-    ) -> None:
+    def add(self, subtree_root_id: str, matrix: ObfuscationMatrix) -> None:
         """Register the matrix generated for one sub-tree root."""
         node = self.tree.node(subtree_root_id)
         if node.level != self.privacy_level:
@@ -49,8 +42,6 @@ class PrivacyForest:
                 f"privacy level {self.privacy_level}"
             )
         self._matrices[subtree_root_id] = matrix
-        if generation_result is not None:
-            self._generation_results[subtree_root_id] = generation_result
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -78,10 +69,6 @@ class PrivacyForest:
         """
         root = self.tree.node_for_latlng(lat, lng, self.privacy_level)
         return root.node_id, self.matrix_for_subtree(root.node_id)
-
-    def generation_result(self, subtree_root_id: str) -> Optional[RobustGenerationResult]:
-        """Convergence trace of the matrix generation, when retained."""
-        return self._generation_results.get(subtree_root_id)
 
     def __len__(self) -> int:
         return len(self._matrices)

@@ -46,6 +46,7 @@ the primary's records verbatim via :meth:`ControlLog.append_replicated`
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
@@ -62,12 +63,15 @@ __all__ = [
     "CONTROL_LOG_MAGIC",
     "CONTROL_LOG_VERSION",
     "MAX_RECORD_BYTES",
+    "TMP_SUFFIX",
     "ControlLog",
     "ControlLogFormatError",
     "ControlLogReplay",
     "decode_record",
     "encode_record",
+    "fsync_dir",
     "scan_records",
+    "write_atomic",
 ]
 
 logger = logging.getLogger(__name__)
@@ -188,8 +192,25 @@ class ControlLogReplay:
     stats: Dict[str, int] = field(default_factory=dict)
 
 
-def _fsync_dir(path: Path) -> None:
-    """Best-effort directory fsync (some filesystems refuse the handle)."""
+# --------------------------------------------------------------------- #
+# Durable-file helpers (the control log, the snapshot store and the
+# replication cursor all write through these)
+# --------------------------------------------------------------------- #
+
+#: Suffix of an in-progress atomic write.  The snapshot store's boot-time
+#: orphan sweep deletes files carrying it.
+TMP_SUFFIX = ".tmp"
+
+#: Makes temp names unique per call within one process (the pid in the
+#: name makes them unique across processes).
+_tmp_counter = itertools.count()
+
+
+def fsync_dir(path: Path) -> None:
+    """Best-effort directory fsync (some filesystems refuse the handle).
+
+    Makes a create or a rename in *path* durable, not just the file bytes.
+    """
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:
@@ -200,6 +221,31 @@ def _fsync_dir(path: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def write_atomic(path: os.PathLike, data: bytes) -> None:
+    """Replace *path* with *data* so a crash leaves the old file or the new one.
+
+    The bytes go to a same-directory temp file (``<name>.<pid>.<n>.tmp``)
+    that is flushed and fsync'd, ``os.replace``'d over *path*, and then the
+    directory is fsync'd.  On an I/O error the temp file is removed and the
+    ``OSError`` propagates.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_tmp_counter)}{TMP_SUFFIX}")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+    fsync_dir(path.parent)
 
 
 class ControlLog:
@@ -319,7 +365,7 @@ class ControlLog:
             existed = self.path.exists()
             self._handle = open(self.path, "ab")
             if not existed:
-                _fsync_dir(self.path.parent)
+                fsync_dir(self.path.parent)
         return self._handle
 
     def _drop_handle(self) -> None:

@@ -266,9 +266,9 @@ class CORGIHTTPServer:
     Parameters
     ----------
     service:
-        The service to expose.  A
-        :class:`~repro.server.server.CORGIServer` or
-        :class:`~repro.server.engine.ForestEngine` is also accepted and
+        The service to expose.  An engine
+        (:class:`~repro.server.engine.ForestEngine` or
+        :class:`~repro.service.pool.EnginePool`) is also accepted and
         wrapped in a default-configured service.
     host / port:
         Bind address; ``port=0`` selects an ephemeral port, available as

@@ -56,7 +56,7 @@ from repro.service.shard import (
     encode_error,
     encode_result,
 )
-from repro.service.wire import CLIENT_IDLE_TIMEOUT_S, FrameConnection, FrameFormatError
+from repro.service.wire import CLIENT_IDLE_TIMEOUT_S, FrameConnection, FrameFormatError, parse_address
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -254,21 +254,7 @@ def serve_netshard(spec: ShardSpec, host: str, port: int, port_queue=None) -> No
 
 def parse_shard_hosts(text: str) -> List[Tuple[str, int]]:
     """Parse ``host:port,host:port,...`` into address tuples (strict)."""
-    addresses: List[Tuple[str, int]] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        host, separator, port_text = token.rpartition(":")
-        if not separator or not host:
-            raise ValueError(f"shard host {token!r} must look like host:port")
-        try:
-            port = int(port_text)
-        except ValueError as error:
-            raise ValueError(f"shard host {token!r} has a non-integer port") from error
-        if not 0 < port < 65536:
-            raise ValueError(f"shard host {token!r} has an out-of-range port")
-        addresses.append((host, port))
+    addresses = [parse_address(token) for token in text.split(",") if token.strip()]
     if not addresses:
         raise ValueError("no shard hosts given")
     return addresses

@@ -4,10 +4,10 @@ PR 2 made serving thread-safe in one process; this module makes it scale
 with cores and survive worker death.  An :class:`EnginePool` hosts N shard
 processes (see :mod:`repro.service.shard`), each running its own
 :class:`~repro.server.engine.ForestEngine` replica over the same tree and
-config, and exposes the exact forest-provider surface a
-:class:`~repro.service.service.CORGIService` expects — so the whole
-engine → service → transport stack gains process parallelism without any
-caller changing.
+config, and answers the same engine protocol (``build_forest_traced`` /
+``build_forest``) that a :class:`~repro.service.service.CORGIService`
+drives — so the whole engine → service → transport stack gains process
+parallelism without any caller changing.
 
 Routing is a **consistent-hash ring** over the normalized request key
 ``(privacy_level, δ, effective ε)``: identical requests always land on the
@@ -102,12 +102,7 @@ from repro.service.handoff import (
     encode_snapshot,
 )
 from repro.service.netshard import parse_shard_hosts, serve_local_shard
-from repro.service.replication import (
-    ReplicationClient,
-    ReplicationRoleError,
-    ReplicationServer,
-    parse_replication_source,
-)
+from repro.service.replication import ReplicationClient, ReplicationRoleError, ReplicationServer
 from repro.service.store import SnapshotStore, pipeline_store_fingerprint
 from repro.service.shard import (
     ShardCrashedError,
@@ -116,6 +111,7 @@ from repro.service.shard import (
     ShardState,
     ShardUnavailableError,
 )
+from repro.service.wire import parse_address
 from repro.tree.location_tree import LocationTree
 from repro.utils.logging import get_logger
 
@@ -135,9 +131,9 @@ __all__ = [
 #: spread at the shard counts a single host runs (2–64).
 RING_VNODES = 32
 
-#: Default cumulative size budget for snapshot payloads in one hand-off
-#: (matrix bytes).  Entries past the budget ship key-only and the sibling
-#: pre-warms them by rebuilding.
+#: Cumulative size budget for snapshot payloads in one hand-off (matrix
+#: bytes).  Entries past the budget ship key-only and the sibling pre-warms
+#: them by rebuilding.
 HANDOFF_PAYLOAD_BUDGET_BYTES = 8 << 20
 
 #: Most-recently-used request keys remembered per shard slot — the ledger
@@ -168,14 +164,13 @@ class PoolTimeoutError(EnginePoolError):
 def _normalize_remote_addresses(
     remote_shards: Optional[Sequence[object]],
 ) -> List[Tuple[str, int]]:
-    """Coerce remote slot specs (strings or (host, port) pairs) to addresses."""
+    """Parse and check remote slot specs (``host:port`` strings or (host, port) pairs)."""
     addresses: List[Tuple[str, int]] = []
     for spec in remote_shards or ():
         if isinstance(spec, str):
             addresses.extend(parse_shard_hosts(spec))
         else:
-            host, port = spec  # type: ignore[misc]
-            addresses.append((str(host), int(port)))
+            addresses.append(parse_address(spec))
     return addresses
 
 
@@ -261,10 +256,6 @@ class EnginePool:
     chaos_build_delay_s:
         Test/chaos hook: every shard sleeps this long before each build,
         widening the in-flight window so crash injection is deterministic.
-    handoff_payload_budget:
-        Cumulative byte budget for forest payloads in one hand-off
-        snapshot; entries past it ship key-only and the receiving sibling
-        pre-warms them by rebuilding.
     warm_recovery:
         Replay a crashed shard's hot-key ledger to its ring siblings
         (post-crash warm failover).  On by default; benchmarks disable it
@@ -283,11 +274,11 @@ class EnginePool:
         is logged, surfaced in :meth:`durability_diagnostics`, and the
         pool boots cold — durability problems never block serving.
 
-    The pool satisfies the forest-provider duck type
-    (``generate_privacy_forest`` / ``build_forest_traced`` / ``tree`` /
-    ``config`` / ``publish_leaf_priors`` / ``cache_diagnostics``), so both
-    ``CORGIService(EnginePool(...))`` and ``CORGIClient(tree,
-    EnginePool(...))`` work unchanged.
+    The pool answers the engine protocol of
+    :class:`~repro.server.engine.ForestEngine` (``build_forest_traced`` /
+    ``build_forest`` / ``tree`` / ``config`` / ``publish_leaf_priors`` /
+    ``cache_diagnostics``), so both ``CORGIService(EnginePool(...))`` and
+    ``CORGIClient(tree, EnginePool(...))`` work unchanged.
     """
 
     def __init__(
@@ -301,7 +292,6 @@ class EnginePool:
         respawn_limit: int = 3,
         request_timeout_s: float = 600.0,
         chaos_build_delay_s: float = 0.0,
-        handoff_payload_budget: int = HANDOFF_PAYLOAD_BUDGET_BYTES,
         warm_recovery: bool = True,
         heartbeat_interval_s: float = 0.25,
         liveness_timeout_s: float = 1.0,
@@ -328,15 +318,9 @@ class EnginePool:
             )
         # Parse before any shard spawns so a malformed address cannot leak
         # half-started shard processes out of a raising constructor.
-        replication_source = (
-            None if replicate_from is None else parse_replication_source(replicate_from)
-        )
+        replication_source = None if replicate_from is None else parse_address(replicate_from)
         if respawn_limit < 0:
             raise ValueError(f"respawn_limit must be non-negative, got {respawn_limit}")
-        if handoff_payload_budget < 0:
-            raise ValueError(
-                f"handoff_payload_budget must be non-negative, got {handoff_payload_budget}"
-            )
         self.tree = tree
         self.config = replace(config) if config is not None else ServerConfig()
         self.config.validate()
@@ -346,7 +330,6 @@ class EnginePool:
         self.respawn_limit = int(respawn_limit)
         self.request_timeout_s = float(request_timeout_s)
         self._chaos_build_delay_s = float(chaos_build_delay_s)
-        self._handoff_payload_budget = int(handoff_payload_budget)
         self._warm_recovery = bool(warm_recovery)
         self._targets = targets
         # Fork: a local shard inherits its socketpair end and the tree
@@ -404,6 +387,12 @@ class EnginePool:
         self._durability_errors: List[str] = []
         self._persist_queue: Optional[queue_module.Queue] = None
         self._persister: Optional[threading.Thread] = None
+        # Orders write-through persists against store purges: every purge
+        # bumps the epoch, and a persist dispatched under an older epoch is
+        # dropped, so a forest queued before an invalidate can never land in
+        # the store after its purge (and be pre-warmed by the next boot).
+        self._store_lock = threading.Lock()
+        self._store_epoch = 0
         self._prewarm_done = threading.Event()
         # Replication role: decided by configuration, enforced before the
         # client/server even starts — a follower must refuse local control
@@ -561,9 +550,16 @@ class EnginePool:
         )
 
     def _schedule_persist(
-        self, shard: ShardHandle, key: Tuple[int, int, float], result: Mapping[str, object]
+        self,
+        shard: ShardHandle,
+        key: Tuple[int, int, float],
+        result: Mapping[str, object],
+        store_epoch: int,
     ) -> None:
-        """Queue one freshly built forest for write-through persistence."""
+        """Queue one freshly built forest for write-through persistence.
+
+        *store_epoch* is the store epoch when the build was dispatched.
+        """
         persist_queue = self._persist_queue
         if persist_queue is None:
             return
@@ -581,7 +577,7 @@ class EnginePool:
             matrices=dict(matrices),
         )
         try:
-            persist_queue.put_nowait((shard.slot, version, entry))
+            persist_queue.put_nowait((shard.slot, version, store_epoch, entry))
         except queue_module.Full:
             self._bump("store_persist_dropped")
 
@@ -596,20 +592,30 @@ class EnginePool:
                 continue
             if item is None:
                 return
-            slot, version, entry = item
+            slot, version, store_epoch, entry = item
             try:
                 blob = encode_snapshot(
                     CacheSnapshot(
                         shard_slot=slot, priors_version=version, entries=(entry,)
                     )
                 )
-                self._store.put(entry.privacy_level, entry.delta, entry.epsilon, blob)
+                with self._store_lock:
+                    if store_epoch == self._store_epoch:  # else purged since dispatch
+                        self._store.put(entry.privacy_level, entry.delta, entry.epsilon, blob)
             except Exception:  # noqa: BLE001 - persistence must not die mid-run
                 # A snapshot-encode failure is a persistence gap exactly
                 # like a failed disk write: count it where the durability
                 # endpoint looks, or /admin/durability under-reports.
                 self._store.count_write_error()
                 logger.exception("snapshot persistence failed for key %s", entry.key)
+
+    def _purge_store(self, privacy_level: Optional[int]) -> None:
+        """Purge stored snapshots (one level, or all) and drop in-flight persists."""
+        if self._store is None:
+            return
+        with self._store_lock:
+            self._store_epoch += 1
+            self._store.purge(privacy_level)
 
     def _persist_exported(
         self, slot: int, version: int, raw_entries: List[Dict[str, object]]
@@ -825,8 +831,7 @@ class EnginePool:
         elif record_type == "invalidate":
             level = record.get("privacy_level")
             level = None if level is None else int(level)
-            if self._store is not None:
-                self._store.purge(level)
+            self._purge_store(level)
             self._broadcast("invalidate", level)
         else:
             raise ValueError(f"unknown replicated control record type {record_type!r}")
@@ -875,8 +880,7 @@ class EnginePool:
             self._current_priors = (
                 None if vetted is None else (vetted, bool(normalize), version)
             )
-        if self._store is not None:
-            self._store.purge(None)
+        self._purge_store(None)
         if vetted is not None:
             answers = self._broadcast("set_priors", (vetted, bool(normalize), version))
         else:
@@ -1262,6 +1266,7 @@ class EnginePool:
         deadline = time.monotonic() + self.request_timeout_s
         max_attempts = self.num_shards * (self.respawn_limit + 1) + 1
         last_error: Optional[BaseException] = None
+        store_epoch = self._store_epoch
         for _ in range(max_attempts):
             shard = self._pick_shard(key)
             if shard is None:
@@ -1295,7 +1300,7 @@ class EnginePool:
                     # Write-through: a freshly built forest goes to the
                     # snapshot store so even an unplanned full-fleet kill -9
                     # restarts warm (a drain is not required for durability).
-                    self._schedule_persist(shard, key, entry.result)
+                    self._schedule_persist(shard, key, entry.result, store_epoch)
             return entry.result
         raise last_error or EnginePoolError(f"request {op!r} exhausted retries")
 
@@ -1490,6 +1495,24 @@ class EnginePool:
         self._bump("handoff_dropped", report["dropped"])
         return report
 
+    def _check_slot(self, slot: object) -> int:
+        """The slot id as an int, or :class:`ValueError` (the typed 4xx path).
+
+        Accepts an int, or a float or string that spells one; rejects
+        ``bool`` (``True`` is not slot 1), fractions and out-of-range ids.
+        """
+        if isinstance(slot, bool) or not isinstance(slot, (int, str, float)):
+            raise ValueError(f"slot must be an integer, got {slot!r}")
+        if isinstance(slot, float) and not slot.is_integer():
+            raise ValueError(f"slot must be an integer, got {slot!r}")
+        try:
+            index = int(slot)
+        except ValueError:
+            raise ValueError(f"slot must be an integer, got {slot!r}") from None
+        if not 0 <= index < self.num_shards:
+            raise ValueError(f"slot must be in [0, {self.num_shards - 1}], got {index}")
+        return index
+
     def drain(self, slot: int, timeout_s: Optional[float] = None) -> Dict[str, object]:
         """Gracefully retire one shard: stop, flush, hand off, shut down.
 
@@ -1506,15 +1529,7 @@ class EnginePool:
         """
         if self._closed:
             raise EnginePoolError("engine pool is closed")
-        if isinstance(slot, bool) or not isinstance(slot, (int, str, float)):
-            raise ValueError(f"slot must be an integer, got {slot!r}")
-        if isinstance(slot, float) and not slot.is_integer():
-            raise ValueError(f"slot must be an integer, got {slot!r}")
-        slot = int(slot)
-        if not 0 <= slot < self.num_shards:
-            raise ValueError(
-                f"slot must be in [0, {self.num_shards - 1}], got {slot}"
-            )
+        slot = self._check_slot(slot)
         shard = self._shards[slot]
         with shard.lock:
             if shard.state is not ShardState.READY:
@@ -1550,7 +1565,7 @@ class EnginePool:
             entries = self._shard_request(
                 shard,
                 "export_cache",
-                int(self._handoff_payload_budget),
+                HANDOFF_PAYLOAD_BUDGET_BYTES,
                 deadline,
                 allow_draining=True,
             )
@@ -1618,9 +1633,7 @@ class EnginePool:
         """Relaunch a previously drained slot (``DRAINED -> STARTING``)."""
         if self._closed:
             raise EnginePoolError("engine pool is closed")
-        slot = int(slot)
-        if not 0 <= slot < self.num_shards:
-            raise ValueError(f"slot must be in [0, {self.num_shards - 1}], got {slot}")
+        slot = self._check_slot(slot)
         shard = self._shards[slot]
         with shard.lock:
             if shard.state is not ShardState.DRAINED:
@@ -1674,7 +1687,7 @@ class EnginePool:
                 continue
             try:
                 entries = self._shard_request(
-                    shard, "export_cache", int(self._handoff_payload_budget), deadline
+                    shard, "export_cache", HANDOFF_PAYLOAD_BUDGET_BYTES, deadline
                 )
             except (ShardCrashedError, ShardUnavailableError):
                 continue
@@ -1751,7 +1764,7 @@ class EnginePool:
             )
 
     # ------------------------------------------------------------------ #
-    # Forest-provider surface
+    # Engine protocol
     # ------------------------------------------------------------------ #
 
     def build_forest_traced(
@@ -1760,7 +1773,6 @@ class EnginePool:
         delta: int,
         *,
         epsilon: Optional[float] = None,
-        use_cache: bool = True,
     ) -> Tuple[PrivacyForest, bool]:
         """Build (or fetch) one forest on the key's home shard.
 
@@ -1770,8 +1782,7 @@ class EnginePool:
         to a single-process build.
         """
         key = self._normalize(privacy_level, delta, epsilon)
-        payload = (key[0], key[1], key[2], bool(use_cache))
-        result = self._request_routed(key, "build", payload)
+        result = self._request_routed(key, "build", key)
         forest = PrivacyForest(
             self.tree, result["privacy_level"], result["delta"], result["epsilon"]
         )
@@ -1785,16 +1796,10 @@ class EnginePool:
         delta: int,
         *,
         epsilon: Optional[float] = None,
-        use_cache: bool = True,
     ) -> PrivacyForest:
         """:meth:`build_forest_traced` without the cache flag."""
-        forest, _ = self.build_forest_traced(
-            privacy_level, delta, epsilon=epsilon, use_cache=use_cache
-        )
+        forest, _ = self.build_forest_traced(privacy_level, delta, epsilon=epsilon)
         return forest
-
-    generate_privacy_forest = build_forest
-    generate_forest = build_forest
 
     def publish_leaf_priors(self, subtree_root_id: str) -> Dict[str, float]:
         """Leaf priors of one sub-tree, served from the parent's tree handle.
@@ -1870,8 +1875,7 @@ class EnginePool:
         level = None if privacy_level is None else int(privacy_level)
         if self._control_log is not None:
             self._control_log.append("invalidate", {"privacy_level": level})
-        if self._store is not None:
-            self._store.purge(level)
+        self._purge_store(level)
         answers = self._broadcast("invalidate", level)
         return sum(int(count) for count in answers.values())
 

@@ -66,7 +66,7 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.exceptions import CORGIError
-from repro.service.controllog import ControlLog
+from repro.service.controllog import ControlLog, write_atomic
 from repro.service.wire import (
     CLIENT_IDLE_TIMEOUT_S,
     CONNECT_BACKOFF_BASE_S,
@@ -83,7 +83,6 @@ __all__ = [
     "ReplicationError",
     "ReplicationRoleError",
     "ReplicationServer",
-    "parse_replication_source",
     "read_cursor",
     "write_cursor",
 ]
@@ -122,19 +121,6 @@ class ReplicationRoleError(ReplicationError, ValueError):
 # --------------------------------------------------------------------- #
 
 
-def _fsync_dir(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
 def write_cursor(path: os.PathLike, source: str, version: int) -> bool:
     """Atomically persist a follower's applied cursor (tmp+fsync+rename).
 
@@ -142,23 +128,12 @@ def write_cursor(path: os.PathLike, source: str, version: int) -> bool:
     records the version check will skip, which is exactly the store-and-
     forward contract.
     """
-    path = Path(path)
     payload = json.dumps({"source": str(source), "version": int(version)}, sort_keys=True)
-    tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(path.parent)
+        write_atomic(path, payload.encode("utf-8"))
         return True
     except OSError as error:
         logger.warning("replication cursor write to %s failed: %s", path, error)
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
         return False
 
 
@@ -753,18 +728,3 @@ class ReplicationClient:
             connection.send({"kind": "bye"})
             connection.close()
         self._thread.join(timeout=2.0)
-
-
-def parse_replication_source(text: str) -> Tuple[str, int]:
-    """Parse a single ``host:port`` replication source (strict, typed)."""
-    value = str(text).strip()
-    host, _, port_text = value.rpartition(":")
-    if not host or not port_text:
-        raise ValueError(f"replication source must be host:port, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError as error:
-        raise ValueError(f"replication source port invalid in {text!r}") from error
-    if not 0 < port < 65536:
-        raise ValueError(f"replication source port out of range in {text!r}")
-    return host, port

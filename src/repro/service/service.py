@@ -27,9 +27,13 @@ with exactly the concerns a serving tier owns:
 
 The service is transport-agnostic: :mod:`repro.service.http` exposes it
 over stdlib HTTP, and :class:`~repro.client.transport.InProcessTransport`
-calls it directly.  It also satisfies the ``generate_privacy_forest`` duck
-type, so a :class:`~repro.client.client.CORGIClient` can sit right on top
-of it and benefit from coalescing without any wire format in between.
+calls it directly.  It sits between the two protocols of the serving
+stack: it drives an *engine* (:class:`~repro.server.engine.ForestEngine`
+or :class:`~repro.service.pool.EnginePool`, which answer
+``build_forest_traced`` / ``build_forest``) and is itself a *provider*
+(it answers ``generate_privacy_forest``), so a
+:class:`~repro.client.client.CORGIClient` can sit right on top of it and
+benefit from coalescing without any wire format in between.
 """
 
 from __future__ import annotations
@@ -181,9 +185,7 @@ class CORGIService:
         The engine to serve: a :class:`~repro.server.engine.ForestEngine`,
         a sharded :class:`~repro.service.pool.EnginePool`, or anything else
         exposing the same ``build_forest_traced`` / ``tree`` / ``config``
-        surface.  A :class:`~repro.server.server.CORGIServer` is also
-        accepted (its engine is unwrapped), so existing setup code migrates
-        with one line.
+        surface.
     config:
         Serving-tier limits; defaults are sized for a small deployment.
     """
@@ -193,15 +195,14 @@ class CORGIService:
         engine: ForestEngine,
         config: Optional[ServiceConfig] = None,
     ) -> None:
-        inner = getattr(engine, "engine", None)
-        self.engine: ForestEngine = inner if isinstance(inner, ForestEngine) else engine
+        self.engine = engine
         if not (
-            callable(getattr(self.engine, "build_forest_traced", None))
-            and hasattr(self.engine, "tree")
-            and hasattr(self.engine, "config")
+            callable(getattr(engine, "build_forest_traced", None))
+            and hasattr(engine, "tree")
+            and hasattr(engine, "config")
         ):
             raise TypeError(
-                "engine must be a ForestEngine, EnginePool or CORGIServer "
+                "engine must be a ForestEngine or EnginePool "
                 f"(or duck-compatible), got {type(engine).__name__}"
             )
         self.config = config or ServiceConfig()
@@ -314,24 +315,14 @@ class CORGIService:
         delta: int,
         *,
         epsilon: Optional[float] = None,
-        use_cache: bool = True,
     ) -> PrivacyForest:
-        """Forest-provider duck type: coalesced access for in-process clients.
-
-        ``use_cache`` is accepted for signature compatibility with
-        :class:`~repro.server.server.CORGIServer` but a coalesced service
-        always uses the engine caches — bypassing them per-request would let
-        one caller force redundant work onto everyone coalesced with it.
-        """
-        del use_cache
+        """The provider protocol: coalesced access for in-process clients."""
         request = ObfuscationRequest(
             privacy_level=int(privacy_level),
             delta=int(delta),
             epsilon=None if epsilon is None else float(epsilon),
         )
         return self._forest_for(self.normalize(request))
-
-    generate_forest = generate_privacy_forest
 
     def _forest_for(self, key: RequestKey) -> PrivacyForest:
         """Serve one normalized request through the single-flight gate."""

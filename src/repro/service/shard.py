@@ -141,8 +141,7 @@ class ShardSpec:
 
     ``max_workers`` is forced to 1: shard processes *are* the parallelism,
     and nested process fan-out inside a daemonic child is not allowed by
-    ``multiprocessing`` anyway.  ``keep_generation_results`` is forced off
-    because convergence traces never cross the process boundary.
+    ``multiprocessing`` anyway.
     """
 
     shard_id: int
@@ -156,7 +155,7 @@ class ShardSpec:
     priors_version: int = 0
 
     def engine_config(self) -> ServerConfig:
-        return replace(self.config, max_workers=1, keep_generation_results=False)
+        return replace(self.config, max_workers=1)
 
 
 class ShardOpExecutor:
@@ -170,7 +169,7 @@ class ShardOpExecutor:
 
     Ops:
 
-    * ``build`` — payload ``(privacy_level, delta, epsilon, use_cache)``;
+    * ``build`` — payload ``(privacy_level, delta, epsilon)``;
       result ``{"privacy_level", "delta", "epsilon", "matrices", "cached"}``.
     * ``invalidate`` — payload ``privacy_level | None``; result = #dropped.
     * ``set_priors`` — payload ``(priors_mapping, normalize, version)``;
@@ -215,14 +214,12 @@ class ShardOpExecutor:
     def execute(self, op: str, payload) -> object:
         """Run one op against the engine; exceptions are the caller's answer."""
         if op == "build":
-            privacy_level, delta, epsilon, use_cache = payload
+            privacy_level, delta, epsilon = payload
             if self.spec.chaos_build_delay_s > 0:
                 # Chaos/test hook: widen the in-flight window so crash
                 # injection lands deterministically mid-build.
                 time.sleep(self.spec.chaos_build_delay_s)
-            forest, cached = self.engine.build_forest_traced(
-                privacy_level, delta, epsilon=epsilon, use_cache=use_cache
-            )
+            forest, cached = self.engine.build_forest_traced(privacy_level, delta, epsilon=epsilon)
             return {
                 "privacy_level": forest.privacy_level,
                 "delta": forest.delta,
@@ -304,12 +301,11 @@ def encode_request(op: str, ticket: int, payload: object) -> Dict[str, object]:
     UTF-8 text — it *is* versioned JSON already).
     """
     if op == "build":
-        privacy_level, delta, epsilon, use_cache = payload
+        privacy_level, delta, epsilon = payload
         body: object = {
             "privacy_level": int(privacy_level),
             "delta": int(delta),
             "epsilon": float(epsilon),
-            "use_cache": bool(use_cache),
         }
     elif op == "set_priors":
         priors, normalize, version = payload
@@ -345,7 +341,6 @@ def decode_request(message: Dict[str, object]) -> Tuple[str, int, object]:
                 int(body["privacy_level"]),
                 int(body["delta"]),
                 float(body["epsilon"]),
-                bool(body["use_cache"]),
             )
         elif op == "set_priors":
             if not isinstance(body, dict):

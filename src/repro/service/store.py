@@ -35,7 +35,6 @@ Durability discipline:
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 import os
 import struct
@@ -46,6 +45,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.pipeline.fingerprint import fingerprint_fields
+from repro.service.controllog import TMP_SUFFIX, write_atomic
 from repro.service.handoff import SnapshotFormatError
 
 __all__ = [
@@ -78,7 +78,6 @@ _STORE_TRAILER = struct.Struct(">I")
 
 _SNAPSHOT_SUFFIX = ".snap"
 _CORRUPT_SUFFIX = ".corrupt"
-_TMP_MARKER = ".tmp"
 
 
 class StoreFormatError(SnapshotFormatError):
@@ -212,7 +211,6 @@ class SnapshotStore:
         self.fingerprint = str(fingerprint)
         self.read_only = bool(read_only)
         self._lock = threading.Lock()
-        self._tmp_counter = itertools.count()
         self._counters: Dict[str, int] = {
             "writes": 0,
             "write_errors": 0,
@@ -284,34 +282,8 @@ class SnapshotStore:
         return True
 
     def _write_atomic(self, path: Path, data: bytes) -> None:
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(self._tmp_counter)}{_TMP_MARKER}")
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
-        self._fsync_dir()
-
-    def _fsync_dir(self) -> None:
-        # Directory fsync makes the rename itself durable; best-effort
-        # because some filesystems refuse O_RDONLY directory handles.
-        try:
-            fd = os.open(self.root, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
+        # A method, so fault injection can fail this store's writes alone.
+        write_atomic(path, data)
 
     # ------------------------------------------------------------------ #
     # Read path
@@ -412,7 +384,7 @@ class SnapshotStore:
         # A kill -9 between temp-file creation and os.replace leaves a
         # *.tmp orphan; it was never visible to readers, so deleting it is
         # always safe.
-        for path in list(self.root.glob(f"*{_TMP_MARKER}")):
+        for path in list(self.root.glob(f"*{TMP_SUFFIX}")):
             try:
                 path.unlink()
             except OSError:

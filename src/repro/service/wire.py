@@ -22,7 +22,9 @@ log (:mod:`repro.service.replication`) all speak these frames:
   Heartbeats go out from their own thread, so a send blocked on a frozen
   peer never stalls the silence check.
 * **Reconnection** — :func:`dial` connects with decorrelated-jitter
-  backoff (:func:`next_backoff_delay`) inside a bounded window.
+  backoff (:func:`next_backoff_delay`) inside a bounded window, to an
+  address checked by :func:`parse_address`, the one strict ``host:port``
+  parser (shard hosts, replication sources and ``(host, port)`` pairs).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "decode_frame",
     "dial",
     "next_backoff_delay",
+    "parse_address",
 ]
 
 #: Frame magic: identifies a byte stream as CORGI shard frames.  A peer
@@ -387,6 +390,36 @@ class FrameConnection:
             seq += 1
             if not self.send({"kind": "heartbeat", "seq": seq}):
                 return  # the reader is about to notice
+
+
+def parse_address(spec: object) -> Tuple[str, int]:
+    """A ``"host:port"`` string or ``(host, port)`` pair as a checked address.
+
+    Strict, so a bad address fails where it is configured instead of when
+    it is first dialed: raises :class:`ValueError` for a missing host, a
+    port that is not an integer (``True`` and ``1.5`` are not ports) or a
+    port outside 1–65535.
+    """
+    if isinstance(spec, str):
+        host, separator, port = spec.strip().rpartition(":")
+        if not separator:
+            raise ValueError(f"address {spec!r} must look like host:port")
+    else:
+        try:
+            host, port = spec  # type: ignore[misc]
+        except (TypeError, ValueError):
+            raise ValueError(f"address {spec!r} must be host:port or a (host, port) pair") from None
+    if not isinstance(host, str) or not host:
+        raise ValueError(f"address {spec!r} has no host")
+    if isinstance(port, bool) or not isinstance(port, (int, str)):
+        raise ValueError(f"address {spec!r} has a non-integer port")
+    try:
+        number = int(port)
+    except ValueError:
+        raise ValueError(f"address {spec!r} has a non-integer port") from None
+    if not 0 < number < 65536:
+        raise ValueError(f"address {spec!r} has an out-of-range port")
+    return host, number
 
 
 def dial(

@@ -34,11 +34,7 @@ from repro.service.gateway import (
     decode_gateway_frame,
     encode_gateway_frame,
 )
-from repro.service.service import (
-    CORGIService,
-    ServiceBuildTimeoutError,
-    ServiceConfig,
-)
+from repro.service.service import CORGIService, ServiceBuildTimeoutError
 
 KEY = (1, 1, 2.0)  # the normalized form of privacy_level=1, delta=1
 

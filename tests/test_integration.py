@@ -11,7 +11,8 @@ import pytest
 
 from repro import (
     CORGIClient,
-    CORGIServer,
+    CORGIService,
+    ForestEngine,
     ObfuscationSession,
     Policy,
     ServerConfig,
@@ -35,10 +36,10 @@ def pipeline():
     priors_from_checkins(tree, train)
     annotate_tree_with_dataset(tree, train)
     config = ServerConfig(epsilon=5.0, num_targets=10, robust_iterations=2, solver_method="highs-ipm")
-    server = CORGIServer(tree, config)
+    engine = ForestEngine(tree, config)
     user = dataset.users()[0]
-    client = CORGIClient(tree, server, user_id=user, history=train)
-    return {"tree": tree, "server": server, "client": client, "train": train, "test": test}
+    client = CORGIClient(tree, engine, user_id=user, history=train)
+    return {"tree": tree, "engine": engine, "client": client, "train": train, "test": test}
 
 
 class TestEndToEnd:
@@ -99,8 +100,8 @@ class TestEndToEnd:
 
     def test_attacker_cannot_fully_recover(self, pipeline):
         tree = pipeline["tree"]
-        server = pipeline["server"]
-        forest = server.generate_privacy_forest(privacy_level=1, delta=1)
+        engine = pipeline["engine"]
+        forest = engine.build_forest(privacy_level=1, delta=1)
         root_id = forest.subtree_roots()[0]
         matrix = forest.matrix_for_subtree(root_id)
         leaves = tree.descendant_leaves(root_id)
@@ -115,8 +116,8 @@ class TestEndToEnd:
         from repro.core.pruning import prune_matrix
         from repro.server.messages import ObfuscationRequest
 
-        server = pipeline["server"]
-        response = server.handle_request(ObfuscationRequest(privacy_level=1, delta=1))
+        engine = pipeline["engine"]
+        response = CORGIService(engine).handle(ObfuscationRequest(privacy_level=1, delta=1))
         payload = response.to_dict()
         from repro.server.messages import PrivacyForestResponse
 

@@ -179,7 +179,7 @@ class TestMessageCodec:
     @pytest.mark.parametrize(
         "op,payload",
         [
-            ("build", (1, 2, 2.5, True)),
+            ("build", (1, 2, 2.5)),
             ("invalidate", None),
             ("invalidate", 3),
             ("set_priors", ({"a": 0.25, "b": 0.75}, True, 7)),
@@ -257,6 +257,17 @@ class TestMessageCodec:
         for bad in ("", "hostonly", "host:", "host:notaport", "host:0", "host:70000"):
             with pytest.raises(ValueError):
                 parse_shard_hosts(bad)
+
+    @pytest.mark.parametrize("address", [("127.0.0.1", 70000), ("h", 0), ("", 5)])
+    def test_bad_address_pairs_rejected_before_any_shard_spawns(self, pool_tree, address, monkeypatch):
+        """A (host, port) pair is checked as strictly as its host:port string."""
+
+        def spawn(*_args):
+            raise AssertionError("a shard spawned before its address was checked")
+
+        monkeypatch.setattr(EnginePool, "_spawn", spawn)
+        with pytest.raises(ValueError):
+            EnginePool(pool_tree, ServerConfig(**POOL_CONFIG), num_shards=1, remote_shards=[address])
 
 
 # --------------------------------------------------------------------- #

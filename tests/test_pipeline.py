@@ -34,7 +34,7 @@ from repro.pipeline.fingerprint import (
     geometry_fingerprint,
     problem_fingerprint,
 )
-from repro.server.server import CORGIServer, ServerConfig
+from repro.server.engine import ForestEngine, ServerConfig
 
 from tests.conftest import TEST_EPSILON
 
@@ -319,97 +319,96 @@ class TestExecutor:
 
 
 @pytest.fixture()
-def pipeline_server(small_tree_with_priors):
+def pipeline_engine(small_tree_with_priors):
     config = ServerConfig(
         epsilon=2.0,
         num_targets=5,
         robust_iterations=2,
-        keep_generation_results=False,
     )
-    return CORGIServer(small_tree_with_priors, config)
+    return ForestEngine(small_tree_with_priors, config)
 
 
 class TestServerPipeline:
-    def test_forest_cache_hit(self, pipeline_server):
-        first = pipeline_server.generate_privacy_forest(privacy_level=1, delta=1)
-        second = pipeline_server.generate_privacy_forest(privacy_level=1, delta=1)
+    def test_forest_cache_hit(self, pipeline_engine):
+        first = pipeline_engine.build_forest(privacy_level=1, delta=1)
+        second = pipeline_engine.build_forest(privacy_level=1, delta=1)
         assert first is second
 
-    def test_config_change_invalidates_cache(self, pipeline_server):
+    def test_config_change_invalidates_cache(self, pipeline_engine):
         """Satellite fix: mutating result-affecting config fields must not serve stale forests."""
-        first = pipeline_server.generate_privacy_forest(privacy_level=1, delta=1)
-        pipeline_server.config.robust_iterations = 1
-        second = pipeline_server.generate_privacy_forest(privacy_level=1, delta=1)
+        first = pipeline_engine.build_forest(privacy_level=1, delta=1)
+        pipeline_engine.config.robust_iterations = 1
+        second = pipeline_engine.build_forest(privacy_level=1, delta=1)
         assert first is not second
-        pipeline_server.config.rpb_basis_row = "max"
-        third = pipeline_server.generate_privacy_forest(privacy_level=1, delta=1)
+        pipeline_engine.config.rpb_basis_row = "max"
+        third = pipeline_engine.build_forest(privacy_level=1, delta=1)
         assert third is not second
 
     def test_external_config_mutation_is_inert(self, small_tree_with_priors):
-        """Satellite fix: the server snapshots its config (copy-on-configure).
+        """Satellite fix: the engine snapshots its config (copy-on-configure).
 
-        Mutating the config object the caller constructed the server with
-        must neither change the server's behaviour nor poison its caches —
-        the server owns a private copy.
+        Mutating the config object the caller constructed the engine with
+        must neither change the engine's behaviour nor poison its caches —
+        the engine owns a private copy.
         """
         config = ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=2)
-        server = CORGIServer(small_tree_with_priors, config)
-        first = server.generate_privacy_forest(privacy_level=1, delta=1)
-        config.robust_iterations = 1  # the caller's object, not the server's
-        assert server.config.robust_iterations == 2
-        second = server.generate_privacy_forest(privacy_level=1, delta=1)
+        engine = ForestEngine(small_tree_with_priors, config)
+        first = engine.build_forest(privacy_level=1, delta=1)
+        config.robust_iterations = 1  # the caller's object, not the engine's
+        assert engine.config.robust_iterations == 2
+        second = engine.build_forest(privacy_level=1, delta=1)
         assert first is second  # same fingerprint, cache hit
 
     def test_target_config_mutation_refreshes_derived_targets(self, small_tree_with_priors):
-        """Mutating num_targets/target_seed on the server's own config must
+        """Mutating num_targets/target_seed on the engine's own config must
         regenerate the derived target distribution (not serve one built for
         the old settings) and invalidate cached forests."""
-        server = CORGIServer(
+        engine = ForestEngine(
             small_tree_with_priors,
             ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=1),
         )
-        first = server.generate_privacy_forest(privacy_level=1, delta=0)
-        old_targets = server.targets
-        server.config.num_targets = 3
-        assert server.targets is not old_targets
-        assert server.targets.size == 3
-        second = server.generate_privacy_forest(privacy_level=1, delta=0)
+        first = engine.build_forest(privacy_level=1, delta=0)
+        old_targets = engine.targets
+        engine.config.num_targets = 3
+        assert engine.targets is not old_targets
+        assert engine.targets.size == 3
+        second = engine.build_forest(privacy_level=1, delta=0)
         assert first is not second
 
-    def test_prior_change_invalidates_cache(self, pipeline_server):
-        first = pipeline_server.generate_privacy_forest(privacy_level=1, delta=0)
-        leaf = pipeline_server.tree.leaves()[0]
+    def test_prior_change_invalidates_cache(self, pipeline_engine):
+        first = pipeline_engine.build_forest(privacy_level=1, delta=0)
+        leaf = pipeline_engine.tree.leaves()[0]
         original_prior = leaf.prior
         try:
             leaf.prior = original_prior * 0.5 + 0.01
-            second = pipeline_server.generate_privacy_forest(privacy_level=1, delta=0)
+            second = pipeline_engine.build_forest(privacy_level=1, delta=0)
         finally:
             leaf.prior = original_prior
         assert first is not second
 
-    def test_matrix_cache_serves_repeat_subproblems(self, pipeline_server):
-        pipeline_server.generate_privacy_forest(privacy_level=1, delta=1)
-        solved = pipeline_server.matrix_cache.stats.misses
+    def test_matrix_cache_serves_repeat_subproblems(self, pipeline_engine):
+        pipeline_engine.build_forest(privacy_level=1, delta=1)
+        solved = pipeline_engine.matrix_cache.stats.misses
         assert solved >= 1
         # Drop only the forest-level cache: the per-sub-tree problems are
         # unchanged, so the rebuild is served from the matrix cache.
-        pipeline_server._forest_cache.clear()
-        rebuilt = pipeline_server.generate_privacy_forest(privacy_level=1, delta=1)
-        assert pipeline_server.matrix_cache.stats.hits >= 1
-        assert pipeline_server.matrix_cache.stats.misses == solved
+        pipeline_engine._forest_cache.clear()
+        rebuilt = pipeline_engine.build_forest(privacy_level=1, delta=1)
+        assert pipeline_engine.matrix_cache.stats.hits >= 1
+        assert pipeline_engine.matrix_cache.stats.misses == solved
         assert rebuilt.is_complete()
 
     def test_parallel_forest_equals_serial(self, small_tree_with_priors):
-        serial_server = CORGIServer(
+        serial_engine = ForestEngine(
             small_tree_with_priors,
             ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=2, max_workers=1),
         )
-        parallel_server = CORGIServer(
+        parallel_engine = ForestEngine(
             small_tree_with_priors,
             ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=2, max_workers=2),
         )
-        serial_forest = serial_server.generate_privacy_forest(privacy_level=0, delta=0)
-        parallel_forest = parallel_server.generate_privacy_forest(privacy_level=0, delta=0)
+        serial_forest = serial_engine.build_forest(privacy_level=0, delta=0)
+        parallel_forest = parallel_engine.build_forest(privacy_level=0, delta=0)
         assert len(serial_forest) == len(parallel_forest) == 7
         for (root_id, serial_matrix), (parallel_root, parallel_matrix) in zip(
             serial_forest, parallel_forest
@@ -417,24 +416,22 @@ class TestServerPipeline:
             assert root_id == parallel_root
             assert np.allclose(serial_matrix.values, parallel_matrix.values, atol=1e-12)
 
-    def test_cache_diagnostics(self, pipeline_server):
-        pipeline_server.generate_privacy_forest(privacy_level=1, delta=0)
-        diagnostics = pipeline_server.cache_diagnostics()
+    def test_cache_diagnostics(self, pipeline_engine):
+        pipeline_engine.build_forest(privacy_level=1, delta=0)
+        diagnostics = pipeline_engine.cache_diagnostics()
         assert diagnostics["forest_entries"] >= 1
         assert diagnostics["matrix_entries"] >= 1
         assert 0.0 <= diagnostics["matrix_stats"]["hit_rate"] <= 1.0
 
-    def test_clear_cache_drops_both_layers(self, pipeline_server):
-        pipeline_server.generate_privacy_forest(privacy_level=1, delta=0)
-        pipeline_server.clear_cache()
-        assert pipeline_server.cache_size() == 0
-        assert len(pipeline_server.matrix_cache) == 0
+    def test_invalidate_drops_both_layers(self, pipeline_engine):
+        pipeline_engine.build_forest(privacy_level=1, delta=0)
+        pipeline_engine.invalidate()
+        assert pipeline_engine.cache_size() == 0
+        assert len(pipeline_engine.matrix_cache) == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServerConfig(max_workers=0).validate()
-        with pytest.raises(ValueError):
-            ServerConfig(matrix_cache_entries=-1).validate()
 
 
 class TestLinearQualityModel:

@@ -49,11 +49,11 @@ from repro.service.pool import EnginePool
 from repro.service.replication import (
     CURSOR_FILENAME,
     ReplicationRoleError,
-    parse_replication_source,
     read_cursor,
     write_cursor,
 )
 from repro.service.service import CORGIService
+from repro.service.wire import parse_address
 from repro.tree.builder import tree_for_point
 
 #: Fast engine settings shared by every head in this module.  Every head in
@@ -167,10 +167,10 @@ class TestCursorFile:
         assert read_cursor(path, "10.0.0.1:7000") == 3
 
     def test_parse_replication_source(self):
-        assert parse_replication_source("10.1.2.3:7000") == ("10.1.2.3", 7000)
+        assert parse_address("10.1.2.3:7000") == ("10.1.2.3", 7000)
         for bad in ("", "justhost", "host:", ":7000", "host:0", "host:notaport"):
             with pytest.raises(ValueError):
-                parse_replication_source(bad)
+                parse_address(bad)
 
 
 # --------------------------------------------------------------------- #

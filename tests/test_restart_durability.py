@@ -26,6 +26,7 @@ no ad-hoc sleeps.
 
 import copy
 import json
+import threading
 import urllib.request
 
 import numpy as np
@@ -34,6 +35,7 @@ import pytest
 from helpers_concurrency import wait_until
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.service.controllog import ControlLog
+from repro.service import pool as pool_module
 from repro.service.http import CORGIHTTPServer
 from repro.service.pool import EnginePool
 from repro.service.service import CORGIService
@@ -422,6 +424,28 @@ class TestDurableConsistency:
             assert not cached, "an invalidated forest was resurrected from disk"
         finally:
             reborn.close()
+
+    def test_invalidate_drops_a_write_through_still_queued(self, pool_tree, tmp_path, monkeypatch):
+        """Regression: a forest built before an invalidate whose write-through
+        reaches the store after the purge must be dropped, or the next boot
+        pre-warms the invalidated forest."""
+        release = threading.Event()
+        encode = pool_module.encode_snapshot
+
+        def held_encode(snapshot):
+            release.wait(timeout=60)
+            return encode(snapshot)
+
+        monkeypatch.setattr(pool_module, "encode_snapshot", held_encode)
+        pool = make_pool(pool_tree, tmp_path)
+        try:
+            pool.build_forest(0, 0)  # its write-through now waits in the persister
+            pool.invalidate(0)
+        finally:
+            release.set()
+            pool.close()  # the persister drains its queue, then exits
+        assert not pool._persister.is_alive()
+        assert not list((tmp_path / "snapshots").glob("*.snap"))
 
     def test_snapshots_from_old_priors_generation_are_skipped(
         self, small_tree_with_priors, tmp_path

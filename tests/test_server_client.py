@@ -6,27 +6,27 @@ from repro.client.client import CORGIClient
 from repro.client.session import ObfuscationSession
 from repro.core.geoind import check_geo_ind
 from repro.policy.policy import Policy
+from repro.server.engine import ForestEngine, ServerConfig
 from repro.server.messages import ObfuscationRequest, PrivacyForestResponse
 from repro.server.privacy_forest import PrivacyForest
-from repro.server.server import CORGIServer, ServerConfig
+from repro.service.service import CORGIService
 
 
 @pytest.fixture(scope="module")
-def server(small_tree_with_priors):
+def engine(small_tree_with_priors):
     config = ServerConfig(
         epsilon=2.0,
         num_targets=5,
         robust_iterations=2,
         solver_method="highs-ipm",
-        keep_generation_results=True,
     )
-    return CORGIServer(small_tree_with_priors, config)
+    return ForestEngine(small_tree_with_priors, config)
 
 
 @pytest.fixture(scope="module")
-def client(small_tree_with_priors, server, synthetic_dataset):
+def client(small_tree_with_priors, engine, synthetic_dataset):
     user = synthetic_dataset.users()[0]
-    return CORGIClient(small_tree_with_priors, server, user_id=user, history=synthetic_dataset)
+    return CORGIClient(small_tree_with_priors, engine, user_id=user, history=synthetic_dataset)
 
 
 class TestServerConfig:
@@ -44,16 +44,16 @@ class TestServerConfig:
             ServerConfig(rpb_method="nope").validate()
 
 
-class TestCORGIServer:
-    def test_forest_covers_every_subtree(self, server, small_tree_with_priors):
-        forest = server.generate_privacy_forest(privacy_level=1, delta=1)
+class TestForestEngine:
+    def test_forest_covers_every_subtree(self, engine, small_tree_with_priors):
+        forest = engine.build_forest(privacy_level=1, delta=1)
         assert len(forest) == 1  # only the root at level 1 of a height-1 tree
         assert forest.is_complete()
-        forest_level0 = server.generate_privacy_forest(privacy_level=0, delta=0)
+        forest_level0 = engine.build_forest(privacy_level=0, delta=0)
         assert len(forest_level0) == 7
 
-    def test_matrices_are_valid_and_private(self, server, small_tree_with_priors):
-        forest = server.generate_privacy_forest(privacy_level=1, delta=1)
+    def test_matrices_are_valid_and_private(self, engine, small_tree_with_priors):
+        forest = engine.build_forest(privacy_level=1, delta=1)
         root_id = small_tree_with_priors.root.node_id
         matrix = forest.matrix_for_subtree(root_id)
         matrix.validate()
@@ -61,59 +61,52 @@ class TestCORGIServer:
         distances = small_tree_with_priors.distance_matrix_km([leaf.node_id for leaf in leaves])
         assert check_geo_ind(matrix, distances, epsilon=2.0, rtol=1e-4, atol=1e-5).satisfied
 
-    def test_cache_reuse(self, server):
-        first = server.generate_privacy_forest(privacy_level=1, delta=1)
-        second = server.generate_privacy_forest(privacy_level=1, delta=1)
+    def test_cache_reuse(self, engine):
+        first = engine.build_forest(privacy_level=1, delta=1)
+        second = engine.build_forest(privacy_level=1, delta=1)
         assert first is second
-        assert server.cache_size() >= 1
-        server.clear_cache()
-        assert server.cache_size() == 0
+        assert engine.cache_size() >= 1
+        engine.invalidate()
+        assert engine.cache_size() == 0
 
-    def test_epsilon_override(self, server):
-        forest = server.generate_privacy_forest(privacy_level=1, delta=0, epsilon=3.0)
+    def test_epsilon_override(self, engine):
+        forest = engine.build_forest(privacy_level=1, delta=0, epsilon=3.0)
         assert forest.epsilon == 3.0
 
-    def test_negative_delta_rejected(self, server):
+    def test_negative_delta_rejected(self, engine):
         with pytest.raises(ValueError):
-            server.generate_privacy_forest(privacy_level=1, delta=-1)
+            engine.build_forest(privacy_level=1, delta=-1)
 
-    def test_handle_request_roundtrip(self, server):
-        response = server.handle_request(ObfuscationRequest(privacy_level=1, delta=1))
+    def test_handle_request_roundtrip(self, engine):
+        response = CORGIService(engine).handle(ObfuscationRequest(privacy_level=1, delta=1))
         assert isinstance(response, PrivacyForestResponse)
         assert response.matrices
         restored = PrivacyForestResponse.from_dict(response.to_dict())
         assert set(restored.matrices) == set(response.matrices)
 
-    def test_publish_leaf_priors(self, server, small_tree_with_priors):
-        priors = server.publish_leaf_priors(small_tree_with_priors.root.node_id)
+    def test_publish_leaf_priors(self, engine, small_tree_with_priors):
+        priors = engine.publish_leaf_priors(small_tree_with_priors.root.node_id)
         assert len(priors) == 7
         assert sum(priors.values()) == pytest.approx(1.0)
 
-    def test_generation_results_retained(self, server, small_tree_with_priors):
-        server.clear_cache()
-        forest = server.generate_privacy_forest(privacy_level=1, delta=1)
-        result = forest.generation_result(small_tree_with_priors.root.node_id)
-        assert result is not None
-        assert len(result.objective_history) >= 2
-
 
 class TestPrivacyForest:
-    def test_lookup_by_location(self, server, small_tree_with_priors):
-        forest = server.generate_privacy_forest(privacy_level=1, delta=0)
+    def test_lookup_by_location(self, engine, small_tree_with_priors):
+        forest = engine.build_forest(privacy_level=1, delta=0)
         center = small_tree_with_priors.root.center
         root_id, matrix = forest.matrix_for_location(center.lat, center.lng)
         assert root_id == small_tree_with_priors.root.node_id
         assert matrix.size == 7
 
-    def test_unknown_subtree_rejected(self, server):
-        forest = server.generate_privacy_forest(privacy_level=1, delta=0)
+    def test_unknown_subtree_rejected(self, engine):
+        forest = engine.build_forest(privacy_level=1, delta=0)
         with pytest.raises(KeyError):
             forest.matrix_for_subtree("h9:99:99")
 
-    def test_add_validates_level(self, small_tree_with_priors, server):
+    def test_add_validates_level(self, small_tree_with_priors, engine):
         forest = PrivacyForest(small_tree_with_priors, privacy_level=1, delta=0, epsilon=2.0)
         leaf = small_tree_with_priors.leaves()[0]
-        existing = server.generate_privacy_forest(privacy_level=1, delta=0)
+        existing = engine.build_forest(privacy_level=1, delta=0)
         matrix = existing.matrix_for_subtree(small_tree_with_priors.root.node_id)
         with pytest.raises(ValueError):
             forest.add(leaf.node_id, matrix)

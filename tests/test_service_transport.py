@@ -25,6 +25,7 @@ from repro.client.transport import (
     TransportForestProvider,
     as_forest_provider,
 )
+from repro.pipeline.executor import execute_robust_task
 from repro.policy.policy import Policy
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.server.messages import ObfuscationRequest, PrivacyForestResponse
@@ -130,16 +131,6 @@ class TestWireRoundTrips:
 
 
 class TestServiceValidation:
-    def test_accepts_corgi_server(self, small_tree_with_priors):
-        from repro.server.server import CORGIServer
-
-        server = CORGIServer(
-            small_tree_with_priors,
-            ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=1),
-        )
-        service = CORGIService(server)
-        assert service.engine is server.engine
-
     def test_rejects_non_engine(self):
         with pytest.raises(TypeError):
             CORGIService(object())
@@ -482,25 +473,14 @@ class TestStructureSharing:
         # All 7 sibling sub-trees are congruent: one build serves the rest.
         assert stats["builds"] + stats["reuses"] == 7
 
-    def test_sharing_matches_unshared_results(self, medium_tree):
-        shared = ForestEngine(
-            medium_tree,
-            ServerConfig(
-                epsilon=2.0, num_targets=5, robust_iterations=1, share_structures=True
-            ),
-        )
-        unshared = ForestEngine(
-            medium_tree,
-            ServerConfig(
-                epsilon=2.0, num_targets=5, robust_iterations=1, share_structures=False
-            ),
-        )
-        shared_forest = shared.build_forest(privacy_level=1, delta=1)
-        unshared_forest = unshared.build_forest(privacy_level=1, delta=1)
-        assert unshared.cache_diagnostics()["structure_sharing"]["reuses"] == 0
-        for (root_a, matrix_a), (root_b, matrix_b) in zip(shared_forest, unshared_forest):
-            assert root_a == root_b
-            assert np.array_equal(matrix_a.values, matrix_b.values)
+    def test_sharing_matches_unshared_results(self, shared_engine):
+        """Each shared-structure matrix equals Algorithm 1 run alone on its sub-tree."""
+        shared_forest = shared_engine.build_forest(privacy_level=1, delta=1)
+        assert shared_engine.cache_diagnostics()["structure_sharing"]["reuses"] > 0
+        for root_id, matrix in shared_forest:
+            task, _ = shared_engine._subtree_task(root_id, 1, shared_forest.epsilon)
+            reference = execute_robust_task(task)
+            assert np.array_equal(matrix.values, reference.matrix.values)
 
 
 # --------------------------------------------------------------------- #
@@ -669,7 +649,8 @@ class TestAdminEndpoints:
 
 class TestProviderNormalization:
     def test_provider_passthrough(self, engine, service):
-        assert as_forest_provider(engine) is engine
+        provider = as_forest_provider(engine)
+        assert isinstance(provider, CORGIService) and provider.engine is engine
         assert as_forest_provider(service) is service
 
     def test_transport_wrapped(self, service):

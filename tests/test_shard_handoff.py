@@ -239,6 +239,15 @@ class TestGracefulDrain:
             with pytest.raises(ValueError, match="only a drained slot"):
                 pool.respawn(0)
 
+    def test_respawn_rejects_bad_slots(self, pool_tree):
+        """Regression: ``True`` and ``1.5`` are not slot 1, for respawn as for drain."""
+        with EnginePool(pool_tree, ServerConfig(**POOL_CONFIG), num_shards=2) as pool:
+            pool.drain(1)
+            for bad in ("wat", -1, 99, None, True, 1.5, [1], {}):
+                with pytest.raises(ValueError):
+                    pool.respawn(bad)
+            assert pool.shard_states()[1]["state"] == "drained"
+
     def test_rebalance_respawns_and_rehomes(self, pool_tree):
         """After drain + rebalance, the revived home shard holds its keys
         again (imported, so the next request is a cache hit served at home)."""

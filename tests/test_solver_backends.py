@@ -423,7 +423,7 @@ class TestEngineSolverDiagnostics:
                 epsilon=2.0, num_targets=5, robust_iterations=1, solver_backend="scipy"
             ),
         )
-        engine.generate_privacy_forest(privacy_level=1, delta=1)
+        engine.build_forest(privacy_level=1, delta=1)
         diagnostics = engine.cache_diagnostics()
         block = diagnostics["solver"]
         assert block["backend_requested"] == "scipy"
@@ -440,9 +440,9 @@ class TestEngineSolverDiagnostics:
                 epsilon=2.0, num_targets=5, robust_iterations=1, solver_backend="scipy"
             ),
         )
-        engine.generate_privacy_forest(privacy_level=1, delta=1)
+        engine.build_forest(privacy_level=1, delta=1)
         solves = engine.cache_diagnostics()["solver"]["solves"]
-        engine.generate_privacy_forest(privacy_level=1, delta=1)
+        engine.build_forest(privacy_level=1, delta=1)
         assert engine.cache_diagnostics()["solver"]["solves"] == solves
 
 
