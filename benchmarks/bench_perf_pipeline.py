@@ -87,7 +87,7 @@ def test_perf_pipeline_speedups():
 
     # Warm path 1: forest cache dropped, per-sub-tree problems unchanged →
     # served from the matrix cache without a single LP solve.
-    engine._forest_cache.clear()
+    engine.forest_cache.clear()
     warm_matrix_forest, warm_matrix_s = _timed(
         engine.build_forest, PRIVACY_LEVEL, DELTA
     )

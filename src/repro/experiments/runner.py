@@ -122,7 +122,6 @@ def serve(config: ExperimentConfig, args: argparse.Namespace) -> int:
         solver_method=config.solver_method,
         solver_backend=config.solver_backend,
         max_workers=config.max_workers,
-        forest_ttl_s=args.forest_ttl,
     )
     pool: Optional[EnginePool] = None
     remote_shards = None
@@ -298,12 +297,6 @@ def main(argv: Optional[list] = None) -> int:
         "(--shards 1, the default, means remote-only)",
     )
     parser.add_argument(
-        "--forest-ttl",
-        type=float,
-        default=0.0,
-        help="forest-cache TTL in seconds for --serve (0 = entries never expire)",
-    )
-    parser.add_argument(
         "--respawn-limit",
         type=int,
         default=3,
@@ -391,8 +384,6 @@ def main(argv: Optional[list] = None) -> int:
         config = config.derive(solver_backend=args.solver_backend)
     if args.shards < 1:
         parser.error("--shards must be >= 1")
-    if args.forest_ttl < 0:
-        parser.error("--forest-ttl must be non-negative")
     if args.replication_port is not None and args.replicate_from is not None:
         parser.error(
             "--replication-port (primary) and --replicate-from (follower) are "

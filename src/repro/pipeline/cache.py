@@ -1,10 +1,11 @@
-"""Content-addressed cache for generated obfuscation matrices.
+"""Content-addressed cache for generated obfuscation matrices and forests.
 
-The cache is keyed by the canonical problem fingerprints of
+The cache is keyed by the canonical fingerprints of
 :mod:`repro.pipeline.fingerprint`, so two requests hit the same entry iff
 every result-affecting input (geometry, ε, δ, weighting, basis row,
 quality model, iteration count, solver) is identical — the fix for the
-stale-forest bug the old ``(privacy_level, delta, epsilon)`` key had.
+stale-forest bug the old ``(privacy_level, delta, epsilon)`` key had.  The
+engine keeps two instances: per-sub-tree matrices and whole forests.
 
 Eviction is LRU with a configurable entry bound; statistics (hits, misses,
 evictions) are kept so the server and the perf harness can report cache
@@ -51,15 +52,14 @@ class CacheStats:
 
 
 class MatrixCache:
-    """LRU cache mapping problem fingerprints to generation results.
+    """LRU cache mapping fingerprints to generated values.
 
     Parameters
     ----------
     max_entries:
         Maximum number of entries kept; the least recently used entry is
         evicted when the bound is exceeded.  ``0`` disables storage (every
-        lookup misses), which is how ``ServerConfig`` switches caching off
-        without a second code path.
+        lookup misses).
     """
 
     def __init__(self, max_entries: int = 128) -> None:
@@ -101,6 +101,10 @@ class MatrixCache:
         computed = factory()
         self.put(key, computed)
         return computed
+
+    def pop(self, key: str) -> None:
+        """Drop *key* if present; a pop is not counted as an eviction."""
+        self._entries.pop(key, None)
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries

@@ -25,9 +25,8 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
-import time
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from repro.core.graphapprox import HexNeighborhoodGraph, Weighting
 from repro.core.objective import QualityLossModel, TargetDistribution
 from repro.core.robust import BasisRow, RobustGenerationResult
 from repro.core.solver import HIGHS_METHODS, KNOWN_BACKENDS, native_available, resolve_backend
-from repro.pipeline.cache import CacheStats, MatrixCache
+from repro.pipeline.cache import MatrixCache
 from repro.pipeline.executor import RobustGenerationTask, run_robust_task_groups
 from repro.pipeline.fingerprint import (
     array_digest,
@@ -53,6 +52,12 @@ logger = get_logger(__name__)
 
 #: Bound on each engine's content-addressed per-sub-tree matrix cache (LRU).
 MATRIX_CACHE_ENTRIES = 256
+
+#: Bound on each engine's forest cache (LRU).  A forest is a pure function
+#: of its fingerprint, so it never goes stale with time; the bound only caps
+#: memory.  It matches the pool's per-slot hot-key ledger
+#: (``HOT_KEY_LEDGER_SIZE``), so a sibling can hold every key a ledger replays.
+FOREST_CACHE_ENTRIES = 128
 
 
 @dataclass
@@ -95,12 +100,6 @@ class ServerConfig:
     max_workers:
         Worker processes for per-sub-tree generation fan-out; 1 = serial.
         Results are identical for every value.
-    forest_ttl_s:
-        Time-to-live for cached privacy forests, in seconds; ``0`` (the
-        default) means entries never expire.  Expiry is checked lazily on
-        access, so an expired entry costs one rebuild on its next request
-        and nothing otherwise.  Cache lifecycle only — the generated
-        forests themselves are identical for every value.
 
     Mutation semantics
     ------------------
@@ -123,7 +122,6 @@ class ServerConfig:
     solver_backend: str = "auto"
     target_seed: int = 13
     max_workers: int = 1
-    forest_ttl_s: float = 0.0
 
     def validate(self) -> None:
         """Raise :class:`ValueError` for inconsistent settings."""
@@ -148,8 +146,6 @@ class ServerConfig:
             )
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.forest_ttl_s < 0:
-            raise ValueError("forest_ttl_s must be non-negative")
 
 
 def validate_prior_masses(priors: Mapping[str, float]) -> Dict[str, float]:
@@ -189,10 +185,6 @@ class ForestEngine:
         Optional explicit service-target distribution; when omitted, targets
         are sampled uniformly from the tree's leaf centres (and re-derived
         if ``config.num_targets`` / ``config.target_seed`` are changed).
-    clock:
-        Monotonic time source for forest-cache TTL bookkeeping (defaults to
-        :func:`time.monotonic`).  Injectable so TTL semantics are testable
-        without real sleeps.
     """
 
     def __init__(
@@ -201,20 +193,15 @@ class ForestEngine:
         config: Optional[ServerConfig] = None,
         *,
         targets: Optional[TargetDistribution] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.tree = tree
         # Copy-on-configure: the engine owns its config; the caller keeps theirs.
         self.config = replace(config) if config is not None else ServerConfig()
         self.config.validate()
-        self._clock = clock if clock is not None else time.monotonic
         self._explicit_targets = targets
         self._derived_targets: Optional[TargetDistribution] = None
         self._derived_targets_key: Optional[Tuple[int, int]] = None
-        #: key -> (forest, insertion time per ``self._clock``).
-        self._forest_cache: Dict[str, Tuple[PrivacyForest, float]] = {}
-        self.forest_cache_stats = CacheStats()
-        self._forest_expirations = 0
+        self.forest_cache = MatrixCache(FOREST_CACHE_ENTRIES)
         self._invalidations = 0
         self._handoff_imports = 0
         self._handoff_prewarms = 0
@@ -288,10 +275,10 @@ class ForestEngine:
         )
 
     #: Config fields that do not affect the generated forest (execution
-    #: strategy / cache lifecycle only).  Everything else is fingerprinted, so
-    #: a future result-affecting field is keyed automatically — forgetting to
-    #: update this list can only over-invalidate, never serve a stale forest.
-    _NON_RESULT_CONFIG_FIELDS = frozenset({"epsilon", "max_workers", "forest_ttl_s"})
+    #: strategy only).  Everything else is fingerprinted, so a future
+    #: result-affecting field is keyed automatically — forgetting to update
+    #: this list can only over-invalidate, never serve a stale forest.
+    _NON_RESULT_CONFIG_FIELDS = frozenset({"epsilon", "max_workers"})
 
     def _forest_fingerprint(self, privacy_level: int, delta: int, epsilon: float) -> str:
         """Cache key folding the full effective configuration.
@@ -380,11 +367,9 @@ class ForestEngine:
         """The build body, run while holding a reader slot of the priors gate."""
         forest_key = self._forest_fingerprint(privacy_level, delta, epsilon)
         with self._state_lock:
-            cached_forest = self._cache_lookup_locked(forest_key)
-            if cached_forest is not None:
-                self.forest_cache_stats.hits += 1
-                return cached_forest, True
-            self.forest_cache_stats.misses += 1
+            cached_forest = self.forest_cache.get(forest_key)
+        if cached_forest is not None:
+            return cached_forest, True
 
         forest = PrivacyForest(self.tree, privacy_level, delta, epsilon)
         with Timer() as timer:
@@ -424,41 +409,12 @@ class ForestEngine:
             elapsed,
         )
         with self._state_lock:
-            self._forest_cache[forest_key] = (forest, self._clock())
+            self.forest_cache.put(forest_key, forest)
         return forest, False
 
     # ------------------------------------------------------------------ #
-    # Cache lifecycle (TTL / invalidation / live prior updates)
+    # Cache lifecycle (invalidation / live prior updates)
     # ------------------------------------------------------------------ #
-
-    def _cache_lookup_locked(self, forest_key: str) -> Optional[PrivacyForest]:
-        """Return the live cached forest for *forest_key*, evicting it if expired."""
-        entry = self._forest_cache.get(forest_key)
-        if entry is None:
-            return None
-        forest, inserted_at = entry
-        ttl = float(self.config.forest_ttl_s)
-        if ttl > 0 and self._clock() - inserted_at > ttl:
-            del self._forest_cache[forest_key]
-            self._forest_expirations += 1
-            return None
-        return forest
-
-    def _purge_expired_locked(self) -> int:
-        """Drop every expired forest entry; return how many were dropped."""
-        ttl = float(self.config.forest_ttl_s)
-        if ttl <= 0:
-            return 0
-        now = self._clock()
-        expired = [
-            key
-            for key, (_, inserted_at) in self._forest_cache.items()
-            if now - inserted_at > ttl
-        ]
-        for key in expired:
-            del self._forest_cache[key]
-        self._forest_expirations += len(expired)
-        return len(expired)
 
     def invalidate(self, privacy_level: Optional[int] = None) -> int:
         """Drop cached forests — all of them, or only one privacy level's.
@@ -474,18 +430,16 @@ class ForestEngine:
         """
         with self._state_lock:
             if privacy_level is None:
-                dropped = len(self._forest_cache)
-                self._forest_cache.clear()
+                dropped = len(self.forest_cache)
+                self.forest_cache.clear()
                 self.matrix_cache.clear()
             else:
                 level = int(privacy_level)
                 stale = [
-                    key
-                    for key, (forest, _) in self._forest_cache.items()
-                    if forest.privacy_level == level
+                    key for key, forest in self.forest_cache if forest.privacy_level == level
                 ]
                 for key in stale:
-                    del self._forest_cache[key]
+                    self.forest_cache.pop(key)
                 dropped = len(stale)
             self._invalidations += 1
         logger.info(
@@ -533,33 +487,20 @@ class ForestEngine:
     def export_cache_entries(
         self, *, payload_budget_bytes: int = 0
     ) -> List[Dict[str, object]]:
-        """Snapshot the live forest cache for warm hand-off to a replica.
+        """Snapshot the forest cache for warm hand-off to a replica.
 
-        Returns one plain dict per cached forest: the semantic request key
-        (``privacy_level`` / ``delta`` / ``epsilon``), the entry's remaining
-        TTL in seconds (``None`` when entries never expire) and — while the
-        cumulative ``payload_budget_bytes`` allows — the per-sub-tree
-        matrices as the payload (``None`` once the budget is spent; the
-        receiver pre-warms key-only entries by rebuilding).
-
-        Expired entries are **excluded at export time**: expiry is lazy, so
-        an entry past its TTL is typically still sitting in the cache dict —
-        shipping it would resurrect dead state on the sibling.  The cache is
-        purged under the lock before the snapshot is taken.
+        Returns one plain dict per cached forest, least recently used first:
+        the semantic request key (``privacy_level`` / ``delta`` /
+        ``epsilon``) and — while the cumulative ``payload_budget_bytes``
+        allows — the per-sub-tree matrices as the payload (``None`` once the
+        budget is spent; the receiver pre-warms key-only entries by
+        rebuilding).
         """
         with self._state_lock:
-            self._purge_expired_locked()
-            ttl = float(self.config.forest_ttl_s)
-            now = self._clock()
-            cached = list(self._forest_cache.values())
+            cached = [forest for _, forest in self.forest_cache]
         entries: List[Dict[str, object]] = []
         budget = int(payload_budget_bytes)
-        for forest, inserted_at in cached:
-            remaining = None
-            if ttl > 0:
-                remaining = ttl - (now - inserted_at)
-                if remaining <= 0:
-                    continue  # expired between the purge and this read
+        for forest in cached:
             matrices = {root_id: matrix for root_id, matrix in forest}
             size = sum(int(matrix.values.nbytes) for matrix in matrices.values())
             payload = None
@@ -571,7 +512,6 @@ class ForestEngine:
                     "privacy_level": int(forest.privacy_level),
                     "delta": int(forest.delta),
                     "epsilon": float(forest.epsilon),
-                    "ttl_remaining_s": remaining,
                     "matrices": payload,
                 }
             )
@@ -584,24 +524,20 @@ class ForestEngine:
         epsilon: float,
         *,
         matrices: Optional[Dict[str, object]] = None,
-        ttl_remaining_s: Optional[float] = None,
     ) -> str:
         """Install one handed-off cache entry; returns what happened.
 
         * ``"imported"`` — the payload was attached to this engine's tree
-          and cached under the locally-computed fingerprint, with its
-          insertion time back-dated so the remaining TTL carries over;
+          and cached under the locally-computed fingerprint;
         * ``"prewarmed"`` — no payload (or a payload whose sub-tree roots
           don't match this tree — a replica-mismatch guard), so the forest
           was rebuilt through the normal cached build path;
-        * ``"skipped"`` — the entry expired in transit or names a privacy
-          level this tree doesn't have.
+        * ``"skipped"`` — the entry names a privacy level this tree doesn't
+          have (or a negative δ).
         """
         privacy_level = int(privacy_level)
         delta = int(delta)
         epsilon = float(epsilon)
-        if ttl_remaining_s is not None and float(ttl_remaining_s) <= 0:
-            return "skipped"
         if not 0 <= privacy_level <= self.tree.height or delta < 0:
             return "skipped"
         if matrices is not None:
@@ -618,14 +554,8 @@ class ForestEngine:
             forest = PrivacyForest(self.tree, privacy_level, delta, epsilon)
             for root_id, matrix in matrices.items():
                 forest.add(root_id, matrix)
-            ttl = float(self.config.forest_ttl_s)
-            inserted_at = self._clock()
-            if ttl > 0 and ttl_remaining_s is not None:
-                # Back-date the insertion so the sibling honours the time the
-                # entry had already lived on the source shard.
-                inserted_at -= max(0.0, ttl - float(ttl_remaining_s))
             with self._state_lock:
-                self._forest_cache[forest_key] = (forest, inserted_at)
+                self.forest_cache.put(forest_key, forest)
                 self._handoff_imports += 1
         return "imported"
 
@@ -779,20 +709,16 @@ class ForestEngine:
             return {leaf.node_id: leaf.prior for leaf in leaves}
 
     def cache_size(self) -> int:
-        """Number of live (non-expired) cached forests."""
+        """Number of cached forests."""
         with self._state_lock:
-            self._purge_expired_locked()
-            return len(self._forest_cache)
+            return len(self.forest_cache)
 
     def cache_diagnostics(self) -> Dict[str, object]:
         """Forest-, matrix- and structure-cache state for monitoring and the perf harness."""
         with self._state_lock:
-            self._purge_expired_locked()
             return {
-                "forest_entries": len(self._forest_cache),
-                "forest_stats": self.forest_cache_stats.as_dict(),
-                "forest_expirations": self._forest_expirations,
-                "forest_ttl_s": float(self.config.forest_ttl_s),
+                "forest_entries": len(self.forest_cache),
+                "forest_stats": self.forest_cache.stats.as_dict(),
                 "invalidations": self._invalidations,
                 "handoff_imports": self._handoff_imports,
                 "handoff_prewarms": self._handoff_prewarms,

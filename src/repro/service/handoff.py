@@ -9,22 +9,23 @@ verified net-transition semantics), the transfer is an explicit, versioned
 protocol rather than ad-hoc cache copying:
 
 * a snapshot always carries the **keys** — normalized ``(privacy_level, δ,
-  ε)`` triples plus each entry's remaining TTL and the source shard's
-  priors version;
+  ε)`` triples — and the source shard's priors version;
 * it carries the **payload** (the per-sub-tree obfuscation matrices) only
   while a size budget allows, so a huge cache degrades to a key-only
   snapshot that the receiver pre-warms by rebuilding instead of a transfer
   that stalls the drain;
 * the wire format is **host-agnostic by construction**: entries name
   semantic request keys (never engine-internal fingerprints, which fold in
-  local config and priors), TTL is shipped as *remaining seconds* (never a
-  local monotonic timestamp), and the envelope is versioned JSON — the
-  same blob crosses a socketpair to a local shard or a TCP socket to a
-  remote one.
+  local config and priors), and the envelope is versioned JSON — the same
+  blob crosses a socketpair to a local shard or a TCP socket to a remote
+  one.
 
 Decoding is strict: a truncated, non-JSON, version-skewed or field-invalid
 blob raises :class:`SnapshotFormatError` (a ``ValueError``, so transports
-map it to HTTP 400) — never a crash in the receiving worker.
+map it to HTTP 400) — never a crash in the receiving worker.  Entry fields
+the decoder does not know are ignored, so a version-1 blob whose entries
+still carry the remaining-TTL field that builds with a forest TTL wrote
+decodes unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "SnapshotFormatError",
     "decode_snapshot",
     "encode_snapshot",
-    "entry_payload_bytes",
 ]
 
 #: Envelope magic: identifies a blob as a CORGI cache snapshot.
@@ -72,14 +72,11 @@ class SnapshotEntry:
 
     ``matrices`` is the optional payload (``{subtree_root_id: matrix}``);
     ``None`` means key-only — the receiver pre-warms by rebuilding.
-    ``ttl_remaining_s`` is relative (seconds of life left at export time);
-    ``None`` means the entry never expires.
     """
 
     privacy_level: int
     delta: int
     epsilon: float
-    ttl_remaining_s: Optional[float] = None
     matrices: Optional[Dict[str, ObfuscationMatrix]] = None
 
     @property
@@ -101,11 +98,6 @@ class CacheSnapshot:
     entries: Tuple[SnapshotEntry, ...] = ()
 
 
-def entry_payload_bytes(matrices: Dict[str, ObfuscationMatrix]) -> int:
-    """Size of one entry's payload (matrix value bytes — the dominant cost)."""
-    return sum(int(matrix.values.nbytes) for matrix in matrices.values())
-
-
 def encode_snapshot(snapshot: CacheSnapshot) -> bytes:
     """Serialize a snapshot to its versioned wire form (UTF-8 JSON bytes)."""
     entries = []
@@ -121,9 +113,6 @@ def encode_snapshot(snapshot: CacheSnapshot) -> bytes:
                 "privacy_level": int(entry.privacy_level),
                 "delta": int(entry.delta),
                 "epsilon": float(entry.epsilon),
-                "ttl_remaining_s": (
-                    None if entry.ttl_remaining_s is None else float(entry.ttl_remaining_s)
-                ),
                 "matrices": payload,
             }
         )
@@ -157,15 +146,6 @@ def _decode_entry(raw: object, index: int) -> SnapshotEntry:
     epsilon = float(epsilon)
     if not math.isfinite(epsilon) or epsilon <= 0:
         raise SnapshotFormatError(f"snapshot field 'epsilon' must be finite and positive, got {epsilon}")
-    ttl_remaining = raw.get("ttl_remaining_s")
-    if ttl_remaining is not None:
-        if isinstance(ttl_remaining, bool) or not isinstance(ttl_remaining, (int, float)):
-            raise SnapshotFormatError(
-                f"snapshot field 'ttl_remaining_s' must be a number or null, got {ttl_remaining!r}"
-            )
-        ttl_remaining = float(ttl_remaining)
-        if not math.isfinite(ttl_remaining):
-            raise SnapshotFormatError("snapshot field 'ttl_remaining_s' must be finite")
     payload = raw.get("matrices")
     matrices: Optional[Dict[str, ObfuscationMatrix]] = None
     if payload is not None:
@@ -183,7 +163,6 @@ def _decode_entry(raw: object, index: int) -> SnapshotEntry:
         privacy_level=privacy_level,
         delta=delta,
         epsilon=epsilon,
-        ttl_remaining_s=ttl_remaining,
         matrices=matrices,
     )
 

@@ -17,8 +17,8 @@ differ only in how the connection is made:
 The groundwork is host-agnostic on purpose: the ring hashes semantic
 request keys, the op vocabulary ships plain data
 (:class:`~repro.service.shard.ShardOpExecutor`), and the hand-off snapshot
-format (:mod:`repro.service.handoff`) carries relative TTLs and priors
-versions instead of local state.  Matrices cross the wire via
+format (:mod:`repro.service.handoff`) carries semantic request keys and
+priors versions instead of local state.  Matrices cross the wire via
 :meth:`~repro.core.matrix.ObfuscationMatrix.to_dict` (exact float64
 round-trip — pooled forests stay byte-identical to single-process builds),
 and hand-off snapshots ride as the exact blob
@@ -282,12 +282,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--shard-id", type=int, default=0, help="shard id announced to the pool (cosmetic)"
     )
-    parser.add_argument(
-        "--forest-ttl",
-        type=float,
-        default=0.0,
-        help="forest-cache TTL in seconds (0 = entries never expire); must match the head",
-    )
     parser.add_argument("--verbose", action="store_true", help="enable debug logging")
     args = parser.parse_args(argv)
 
@@ -298,8 +292,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.utils.logging import configure_cli_logging
 
     configure_cli_logging(verbose=args.verbose)
-    if args.forest_ttl < 0:
-        parser.error("--forest-ttl must be non-negative")
     config = get_scale(args.scale)
     workload = build_workload(config)
     server_config = ServerConfig(
@@ -308,7 +300,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         robust_iterations=config.robust_iterations,
         solver_method=config.solver_method,
         solver_backend=config.solver_backend,
-        forest_ttl_s=args.forest_ttl,
     )
     spec = ShardSpec(
         shard_id=args.shard_id,

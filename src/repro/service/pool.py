@@ -361,6 +361,7 @@ class EnginePool:
             "store_prewarm_prewarmed": 0,
             "store_prewarm_skipped": 0,
             "store_prewarm_stale": 0,
+            "store_prewarm_foreign": 0,
             "store_prewarm_dropped": 0,
             "store_persist_dropped": 0,
         }
@@ -555,10 +556,16 @@ class EnginePool:
         key: Tuple[int, int, float],
         result: Mapping[str, object],
         store_epoch: int,
+        priors_version: int,
     ) -> None:
         """Queue one freshly built forest for write-through persistence.
 
-        *store_epoch* is the store epoch when the build was dispatched.
+        *store_epoch* and *priors_version* are the store epoch and the
+        shard's priors version when the build was dispatched.  A version
+        read at dispatch can only be older than the priors the build used
+        (a publish queued behind the build may be acknowledged before the
+        build answers), so a wrong stamp makes the next boot skip the entry
+        as stale — it never serves a forest under priors it was not built on.
         """
         persist_queue = self._persist_queue
         if persist_queue is None:
@@ -566,18 +573,14 @@ class EnginePool:
         matrices = result.get("matrices")
         if not matrices:
             return
-        with shard.lock:
-            version = shard.priors_version
-        ttl = float(self.config.forest_ttl_s)
         entry = SnapshotEntry(
             privacy_level=key[0],
             delta=key[1],
             epsilon=key[2],
-            ttl_remaining_s=ttl if ttl > 0 else None,
             matrices=dict(matrices),
         )
         try:
-            persist_queue.put_nowait((shard.slot, version, store_epoch, entry))
+            persist_queue.put_nowait((shard.slot, priors_version, store_epoch, entry))
         except queue_module.Full:
             self._bump("store_persist_dropped")
 
@@ -632,7 +635,6 @@ class EnginePool:
                     privacy_level=int(raw["privacy_level"]),
                     delta=int(raw["delta"]),
                     epsilon=float(raw["epsilon"]),
-                    ttl_remaining_s=raw.get("ttl_remaining_s"),
                     matrices=raw.get("matrices"),
                 )
                 blob = encode_snapshot(
@@ -650,13 +652,16 @@ class EnginePool:
     def _store_prewarm(self) -> None:
         """Boot-time pre-warm: import every stored snapshot into its home shard.
 
-        Runs on a daemon thread after the shards spawn.  Snapshots whose
-        priors version differs from the replayed generation are skipped
-        (and counted) — and even for matching ones the shard executor
-        re-checks the version at import, so a stored payload can never be
-        served under different priors.  Any per-blob failure is counted and
-        the loop moves on; the thread can only end by finishing or by pool
-        close.
+        Runs on a daemon thread after the shards spawn.  An entry whose
+        file name is not the one this pool's namespace fingerprint gives
+        its key was written under another pipeline fingerprint (another
+        config, targets or tree sharing the directory): it is skipped and
+        counted as foreign.  Snapshots whose priors version differs from
+        the replayed generation are skipped (and counted) — and even for
+        matching ones the shard executor re-checks the version at import,
+        so a stored payload can never be served under different priors.
+        Any per-blob failure is counted and the loop moves on; the thread
+        can only end by finishing or by pool close.
         """
         try:
             try:
@@ -685,8 +690,16 @@ class EnginePool:
                 except SnapshotFormatError as error:
                     store.quarantine_blob(name, error)
                     continue
-                if snapshot.priors_version != pool_version:
-                    self._bump("store_prewarm_stale", len(snapshot.entries))
+                entries = [entry for entry in snapshot.entries if store.filename_for(*entry.key) == name]
+                if len(entries) < len(snapshot.entries):
+                    self._bump("store_prewarm_foreign", len(snapshot.entries) - len(entries))
+                    logger.info(
+                        "store pre-warm: %s was written under another pipeline "
+                        "fingerprint; skipping",
+                        name,
+                    )
+                if entries and snapshot.priors_version != pool_version:
+                    self._bump("store_prewarm_stale", len(entries))
                     logger.info(
                         "store pre-warm: %s is from priors v%d (pool is at v%d); "
                         "skipping — the key will rebuild on demand",
@@ -695,7 +708,7 @@ class EnginePool:
                         pool_version,
                     )
                     continue
-                for entry in snapshot.entries:
+                for entry in entries:
                     dest = self._destination_for(entry.key, None)
                     if dest is None:
                         self._bump("store_prewarm_dropped")
@@ -1272,6 +1285,8 @@ class EnginePool:
             if shard is None:
                 self._wait_any_progress(deadline)
                 continue
+            with shard.lock:
+                priors_version = shard.priors_version
             ticket = self._next_ticket()
             try:
                 entry = shard.submit(op, payload, ticket)
@@ -1300,7 +1315,9 @@ class EnginePool:
                     # Write-through: a freshly built forest goes to the
                     # snapshot store so even an unplanned full-fleet kill -9
                     # restarts warm (a drain is not required for durability).
-                    self._schedule_persist(shard, key, entry.result, store_epoch)
+                    self._schedule_persist(
+                        shard, key, entry.result, store_epoch, priors_version
+                    )
             return entry.result
         raise last_error or EnginePoolError(f"request {op!r} exhausted retries")
 
@@ -1416,7 +1433,6 @@ class EnginePool:
                 privacy_level=int(raw["privacy_level"]),
                 delta=int(raw["delta"]),
                 epsilon=float(raw["epsilon"]),
-                ttl_remaining_s=raw.get("ttl_remaining_s"),
                 matrices=raw.get("matrices"),
             )
             dest = self._destination_for(
@@ -1657,7 +1673,7 @@ class EnginePool:
         slot to that home — so routing and cache placement agree again.
         Source copies are left in place (they are unreachable through
         routing while the home is live, and merely occupy memory until
-        invalidated or expired).
+        invalidated or evicted).
         """
         if self._closed:
             raise EnginePoolError("engine pool is closed")
@@ -1743,7 +1759,6 @@ class EnginePool:
                 "privacy_level": key[0],
                 "delta": key[1],
                 "epsilon": key[2],
-                "ttl_remaining_s": None,
                 "matrices": None,  # the process died — only the keys survive
             }
             for key in keys
@@ -1964,7 +1979,6 @@ class EnginePool:
         answers = self._broadcast("diagnostics", None, timeout_s=timeout_s, partial=True)
         summed = {
             "forest_entries": 0,
-            "forest_expirations": 0,
             "invalidations": 0,
             "handoff_imports": 0,
             "handoff_prewarms": 0,
@@ -2005,7 +2019,6 @@ class EnginePool:
         return {
             **summed,
             "forest_stats": forest_stats,
-            "forest_ttl_s": float(self.config.forest_ttl_s),
             "matrix_stats": matrix_stats,
             "structure_sharing": structure,
             "solver": {

@@ -176,8 +176,7 @@ class ShardOpExecutor:
       result = #forests flushed.  The executor records *version* as its
       current priors generation.
     * ``export_cache`` — payload ``payload_budget_bytes``; result = list of
-      plain cache entries (see ``ForestEngine.export_cache_entries``) —
-      live entries only, expired ones are excluded at export time.
+      plain cache entries (see ``ForestEngine.export_cache_entries``).
     * ``import_cache`` — payload = an encoded snapshot blob
       (:func:`repro.service.handoff.encode_snapshot`); result =
       ``{"imported", "prewarmed", "skipped"}`` counts.  The replica — not
@@ -252,7 +251,6 @@ class ShardOpExecutor:
                     entry.delta,
                     entry.epsilon,
                     matrices=entry.matrices,
-                    ttl_remaining_s=entry.ttl_remaining_s,
                 )
                 counts[outcome] += 1
             return counts

@@ -155,14 +155,17 @@ def decode_store_blob(data: bytes) -> bytes:
 def pipeline_store_fingerprint(tree, config, targets=None) -> str:
     """Canonical namespace fingerprint for one pool's store.
 
-    Folds every result-affecting :class:`~repro.server.config.ServerConfig`
+    Folds every result-affecting :class:`~repro.server.engine.ServerConfig`
     field (reusing the engine's non-result exclusion list), the target
     distribution, and the tree identity — so a pool booted against a
-    different config, targets, or tree hashes to a different namespace and
-    can never import a foreign forest.  ε is excluded (it is part of each
-    entry's semantic key) and leaf priors are excluded deliberately: priors
-    drift is governed by the control log's version, which the import path
-    checks per entry.
+    different config, targets, or tree hashes to a different namespace.
+    The namespace enters only the file names
+    (:meth:`SnapshotStore.filename_for`); the pool's boot pre-warm skips
+    every entry whose file name is not the one its own namespace gives the
+    key, so it never imports a foreign forest.  ε is excluded (it is part
+    of each entry's semantic key) and leaf priors are excluded
+    deliberately: priors drift is governed by the control log's version,
+    which the import path checks per entry.
     """
     from repro.server.engine import ForestEngine
     from repro.utils.hashing import array_digest

@@ -3,7 +3,8 @@
 Covers the ISSUE acceptance surface: deterministic consistent-hash
 routing, single-flight coalescing staying effective across shards,
 kill-a-worker-mid-burst recovery (no request lost — they complete via
-respawn/retry on a sibling), TTL expiry and explicit invalidation, and
+respawn/retry on a sibling), the forest cache's LRU bound and explicit
+invalidation, and
 byte-identical forests between pooled and single-process engines.  The
 shard lifecycle state machine is unit-tested directly.
 
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from helpers_concurrency import run_burst, wait_until
+from repro.server import engine as engine_module
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.server.messages import ObfuscationRequest
 from repro.service.http import CORGIHTTPServer
@@ -357,52 +359,25 @@ def _running(pid: int) -> bool:
 
 
 # --------------------------------------------------------------------- #
-# Cache lifecycle: TTL expiry, explicit invalidation, live prior updates
+# Cache lifecycle: LRU bound, explicit invalidation, live prior updates
 # --------------------------------------------------------------------- #
 
 
-class TestEngineTTL:
-    """Engine-level TTL with an injected clock (no real sleeps)."""
-
-    def make_engine(self, tree, ttl):
-        clock = {"now": 0.0}
-        engine = ForestEngine(
-            tree,
-            ServerConfig(forest_ttl_s=ttl, **POOL_CONFIG),
-            clock=lambda: clock["now"],
-        )
-        return engine, clock
-
-    def test_entry_expires_after_ttl(self, small_tree_with_priors):
-        engine, clock = self.make_engine(small_tree_with_priors, ttl=10.0)
-        _, cached = engine.build_forest_traced(1, 1)
-        assert not cached
-        _, cached = engine.build_forest_traced(1, 1)
-        assert cached
-        clock["now"] = 10.5
-        _, cached = engine.build_forest_traced(1, 1)
-        assert not cached
-        assert engine.cache_diagnostics()["forest_expirations"] == 1
-
-    def test_zero_ttl_never_expires(self, small_tree_with_priors):
-        engine, clock = self.make_engine(small_tree_with_priors, ttl=0.0)
-        engine.build_forest_traced(1, 1)
-        clock["now"] = 1e9
-        _, cached = engine.build_forest_traced(1, 1)
-        assert cached
-
-    def test_diagnostics_purge_expired_entries(self, small_tree_with_priors):
-        engine, clock = self.make_engine(small_tree_with_priors, ttl=5.0)
+class TestEngineForestCache:
+    def test_least_recently_used_forest_is_evicted(self, small_tree_with_priors, monkeypatch):
+        monkeypatch.setattr(engine_module, "FOREST_CACHE_ENTRIES", 2)
+        engine = ForestEngine(small_tree_with_priors, ServerConfig(**POOL_CONFIG))
         engine.build_forest_traced(1, 0)
         engine.build_forest_traced(1, 1)
+        _, cached = engine.build_forest_traced(1, 0)
+        assert cached  # (1, 1) is now the least recently used
+        engine.build_forest_traced(1, 2)
         assert engine.cache_size() == 2
-        clock["now"] = 6.0
-        assert engine.cache_size() == 0
-        assert engine.cache_diagnostics()["forest_expirations"] == 2
-
-    def test_negative_ttl_rejected(self):
-        with pytest.raises(ValueError):
-            ServerConfig(forest_ttl_s=-1.0).validate()
+        assert engine.cache_diagnostics()["forest_stats"]["evictions"] == 1
+        _, cached = engine.build_forest_traced(1, 0)
+        assert cached
+        _, cached = engine.build_forest_traced(1, 1)
+        assert not cached
 
 
 class TestEngineInvalidation:
@@ -413,6 +388,7 @@ class TestEngineInvalidation:
         engine.build_forest_traced(1, 1)
         assert engine.invalidate(1) == 2
         assert engine.cache_size() == 1
+        assert engine.cache_diagnostics()["forest_stats"]["evictions"] == 0
         _, cached = engine.build_forest_traced(0, 0)
         assert cached  # level 0 untouched
 
@@ -516,22 +492,6 @@ class TestPoolCacheLifecycle:
         pool.build_forest_traced(1, 1)
         assert pool.invalidate(privacy_level=1) == 2
         assert pool.cache_diagnostics()["forest_entries"] == 1
-
-    def test_ttl_crosses_the_process_boundary(self, pool_tree):
-        config = ServerConfig(forest_ttl_s=0.2, **POOL_CONFIG)
-        with EnginePool(pool_tree, config, num_shards=2) as pool:
-            _, cached = pool.build_forest_traced(1, 1)
-            assert not cached
-            _, cached = pool.build_forest_traced(1, 1)
-            assert cached
-            expiry = time.monotonic() + 0.3
-            wait_until(
-                lambda: time.monotonic() >= expiry,
-                timeout_s=5,
-                message="the TTL window to elapse",
-            )
-            _, cached = pool.build_forest_traced(1, 1)
-            assert not cached
 
     def test_publish_priors_reaches_every_shard(self, pool, pool_tree):
         # Warm both shards with distinct keys, then broadcast new priors.

@@ -76,13 +76,13 @@ def shard_server(pool_tree):
     """Factory launching netshard server processes; kills leftovers on exit."""
     processes = []
 
-    def launch(*, tree=None, shard_id=0, chaos=0.0, ttl=0.0, port=0):
+    def launch(*, tree=None, shard_id=0, chaos=0.0, port=0):
         context = multiprocessing.get_context()
         port_queue = context.Queue()
         spec = ShardSpec(
             shard_id=shard_id,
             tree=tree if tree is not None else pool_tree,
-            config=ServerConfig(forest_ttl_s=ttl, **POOL_CONFIG),
+            config=ServerConfig(**POOL_CONFIG),
             chaos_build_delay_s=chaos,
         )
         process = context.Process(
@@ -344,12 +344,11 @@ class TestRemotePool:
         _, port = shard_server()
         entries = tuple(
             SnapshotEntry(
-                privacy_level=1,
+                privacy_level=99,  # no such level on this tree: imported as a cheap skip
                 delta=1,
                 epsilon=1.0 + index * 1e-6,
-                ttl_remaining_s=-1.0,  # expired in transit: imported as a cheap skip
             )
-            for index in range(20_000)
+            for index in range(25_000)
         )
         blob = encode_snapshot(CacheSnapshot(shard_slot=0, priors_version=0, entries=entries))
         assert len(blob) > 1_500_000  # far beyond any kernel socket buffer
@@ -359,7 +358,7 @@ class TestRemotePool:
             pending = handle.submit("import_cache", blob, ticket)
             assert pending.event.wait(timeout=60), "large frame never answered"
             assert pending.error is None
-            assert pending.result == {"imported": 0, "prewarmed": 0, "skipped": 20_000}
+            assert pending.result == {"imported": 0, "prewarmed": 0, "skipped": 25_000}
             # The stream is still in sync afterwards.
             pool.build_forest(1, 1)
 

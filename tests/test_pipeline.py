@@ -234,6 +234,14 @@ class TestMatrixCache:
         assert "a" in cache and "c" in cache
         assert cache.stats.evictions == 1
 
+    def test_pop_is_not_an_eviction(self):
+        cache = MatrixCache(max_entries=2)
+        cache.put("a", 1)
+        cache.pop("a")
+        cache.pop("missing")  # absent keys are a no-op
+        assert "a" not in cache
+        assert cache.stats.evictions == 0
+
     def test_zero_entries_disables_storage(self):
         cache = MatrixCache(max_entries=0)
         cache.put("a", 1)
@@ -392,7 +400,7 @@ class TestServerPipeline:
         assert solved >= 1
         # Drop only the forest-level cache: the per-sub-tree problems are
         # unchanged, so the rebuild is served from the matrix cache.
-        pipeline_engine._forest_cache.clear()
+        pipeline_engine.forest_cache.clear()
         rebuilt = pipeline_engine.build_forest(privacy_level=1, delta=1)
         assert pipeline_engine.matrix_cache.stats.hits >= 1
         assert pipeline_engine.matrix_cache.stats.misses == solved

@@ -14,8 +14,10 @@ Covers the ISSUE acceptance surface for the durable state tier:
   and its key cold-rebuilds; orphaned temp files are swept on boot; a full
   disk degrades to cold operation with counted write errors;
 * **consistency** — ``invalidate`` purges the store so a later boot cannot
-  resurrect dropped forests, and snapshots from a superseded priors
-  generation are skipped at pre-warm (zero stale serving);
+  resurrect dropped forests; snapshots from a superseded priors
+  generation, or written under another pipeline fingerprint, are skipped
+  at pre-warm (zero stale serving); and a write-through is stamped with
+  the priors version its build was dispatched under;
 * **supervision hygiene** — a user stats listener that raises can no
   longer kill the crash collector: the shard still respawns and counters
   still advance.
@@ -485,6 +487,100 @@ class TestDurableConsistency:
             assert not cached, "a stale-priors snapshot was served"
         finally:
             reborn.close()
+
+    @pytest.mark.parametrize("source", ["state_dir", "seed_store_dir"])
+    def test_snapshots_from_another_pipeline_fingerprint_are_skipped(
+        self, small_tree_with_priors, tmp_path, source
+    ):
+        """Regression: the namespace fingerprint enters only the file name,
+        so a pool booted under another config over the same state_dir (or
+        seeded from its snapshots) used to import the old config's forests
+        and serve them as cache hits."""
+        first = make_pool(copy.deepcopy(small_tree_with_priors), tmp_path)
+        try:
+            first.build_forest(1, 0)
+            wait_until(
+                lambda: store_stats(first).get("writes", 0) >= 1,
+                timeout_s=60,
+                message="write-through persistence under the first config",
+            )
+        finally:
+            first.close()
+
+        other_config = ServerConfig(**{**POOL_CONFIG, "num_targets": 3})
+        if source == "state_dir":
+            durable = dict(state_dir=tmp_path)
+        else:
+            durable = dict(state_dir=tmp_path / "other", seed_store_dir=tmp_path / "snapshots")
+        reborn = EnginePool(copy.deepcopy(small_tree_with_priors), other_config, num_shards=2, **durable)
+        try:
+            reborn.wait_ready()
+            assert reborn.wait_prewarmed(timeout_s=60)
+            prewarm = reborn.durability_diagnostics()["prewarm"]
+            assert prewarm["store_prewarm_imported"] == 0
+            assert prewarm["store_prewarm_foreign"] == 1
+            forest, cached = reborn.build_forest_traced(1, 0)
+            assert not cached, "a forest built under another config was served"
+            reference = ForestEngine(copy.deepcopy(small_tree_with_priors), other_config)
+            expected = forest_matrices(reference.build_forest(1, 0))
+            served = forest_matrices(forest)
+            assert served.keys() == expected.keys()
+            for root_id, values in expected.items():
+                assert np.array_equal(served[root_id], values)
+        finally:
+            reborn.close()
+
+    def test_write_through_is_stamped_with_the_priors_version_at_dispatch(
+        self, small_tree_with_priors, tmp_path
+    ):
+        """Regression: a publish queued behind an in-flight build used to be
+        acknowledged before the build's write-through read the shard's priors
+        version, so the old-priors forest was persisted under the new version
+        and served after a reboot."""
+        pool = make_pool(
+            copy.deepcopy(small_tree_with_priors), tmp_path, num_shards=1, chaos_build_delay_s=0.5
+        )
+        new_priors = sample_priors(small_tree_with_priors)
+        publish_done = threading.Event()
+        record_hot_key = pool._record_hot_key
+
+        def record_after_publish(slot, key):
+            # Hold the build's answer until the publish has returned, so the
+            # write-through runs after the shard's version was bumped.
+            assert publish_done.wait(timeout=60)
+            record_hot_key(slot, key)
+
+        pool._record_hot_key = record_after_publish
+        try:
+            builder = threading.Thread(target=pool.build_forest, args=(1, 0))
+            builder.start()
+            wait_until(
+                lambda: pool.shard_states()[0]["in_flight"] >= 1,
+                timeout_s=30,
+                message="the build to be in flight",
+            )
+            pool.publish_priors(new_priors)  # queued behind the build on the serial shard
+            publish_done.set()
+            builder.join(timeout=60)
+            assert not builder.is_alive()
+        finally:
+            publish_done.set()
+            pool.close()  # the persister drains its queue, then exits
+
+        reborn = make_pool(copy.deepcopy(small_tree_with_priors), tmp_path)
+        try:
+            assert reborn.priors_version == 1
+            assert reborn.wait_prewarmed(timeout_s=60)
+            forest, _ = reborn.build_forest_traced(1, 0)
+        finally:
+            reborn.close()
+        reference = ForestEngine(copy.deepcopy(small_tree_with_priors), ServerConfig(**POOL_CONFIG))
+        reference.publish_priors(new_priors)
+        expected = forest_matrices(reference.build_forest(1, 0))
+        served = forest_matrices(forest)
+        assert served.keys() == expected.keys()
+        for root_id, values in expected.items():
+            assert np.array_equal(served[root_id], values), "an old-priors forest was served"
 
 
 # --------------------------------------------------------------------- #

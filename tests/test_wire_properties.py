@@ -11,8 +11,10 @@ the two serialization layers:
   server always produce a *client*-class answer (200/400/404), never a 500:
   the error mapping has no hole a malformed payload can fall through;
 * :mod:`repro.service.handoff` — every cache snapshot round-trips through
-  its versioned wire form; truncated and version-skewed blobs are rejected
-  with :class:`SnapshotFormatError` (never a worker crash); and the
+  its versioned wire form; entry fields the decoder does not know (such as
+  the remaining TTL that builds with a forest TTL wrote) are ignored;
+  truncated and version-skewed blobs are rejected with
+  :class:`SnapshotFormatError` (never a worker crash); and the
   consistent-hash ring guarantees that after *any* drain sequence every
   key is owned by exactly one live shard;
 * :mod:`repro.service.controllog` / :mod:`repro.service.store` — the
@@ -36,6 +38,7 @@ import json
 import socket
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,18 +310,16 @@ def snapshot_matrices(draw):
     return matrices
 
 
+#: A snapshot blob written by a build that kept a forest TTL (snapshot version 1).
+LEGACY_TTL_SNAPSHOT = Path(__file__).parent / "data" / "snapshot_v1_with_ttl.json"
+
+
 @st.composite
 def snapshot_entries(draw):
     return SnapshotEntry(
         privacy_level=draw(st.integers(min_value=0, max_value=9)),
         delta=draw(st.integers(min_value=0, max_value=9)),
         epsilon=draw(st.floats(min_value=0.01, max_value=100.0, allow_nan=False)),
-        ttl_remaining_s=draw(
-            st.one_of(
-                st.none(),
-                st.floats(min_value=0.001, max_value=1e6, allow_nan=False),
-            )
-        ),
         matrices=draw(st.one_of(st.none(), snapshot_matrices())),
     )
 
@@ -336,7 +337,7 @@ class TestSnapshotProperties:
     @DETERMINISTIC
     @given(snapshot=cache_snapshots())
     def test_snapshot_roundtrips_through_wire_form(self, snapshot):
-        """Arbitrary key sets / TTL deadlines / priors versions survive the
+        """Arbitrary key sets / payloads / priors versions survive the
         encode → decode round trip exactly."""
         restored = decode_snapshot(encode_snapshot(snapshot))
         assert restored.shard_slot == snapshot.shard_slot
@@ -344,7 +345,6 @@ class TestSnapshotProperties:
         assert len(restored.entries) == len(snapshot.entries)
         for original, decoded in zip(snapshot.entries, restored.entries):
             assert decoded.key == original.key
-            assert decoded.ttl_remaining_s == original.ttl_remaining_s
             if original.matrices is None:
                 assert decoded.matrices is None
             else:
@@ -402,6 +402,39 @@ class TestSnapshotProperties:
         envelope[mutation] = "corrupted"
         with pytest.raises(SnapshotFormatError):
             decode_snapshot(json.dumps(envelope).encode("utf-8"))
+
+    @DETERMINISTIC
+    @given(snapshot=cache_snapshots(), extra=st.dictionaries(st.text(max_size=8), st.integers(), max_size=3))
+    def test_unknown_entry_fields_are_ignored(self, snapshot, extra):
+        """Entry fields this build does not know (a peer's older or newer
+        field) never change what a blob decodes to."""
+        envelope = json.loads(encode_snapshot(snapshot))
+        for entry in envelope["entries"]:
+            entry.update({key: value for key, value in extra.items() if key not in entry})
+        restored = decode_snapshot(json.dumps(envelope).encode("utf-8"))
+        assert encode_snapshot(restored) == encode_snapshot(snapshot)
+
+    def test_blob_with_a_remaining_ttl_field_still_decodes(self):
+        """A version-1 blob as builds with a forest TTL wrote it (each entry
+        also carries the remaining TTL) decodes to the same keys and matrices."""
+        blob = LEGACY_TTL_SNAPSHOT.read_bytes()
+        restored = decode_snapshot(blob)
+        assert (restored.shard_slot, restored.priors_version) == (1, 3)
+        assert [entry.key for entry in restored.entries] == [(1, 1, 2.0), (1, 0, 15.0), (2, 0, 15.0)]
+        assert [entry.matrices is None for entry in restored.entries] == [False, True, True]
+        expected = {
+            "root-a": (["a0", "a1", "a2"], [[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]]),
+            "root-b": (["b0", "b1", "b2"], [[0.6, 0.3, 0.1], [0.25, 0.5, 0.25], [0.05, 0.15, 0.8]]),
+        }
+        matrices = restored.entries[0].matrices
+        assert set(matrices) == set(expected)
+        for root_id, (node_ids, values) in expected.items():
+            assert matrices[root_id].node_ids == node_ids
+            assert np.array_equal(matrices[root_id].values, np.array(values))
+        # Every legacy entry carries one field this build's encoder no longer writes.
+        legacy = json.loads(blob)["entries"]
+        current = json.loads(encode_snapshot(restored))["entries"]
+        assert all(len(set(old) - set(new)) == 1 for old, new in zip(legacy, current))
 
 
 # --------------------------------------------------------------------- #
