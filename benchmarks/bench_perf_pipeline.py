@@ -3,7 +3,9 @@
 Times three forest-generation regimes at small scale and records them in
 ``BENCH_pipeline.json`` (repo root) so future PRs can track the trend:
 
-* **cold** — a fresh engine, every per-sub-tree LP solved from scratch;
+* **cold** — a fresh engine, every per-sub-tree problem generated from
+  scratch (an LP the build repeats is served from the engine's LP cache;
+  ``cold_forest_solves`` and ``lp_cache_stats`` record how many);
 * **warm (matrix cache)** — forest-level cache dropped, per-sub-tree
   problems served from the content-addressed :class:`MatrixCache`;
 * **warm (forest cache)** — the full forest served from the forest cache.
@@ -84,6 +86,8 @@ def test_perf_pipeline_speedups():
     )
     assert cold_forest.is_complete()
     cold_misses = engine.matrix_cache.stats.misses
+    # Solver calls of the cold build; LPs it repeats are LP-cache hits.
+    cold_solves = engine.cache_diagnostics()["solver"]["solves"]
 
     # Warm path 1: forest cache dropped, per-sub-tree problems unchanged →
     # served from the matrix cache without a single LP solve.
@@ -217,6 +221,8 @@ def test_perf_pipeline_speedups():
             "speedup": lp_warm_cold_s / lp_warm_s if lp_warm_s else float("inf"),
         },
         "matrix_cache_stats": engine.matrix_cache.stats.as_dict(),
+        "lp_cache_stats": engine.lp_cache.stats.as_dict(),
+        "cold_forest_solves": cold_solves,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\nwrote {RESULT_PATH}")

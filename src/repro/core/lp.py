@@ -24,12 +24,24 @@ vector depend only on the location set and the constraint pairs; between
 the ``t`` solves of Algorithm 1 (and across an ε/δ sweep over the same
 location set) only the ``e^{ε_eff·d}`` coefficients change, so the CSC
 matrix is built once and its data vector is rewritten in place.
+
+Many LPs repeat byte for byte: a δ = 0 forest's LPs are the non-robust
+starts of every δ ≥ 1 forest at the same ε, an exact fixed point of
+Algorithm 1 makes every later iteration solve the same LP, and once every
+pair budget clamps the robust LP no longer depends on ε or δ.  An optional
+LP cache (the serving engine's ``lp_cache``) maps a digest of what defines
+the LP — K, the constraint pairs, the objective, the clamped per-pair
+factors, the solver method and the session backend — to the solver's
+``x``.  It is consulted only when the session's solves are history-free
+(:attr:`~repro.core.solver.SolverSession.history_free`), so a hit returns
+the bits the solver would have returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+import hashlib
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -38,11 +50,11 @@ from repro.core.exceptions import InfeasibleMatrixError
 from repro.core.geoind import GeoIndConstraintSet, all_pairs_constraints
 from repro.core.matrix import ObfuscationMatrix
 from repro.core.objective import QualityLossModel
-from repro.core.solver import SolverSession, create_session
-from repro.utils.logging import get_logger
+from repro.core.solver import RawSolution, SolverSession, create_session
 from repro.utils.timing import Timer
 
-logger = get_logger(__name__)
+if TYPE_CHECKING:  # pragma: no cover - annotations only; pipeline imports core
+    from repro.pipeline.cache import MatrixCache
 
 #: Effective ε (km⁻¹) is clamped to at least this value so that a reserved
 #: budget larger than ε cannot flip the constraint direction.
@@ -204,6 +216,10 @@ class ObfuscationLP:
         across every point of a sweep).  When omitted, a session is
         created lazily on the first solve and reused by later solves of
         this instance — which is what warm-starts Algorithm 1.
+    lp_cache:
+        Optional :class:`~repro.pipeline.cache.MatrixCache` of solutions
+        keyed by LP content (see the module docstring), shared by every
+        LP its owner solves; ``None`` solves every LP.
     """
 
     def __init__(
@@ -218,6 +234,7 @@ class ObfuscationLP:
         structure: Optional[ConstraintStructure] = None,
         solver_backend: str = "auto",
         session: Optional[SolverSession] = None,
+        lp_cache: Optional["MatrixCache"] = None,
     ) -> None:
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -253,6 +270,7 @@ class ObfuscationLP:
         self.solver_backend = str(solver_backend)
         self._session: Optional[SolverSession] = session
         self._session_shared = session is not None
+        self._lp_cache = lp_cache
 
     # ------------------------------------------------------------------ #
     # Problem construction
@@ -284,10 +302,15 @@ class ObfuscationLP:
     def effective_epsilons(self, reserved_budget: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-pair effective ε after subtracting the reserved budget ε'_{i,j}.
 
-        Values are clamped to :data:`MIN_EFFECTIVE_EPSILON`; clamping is
-        logged because it signals that δ is too aggressive for the requested
-        ε (Section 5.3's infeasible-customization discussion).
+        Values are clamped to :data:`MIN_EFFECTIVE_EPSILON`.  A clamp signals
+        that δ is too aggressive for the requested ε (Section 5.3's
+        infeasible-customization discussion), so :meth:`solve` records the
+        number of clamped pairs in ``diagnostics["clamped_pairs"]``.
         """
+        return self._effective_epsilons(reserved_budget)[0]
+
+    def _effective_epsilons(self, reserved_budget: Optional[np.ndarray]) -> Tuple[np.ndarray, int]:
+        """The clamped per-pair effective ε and the number of pairs clamped."""
         pairs = self.constraint_set.pairs
         epsilons = np.full(pairs.shape[0], self.epsilon)
         if reserved_budget is not None:
@@ -297,16 +320,8 @@ class ObfuscationLP:
                     f"reserved budget must have shape {(self.size, self.size)}, got {budget.shape}"
                 )
             epsilons = self.epsilon - budget[pairs[:, 0], pairs[:, 1]]
-        clamped = np.maximum(epsilons, MIN_EFFECTIVE_EPSILON)
         num_clamped = int((epsilons < MIN_EFFECTIVE_EPSILON).sum())
-        if num_clamped:
-            logger.warning(
-                "%d of %d pair budgets exceeded epsilon and were clamped; "
-                "consider a smaller delta or a larger epsilon",
-                num_clamped,
-                epsilons.shape[0],
-            )
-        return clamped
+        return np.maximum(epsilons, MIN_EFFECTIVE_EPSILON), num_clamped
 
     def build_inequalities(self, reserved_budget: Optional[np.ndarray] = None):
         """Sparse ``A_ub`` for ``z_{i,k} - e^{ε_eff d_{i,j}} z_{j,k} <= 0``.
@@ -319,6 +334,20 @@ class ObfuscationLP:
         distances = self.constraint_set.distances_km
         factors = np.exp(self.effective_epsilons(reserved_budget) * distances)
         return self.structure.inequality_matrix(factors)
+
+    def _lp_key(self, objective: np.ndarray, factors: np.ndarray, solver_method: str, backend: str) -> str:
+        """Digest of everything that defines the LP a session is handed.
+
+        The constraint pattern and right-hand sides are functions of K and
+        the pairs, and the coefficients of the per-pair factors, so these
+        inputs fix the LP byte for byte.
+        """
+        digest = hashlib.blake2b(f"{backend}|{solver_method}|{self.size}".encode(), digest_size=20)
+        for array in (self.constraint_set.pairs, objective, factors):
+            array = np.ascontiguousarray(array)
+            digest.update(f"|{array.dtype.str}{array.shape}|".encode())
+            digest.update(array.data)
+        return digest.hexdigest()
 
     def build_equalities(self):
         """Sparse ``A_eq`` for the row-stochasticity constraints (Eq. 5)."""
@@ -336,6 +365,13 @@ class ObfuscationLP:
         solver_method: str = "highs",
     ) -> LPSolution:
         """Solve the LP and return the optimal obfuscation matrix.
+
+        With an LP cache and a history-free session, the LP's digest is
+        looked up first; a hit skips the coefficient refresh and the solver
+        call and takes the cached ``x``, and a successful solve is stored.
+        Every step after the solver (the clip, the all-zero-row refusal and
+        the matrix validation) runs on either ``x``.  Failed solves are not
+        cached.  ``diagnostics["lp_cache_hit"]`` says which path ran.
 
         Parameters
         ----------
@@ -361,22 +397,32 @@ class ObfuscationLP:
         structure = self.structure
         structure_was_fresh = structure.refresh_count == 0
         session = self.session(solver_method)
+        cache = self._lp_cache if session.history_free else None
         with Timer() as refresh_timer:
-            a_ub = self.build_inequalities(reserved_budget)
-        raw = session.solve(
-            objective,
-            a_ub,
-            structure.b_ub,
-            structure.a_eq,
-            structure.b_eq,
-            bounds=(0.0, 1.0),
-            solver_method=solver_method,
-        )
-        if not raw.ok:
-            raise InfeasibleMatrixError(
-                f"LP solve failed with status {raw.status}: {raw.message}",
-                solver_status=raw.status,
+            epsilons, clamped_pairs = self._effective_epsilons(reserved_budget)
+            factors = np.exp(epsilons * self.constraint_set.distances_km)
+            key = None if cache is None else self._lp_key(objective, factors, solver_method, session.backend)
+            raw: Optional[RawSolution] = None if cache is None else cache.get(key)
+            if raw is None:
+                a_ub = structure.inequality_matrix(factors)
+        cache_hit = raw is not None
+        if not cache_hit:
+            raw = session.solve(
+                objective,
+                a_ub,
+                structure.b_ub,
+                structure.a_eq,
+                structure.b_eq,
+                bounds=(0.0, 1.0),
+                solver_method=solver_method,
             )
+            if not raw.ok:
+                raise InfeasibleMatrixError(
+                    f"LP solve failed with status {raw.status}: {raw.message}",
+                    solver_status=raw.status,
+                )
+            if cache is not None:
+                cache.put(key, _cacheable(raw))
         with Timer() as extract_timer:
             values = np.asarray(raw.x, dtype=float).reshape(self.size, self.size)
             # Clean up tiny numerical noise so downstream validation is strict.
@@ -412,9 +458,11 @@ class ObfuscationLP:
             status="optimal",
             solve_time_s=breakdown["solve"],
             num_variables=self.num_variables,
-            num_inequality_constraints=a_ub.shape[0],
+            num_inequality_constraints=structure.num_inequality_rows,
             num_equality_constraints=self.size,
             diagnostics={
+                "lp_cache_hit": cache_hit,
+                "clamped_pairs": clamped_pairs,
                 "solver_backend": session.backend,
                 "solver_status": raw.status,
                 "scipy_status": _int_or_none(raw.status),
@@ -435,6 +483,17 @@ class ObfuscationLP:
     def solve_nonrobust(self, *, solver_method: str = "highs") -> LPSolution:
         """Solve the plain Eq. (8) problem (the paper's non-robust baseline)."""
         return self.solve(reserved_budget=None, delta=0, solver_method=solver_method)
+
+
+#: Stage times of a solution served from the LP cache: no stage ran.
+_NO_SOLVER_TIME = {"presolve": 0.0, "build": 0.0, "solve": 0.0, "extract": 0.0}
+
+
+def _cacheable(raw: RawSolution) -> RawSolution:
+    """What the LP cache keeps of a solve: its answer, read-only, without solver history."""
+    x = np.array(raw.x, dtype=float)
+    x.flags.writeable = False
+    return replace(raw, x=x, warm=False, basis_reused=False, cold_retry=False, timings_s=_NO_SOLVER_TIME)
 
 
 def _int_or_none(status: str) -> Optional[int]:

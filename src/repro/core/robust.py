@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Literal, Optional, Sequence
+from typing import TYPE_CHECKING, List, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from repro.core.matrix import ObfuscationMatrix
 from repro.core.objective import QualityLossModel
 from repro.core.solver import SolverSession
 from repro.utils.logging import get_logger
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only; pipeline imports core
+    from repro.pipeline.cache import MatrixCache
 
 logger = get_logger(__name__)
 
@@ -208,7 +211,9 @@ class RobustMatrixGenerator:
         for the efficient formulation).
     max_iterations:
         The paper's ``t`` (they terminate after 10 iterations; convergence is
-        observed by iteration ~4).
+        observed by iteration ~4).  Zero is legal only for ``delta == 0``:
+        with no robust iteration no budget is reserved, so a δ > 0 request
+        would get the non-robust matrix labelled δ-robust.
     convergence_tol:
         Absolute tolerance on the consecutive objective difference used to
         report convergence (and to stop early when *stop_on_convergence*).
@@ -237,6 +242,11 @@ class RobustMatrixGenerator:
         Optional shared :class:`~repro.core.solver.SolverSession` (e.g.
         the pipeline executor's per-worker session); when omitted the LP
         creates its own.
+    lp_cache:
+        Optional LP solution cache, passed to
+        :class:`~repro.core.lp.ObfuscationLP`: a repeated LP (the
+        non-robust start another run already solved, or the iteration after
+        an exact fixed point) is then not solved again.
     """
 
     def __init__(
@@ -258,11 +268,17 @@ class RobustMatrixGenerator:
         structure: Optional["ConstraintStructure"] = None,
         session: Optional["SolverSession"] = None,
         level: int = 0,
+        lp_cache: Optional["MatrixCache"] = None,
     ) -> None:
         if delta < 0:
             raise ValueError(f"delta must be non-negative, got {delta}")
         if max_iterations < 0:
             raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
+        if delta > 0 and max_iterations == 0:
+            raise ValueError(
+                f"delta={delta} needs at least one robust iteration to reserve a budget; "
+                "max_iterations=0 would serve the non-robust matrix"
+            )
         if rpb_method not in ("approx", "exact"):
             raise ValueError(f"unknown rpb_method {rpb_method!r}")
         self.lp = ObfuscationLP(
@@ -275,6 +291,7 @@ class RobustMatrixGenerator:
             structure=structure,
             solver_backend=solver_backend,
             session=session,
+            lp_cache=lp_cache,
         )
         self.solver_method = str(solver_method)
         self.quality_model = quality_model
@@ -313,7 +330,7 @@ class RobustMatrixGenerator:
         converged = False
         iterations_run = 0
 
-        if self.delta == 0 or self.max_iterations == 0:
+        if self.delta == 0:
             # A delta of zero degenerates to the non-robust matrix.
             current.delta = self.delta
             return RobustGenerationResult(

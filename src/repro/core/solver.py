@@ -22,7 +22,9 @@ implementations:
   and checks, so its ``x`` equals ``linprog``'s bit for bit.  Every solve
   is cold: a warm start would change which optimal vertex a degenerate LP
   returns, and so the served matrices.  Where scipy does not ship that
-  module, every solve is a ``linprog`` call.
+  module, every solve is a ``linprog`` call.  Because every solve is cold,
+  the session is :attr:`~SolverSession.history_free`: its ``x`` depends on
+  the LP alone, so an LP cache may serve it.
 * :class:`HighsNativeSession` — a persistent ``highspy.Highs`` instance.
   Each solve pushes only refreshed coefficient values into the stacked
   pattern and re-solves the dual simplex warm from the retained optimal
@@ -329,6 +331,11 @@ class SolverSession:
 
     backend: str = "abstract"
 
+    #: Whether a solve's ``x`` is a function of the LP alone.  Only such a
+    #: session's solutions may be served from an LP cache; a warm-started
+    #: session's ``x`` also depends on the solves before it.
+    history_free: bool = False
+
     def __init__(self) -> None:
         self.stats = SessionStats()
 
@@ -369,6 +376,7 @@ class ScipySolverSession(SolverSession):
     """
 
     backend = SCIPY_BACKEND
+    history_free = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -504,6 +512,9 @@ class HighsNativeSession(SolverSession):
     source coefficients into the stacked value array; each solve is then an
     O(nnz) value push (``passModel``) followed by ``setBasis`` with the
     previous optimal basis and a dual-simplex ``run`` with presolve off.
+    A warm start can end at a different optimal vertex than a cold solve of
+    the same LP, so the session is not ``history_free`` and bypasses the LP
+    cache.
     """
 
     backend = NATIVE_BACKEND

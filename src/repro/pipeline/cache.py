@@ -5,7 +5,8 @@ The cache is keyed by the canonical fingerprints of
 every result-affecting input (geometry, ε, δ, weighting, basis row,
 quality model, iteration count, solver) is identical — the fix for the
 stale-forest bug the old ``(privacy_level, delta, epsilon)`` key had.  The
-engine keeps two instances: per-sub-tree matrices and whole forests.
+engine keeps three instances: LP solutions, per-sub-tree matrices and
+whole forests.
 
 Eviction is LRU with a configurable entry bound; statistics (hits, misses,
 evictions) are kept so the server and the perf harness can report cache
@@ -14,6 +15,7 @@ effectiveness.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
@@ -54,6 +56,11 @@ class CacheStats:
 class MatrixCache:
     """LRU cache mapping fingerprints to generated values.
 
+    Lookups, stores, removals and iteration hold the cache's own lock, so
+    threads may share one cache without an outer lock (the engine's LP
+    cache is read and written by concurrent builds); :meth:`get_or_compute`
+    runs its factory outside the lock.
+
     Parameters
     ----------
     max_entries:
@@ -67,44 +74,45 @@ class MatrixCache:
             raise ValueError(f"max_entries must be non-negative, got {max_entries}")
         self.max_entries = int(max_entries)
         self._entries: "OrderedDict[str, object]" = OrderedDict()
+        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     def get(self, key: str, default: Optional[T] = None) -> Optional[T]:
         """Look up *key*, counting a hit or miss and refreshing recency."""
-        value = self._entries.get(key, _MISSING)
-        if value is _MISSING:
-            self.stats.misses += 1
-            return default
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return value  # type: ignore[return-value]
+        with self._lock:
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
+                self.stats.misses += 1
+                return default
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return value  # type: ignore[return-value]
 
     def put(self, key: str, value: object) -> None:
         """Store *value* under *key*, evicting the LRU entry if over bound."""
         if self.max_entries == 0:
             return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._entries[key] = value
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
 
     def get_or_compute(self, key: str, factory: Callable[[], T]) -> T:
         """Return the cached value for *key*, computing and storing it on miss."""
-        value = self._entries.get(key, _MISSING)
+        value = self.get(key, _MISSING)
         if value is not _MISSING:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
             return value  # type: ignore[return-value]
-        self.stats.misses += 1
         computed = factory()
         self.put(key, computed)
         return computed
 
     def pop(self, key: str) -> None:
         """Drop *key* if present; a pop is not counted as an eviction."""
-        self._entries.pop(key, None)
+        with self._lock:
+            self._entries.pop(key, None)
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries
@@ -113,11 +121,14 @@ class MatrixCache:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[Tuple[str, object]]:
-        return iter(self._entries.items())
+        """Entries least recently used first, as of the call."""
+        with self._lock:
+            return iter(list(self._entries.items()))
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def reset_stats(self) -> None:
         """Zero the hit/miss/eviction counters."""

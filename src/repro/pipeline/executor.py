@@ -11,6 +11,14 @@ Determinism: results are returned in task order regardless of worker count
 or completion order (``ProcessPoolExecutor.map`` semantics), and every
 worker runs the exact same serial code path as ``max_workers=1``, so the
 output is bit-identical to the serial loop.
+
+LP cache: the serial path takes the caller's optional ``lp_cache`` (the
+serving engine's) down to every :class:`~repro.core.lp.ObfuscationLP`, so
+an LP another task or an earlier request already solved is not solved
+again.  The cache is a parameter, never worker state: the per-thread solver
+slot below outlives any one engine, and a cache kept there would let two
+engines in one process share entries.  Worker processes get no cache; a
+hit returns the bits a solve would, so results are the same either way.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from repro.core.lp import ConstraintStructure
 from repro.core.objective import LinearQualityModel
 from repro.core.robust import RobustGenerationResult, RobustMatrixGenerator
 from repro.core.solver import SolverSession, create_session
+from repro.pipeline.cache import MatrixCache
 from repro.pipeline.fingerprint import structure_fingerprint
 from repro.utils.logging import get_logger
 
@@ -112,6 +121,7 @@ def execute_robust_task(
     *,
     structure: Optional[ConstraintStructure] = None,
     session: Optional[SolverSession] = None,
+    lp_cache: Optional[MatrixCache] = None,
 ) -> RobustGenerationResult:
     """Run Algorithm 1 for one task (the worker entry point).
 
@@ -130,6 +140,8 @@ def execute_robust_task(
     (the grouping/worker-count/shard byte-identity contract).  What carries
     across tasks is the expensive part: the persistent native model and its
     stacked sparsity pattern.
+
+    ``lp_cache`` optionally serves repeated LPs (see the module docstring).
     """
     quality_model = LinearQualityModel(task.cost_matrix, task.priors)
     if session is not None:
@@ -149,6 +161,7 @@ def execute_robust_task(
         structure=structure,
         session=session,
         level=task.level,
+        lp_cache=lp_cache,
     )
     result = generator.generate()
     result.matrix.metadata.update(task.metadata)
@@ -157,6 +170,8 @@ def execute_robust_task(
 
 def execute_robust_task_group(
     tasks: Sequence[RobustGenerationTask],
+    *,
+    lp_cache: Optional[MatrixCache] = None,
 ) -> List[RobustGenerationResult]:
     """Execute a batch of congruent tasks sharing one structure and solver session.
 
@@ -173,14 +188,14 @@ def execute_robust_task_group(
     :func:`~repro.pipeline.fingerprint.structure_fingerprint`, which already
     prevents that).  Warm solver state is reset between tasks (see
     :func:`execute_robust_task`), so results are identical to unshared
-    serial execution.
+    serial execution.  ``lp_cache`` is passed to every task.
     """
     results: List[RobustGenerationResult] = []
     state = _WORKER_SOLVER_STATE
     for task in tasks:
         constraint_set = task.constraint_set()
         if constraint_set is None:
-            results.append(execute_robust_task(task))
+            results.append(execute_robust_task(task, lp_cache=lp_cache))
             continue
         size = len(task.node_ids)
         key = (
@@ -200,7 +215,7 @@ def execute_robust_task_group(
             state["key"] = key
         results.append(
             execute_robust_task(
-                task, structure=state["structure"], session=state["session"]
+                task, structure=state["structure"], session=state["session"], lp_cache=lp_cache
             )
         )
     return results
@@ -240,6 +255,7 @@ def run_robust_task_groups(
     groups: Sequence[Sequence[RobustGenerationTask]],
     *,
     max_workers: int = 1,
+    lp_cache: Optional[MatrixCache] = None,
 ) -> List[List[RobustGenerationResult]]:
     """Execute groups of congruent tasks, serially or across processes.
 
@@ -247,13 +263,14 @@ def run_robust_task_groups(
     worker, so nothing scipy-sparse crosses a process boundary); groups are
     independent and fan out exactly like individual tasks in
     :func:`run_robust_tasks`.  Results are returned per group, in group and
-    task order, identical for every worker count.
+    task order, identical for every worker count.  ``lp_cache`` serves the
+    serial path only; worker processes solve every LP.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     groups = [list(group) for group in groups]
     if max_workers == 1 or len(groups) <= 1:
-        return [execute_robust_task_group(group) for group in groups]
+        return [execute_robust_task_group(group, lp_cache=lp_cache) for group in groups]
     try:
         with ProcessPoolExecutor(max_workers=min(max_workers, len(groups))) as pool:
             return list(pool.map(execute_robust_task_group, groups))
@@ -261,4 +278,4 @@ def run_robust_task_groups(
         logger.warning(
             "parallel generation unavailable (%s); falling back to serial", error
         )
-        return [execute_robust_task_group(group) for group in groups]
+        return [execute_robust_task_group(group, lp_cache=lp_cache) for group in groups]

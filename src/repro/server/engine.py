@@ -4,11 +4,24 @@ This module is the *computation* half of the server-side split.  A
 :class:`ForestEngine` knows how to turn ``(privacy_level, δ, ε)`` into a
 :class:`~repro.server.privacy_forest.PrivacyForest` — iterating over every
 node at the privacy level, fingerprinting each per-sub-tree problem,
-serving repeats from the content-addressed
-:class:`~repro.pipeline.cache.MatrixCache`, sharing one
-:class:`~repro.core.lp.ConstraintStructure` across sibling sub-trees with
-congruent geometry, and fanning independent generations out across worker
-processes.  It carries **no request semantics**: validation, coalescing,
+sharing one :class:`~repro.core.lp.ConstraintStructure` across sibling
+sub-trees with congruent geometry, and fanning independent generations out
+across worker processes.  Three LRU-bounded, content-addressed
+:class:`~repro.pipeline.cache.MatrixCache` instances serve repeats:
+
+* ``forest_cache`` — whole forests by forest fingerprint
+  (:data:`FOREST_CACHE_ENTRIES`);
+* ``matrix_cache`` — each sub-tree's served matrix by problem fingerprint
+  (:data:`MATRIX_CACHE_ENTRIES`);
+* ``lp_cache`` — each LP's solution by a digest of the LP itself
+  (:data:`LP_CACHE_ENTRIES`), consulted inside Algorithm 1 on the serial
+  path when the solver session is history-free (the scipy backend; the
+  warm-started native backend bypasses it).
+
+A full :meth:`ForestEngine.invalidate` clears all three; a per-level one
+drops only that level's forests.
+
+The engine carries **no request semantics**: validation, coalescing,
 admission control and wire formats live in :mod:`repro.service`, and
 transports in :mod:`repro.service.http` / :mod:`repro.client.transport`.
 
@@ -31,6 +44,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.graphapprox import HexNeighborhoodGraph, Weighting
+from repro.core.matrix import ObfuscationMatrix
 from repro.core.objective import QualityLossModel, TargetDistribution
 from repro.core.robust import BasisRow, RobustGenerationResult
 from repro.core.solver import HIGHS_METHODS, KNOWN_BACKENDS, native_available, resolve_backend
@@ -53,6 +67,10 @@ logger = get_logger(__name__)
 #: Bound on each engine's content-addressed per-sub-tree matrix cache (LRU).
 MATRIX_CACHE_ENTRIES = 256
 
+#: Bound on each engine's LP solution cache (LRU), keyed by a digest of the
+#: LP.  An entry holds one K² solution vector.
+LP_CACHE_ENTRIES = 1024
+
 #: Bound on each engine's forest cache (LRU).  A forest is a pure function
 #: of its fingerprint, so it never goes stale with time; the bound only caps
 #: memory.  It matches the pool's per-slot hot-key ledger
@@ -73,7 +91,9 @@ class ServerConfig:
         request does not supply its own target distribution (paper:
         ``NR_TARGET = 49``).
     robust_iterations:
-        Algorithm 1 iteration count ``t`` (paper: 10; convergence by ~4).
+        Algorithm 1 iteration count ``t`` (paper: 10; convergence by ~4);
+        at least 1, since a δ ≥ 1 forest needs one robust iteration to
+        reserve its budget.
     use_graph_approximation:
         Enforce Geo-Ind only on the 12-neighbour graph (True, the paper's
         efficient formulation) or on every pair (False, the O(K³) baseline
@@ -129,8 +149,8 @@ class ServerConfig:
             raise ValueError("epsilon must be positive")
         if self.num_targets <= 0:
             raise ValueError("num_targets must be positive")
-        if self.robust_iterations < 0:
-            raise ValueError("robust_iterations must be non-negative")
+        if self.robust_iterations < 1:
+            raise ValueError("robust_iterations must be at least 1")
         if self.rpb_method not in ("approx", "exact"):
             raise ValueError(f"unknown rpb_method {self.rpb_method!r}")
         if self.solver_method not in HIGHS_METHODS:
@@ -206,6 +226,7 @@ class ForestEngine:
         self._handoff_imports = 0
         self._handoff_prewarms = 0
         self.matrix_cache = MatrixCache(MATRIX_CACHE_ENTRIES)
+        self.lp_cache = MatrixCache(LP_CACHE_ENTRIES)
         self._structure_stats: Dict[str, int] = {"groups": 0, "builds": 0, "reuses": 0}
         self._solver_stats: Dict[str, object] = {
             "solves": 0,
@@ -376,26 +397,42 @@ class ForestEngine:
             roots = self.tree.nodes_at_level(privacy_level)
             prepared = [self._subtree_task(root.node_id, delta, epsilon) for root in roots]
 
-            results: Dict[str, RobustGenerationResult] = {}
+            matrices: Dict[str, ObfuscationMatrix] = {}
             pending: List[Tuple[RobustGenerationTask, str]] = []
             for task, problem_key in prepared:
                 with self._state_lock:
                     hit = self.matrix_cache.get(problem_key)
                 if hit is not None:
-                    results[task.key] = hit
+                    matrices[task.key] = hit
                 else:
                     pending.append((task, problem_key))
             generated = self._run_pending([task for task, _ in pending])
             self._accumulate_solver_stats(generated)
             for (task, problem_key), result in zip(pending, generated):
                 with self._state_lock:
-                    self.matrix_cache.put(problem_key, result)
-                results[task.key] = result
+                    self.matrix_cache.put(problem_key, result.matrix)
+                matrices[task.key] = result.matrix
 
             for root in roots:
-                forest.add(root.node_id, results[root.node_id].matrix)
+                forest.add(root.node_id, matrices[root.node_id])
         with self._state_lock:
             elapsed = self.stopwatch.record("forest_generation", timer.elapsed)
+        clamped = sum(
+            1
+            for result in generated
+            if any(solution.diagnostics.get("clamped_pairs") for solution in result.solutions)
+        )
+        if clamped:
+            logger.warning(
+                "privacy level %d, delta %d, epsilon %g: %d of %d solved sub-trees had pair "
+                "budgets that exceeded epsilon and were clamped (an infeasible customization, "
+                "Section 5.3); consider a smaller delta or a larger epsilon",
+                privacy_level,
+                delta,
+                epsilon,
+                clamped,
+                len(generated),
+            )
         logger.info(
             "generated privacy forest: level=%d delta=%d epsilon=%.2f subtrees=%d "
             "(%d cached, %d solved, %d workers, %.2f s)",
@@ -420,19 +457,20 @@ class ForestEngine:
         """Drop cached forests — all of them, or only one privacy level's.
 
         ``privacy_level=None`` clears the whole forest cache *and* the
-        per-sub-tree matrix cache (a full flush, e.g. after a prior update);
-        an explicit level drops only forests generated for that level and
-        leaves the matrix cache alone.  Returns the number of forests
-        dropped.  Correctness never depends on calling this — every
-        result-affecting input is part of the cache key — but a live system
-        uses it to release memory held by forests no client should see
-        again.
+        per-sub-tree matrix and LP caches (a full flush, e.g. after a prior
+        update); an explicit level drops only forests generated for that
+        level and leaves the matrix and LP caches alone.  Returns the
+        number of forests dropped.  Correctness never depends on calling
+        this — every result-affecting input is part of the cache key — but
+        a live system uses it to release memory held by forests no client
+        should see again.
         """
         with self._state_lock:
             if privacy_level is None:
                 dropped = len(self.forest_cache)
                 self.forest_cache.clear()
                 self.matrix_cache.clear()
+                self.lp_cache.clear()
             else:
                 level = int(privacy_level)
                 stale = [
@@ -564,14 +602,16 @@ class ForestEngine:
 
         Solutions ride back from worker processes inside each
         :class:`RobustGenerationResult`, so warm/cold counts and the stage
-        breakdown survive the process boundary; matrix-cache hits run no
-        solver and contribute nothing.
+        breakdown survive the process boundary; matrix-cache and LP-cache
+        hits run no solver and contribute nothing.
         """
         counters = {"solves": 0, "warm_solves": 0, "cold_solves": 0, "basis_reuse_hits": 0, "cold_retries": 0}
         stage_times: Dict[str, float] = {}
         for result in results:
             for solution in result.solutions:
                 diagnostics = solution.diagnostics
+                if diagnostics.get("lp_cache_hit"):
+                    continue
                 counters["solves"] += 1
                 if diagnostics.get("warm_start"):
                     counters["warm_solves"] += 1
@@ -620,6 +660,7 @@ class ForestEngine:
         chunk_results = run_robust_task_groups(
             [[tasks[index] for index in chunk] for chunk in index_chunks],
             max_workers=max_workers,
+            lp_cache=self.lp_cache,
         )
         results: List[Optional[RobustGenerationResult]] = [None] * len(tasks)
         for chunk, chunk_result in zip(index_chunks, chunk_results):
@@ -714,7 +755,7 @@ class ForestEngine:
             return len(self.forest_cache)
 
     def cache_diagnostics(self) -> Dict[str, object]:
-        """Forest-, matrix- and structure-cache state for monitoring and the perf harness."""
+        """Forest-, matrix-, LP- and structure-cache state for monitoring and the perf harness."""
         with self._state_lock:
             return {
                 "forest_entries": len(self.forest_cache),
@@ -724,6 +765,8 @@ class ForestEngine:
                 "handoff_prewarms": self._handoff_prewarms,
                 "matrix_entries": len(self.matrix_cache),
                 "matrix_stats": self.matrix_cache.stats.as_dict(),
+                "lp_entries": len(self.lp_cache),
+                "lp_stats": self.lp_cache.stats.as_dict(),
                 "structure_sharing": dict(self._structure_stats),
                 "solver": {
                     "backend_requested": str(self.config.solver_backend),

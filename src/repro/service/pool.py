@@ -1983,9 +1983,11 @@ class EnginePool:
             "handoff_imports": 0,
             "handoff_prewarms": 0,
             "matrix_entries": 0,
+            "lp_entries": 0,
         }
         forest_stats = {"hits": 0, "misses": 0, "evictions": 0}
         matrix_stats = {"hits": 0, "misses": 0, "evictions": 0}
+        lp_stats = {"hits": 0, "misses": 0, "evictions": 0}
         structure = {"groups": 0, "builds": 0, "reuses": 0}
         solver = {
             "solves": 0,
@@ -2011,6 +2013,7 @@ class EnginePool:
             for target, source_key in (
                 (forest_stats, "forest_stats"),
                 (matrix_stats, "matrix_stats"),
+                (lp_stats, "lp_stats"),
                 (structure, "structure_sharing"),
             ):
                 source = diagnostics.get(source_key, {})
@@ -2020,6 +2023,7 @@ class EnginePool:
             **summed,
             "forest_stats": forest_stats,
             "matrix_stats": matrix_stats,
+            "lp_stats": lp_stats,
             "structure_sharing": structure,
             "solver": {
                 "backend_requested": str(self.config.solver_backend),

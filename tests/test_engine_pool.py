@@ -4,7 +4,7 @@ Covers the ISSUE acceptance surface: deterministic consistent-hash
 routing, single-flight coalescing staying effective across shards,
 kill-a-worker-mid-burst recovery (no request lost — they complete via
 respawn/retry on a sibling), the forest cache's LRU bound and explicit
-invalidation, and
+invalidation, concurrent builds sharing one engine's LP cache, and
 byte-identical forests between pooled and single-process engines.  The
 shard lifecycle state machine is unit-tested directly.
 
@@ -15,6 +15,7 @@ All synchronization goes through the conftest helpers (`run_burst`,
 import copy
 import json
 import multiprocessing
+import sys
 import threading
 import time
 
@@ -29,6 +30,7 @@ from repro.service.http import CORGIHTTPServer
 from repro.service.pool import EnginePool, EnginePoolError
 from repro.service.service import CORGIService
 from repro.service.shard import ShardHandle, ShardState, legal_transition
+from repro.tree.priors import priors_from_checkins
 
 #: Fast engine settings shared by every pool in this module.
 POOL_CONFIG = dict(epsilon=2.0, num_targets=5, robust_iterations=1)
@@ -378,6 +380,40 @@ class TestEngineForestCache:
         assert cached
         _, cached = engine.build_forest_traced(1, 1)
         assert not cached
+
+
+class TestEngineLPCache:
+    def test_concurrent_builds_share_the_lp_cache(self, medium_tree, synthetic_dataset, monkeypatch):
+        """Four threads building distinct keys on one engine share its LP
+        cache and still serve exactly the serial, uncached forests."""
+        tree = copy.deepcopy(medium_tree)
+        priors_from_checkins(tree, synthetic_dataset)
+        # Pinned to scipy: the native backend bypasses the LP cache.
+        config = ServerConfig(epsilon=15.0, num_targets=5, robust_iterations=2, solver_backend="scipy")
+        engine = ForestEngine(tree, config)
+        deltas = range(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so races show
+        try:
+            outcome = run_burst(
+                [lambda delta=delta: engine.build_forest(1, delta, epsilon=15.0) for delta in deltas]
+            ).raise_errors()
+        finally:
+            sys.setswitchinterval(interval)
+        diagnostics = engine.cache_diagnostics()
+        stats = diagnostics["lp_stats"]
+        # 7 sub-trees: one LP each at δ = 0, t + 1 = 3 each at δ = 1, 2, 3.
+        # A lost update on the cache's counters would break this sum.
+        assert stats["hits"] + stats["misses"] == 7 + 3 * 7 * 3
+        assert diagnostics["solver"]["solves"] == stats["misses"]
+        monkeypatch.setattr(engine_module, "LP_CACHE_ENTRIES", 0)
+        reference = ForestEngine(tree, config)
+        for delta, forest in zip(deltas, outcome.results):
+            expected = reference.build_forest(1, delta, epsilon=15.0)
+            assert [(root, matrix.to_dict()) for root, matrix in forest] == [
+                (root, matrix.to_dict()) for root, matrix in expected
+            ]
+        assert reference.cache_diagnostics()["lp_stats"]["hits"] == 0
 
 
 class TestEngineInvalidation:

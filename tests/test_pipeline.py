@@ -4,11 +4,14 @@ Covers the incremental constraint-structure reuse in the LP layer, the
 content-addressed MatrixCache (hit/miss, eviction, fingerprint
 sensitivity), the process-parallel executor (parallel == serial), the
 server's full-configuration cache keys (no stale forests after a config
-change) and the vectorised exact reserved-privacy-budget path
+change), the engine's LP solution cache (cached forests equal uncached
+ones byte for byte) and the vectorised exact reserved-privacy-budget path
 (bit-identical to the original subset-enumeration loop).
 """
 
+import copy
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -21,6 +24,7 @@ from repro.core.robust import (
     _MASS_CEILING,
     reserved_privacy_budget_exact,
 )
+from repro.core.solver import native_available
 from repro.pipeline.cache import MatrixCache
 from repro.pipeline.executor import (
     RobustGenerationTask,
@@ -34,9 +38,16 @@ from repro.pipeline.fingerprint import (
     geometry_fingerprint,
     problem_fingerprint,
 )
+from repro.server import engine as engine_module
 from repro.server.engine import ForestEngine, ServerConfig
+from repro.service.pool import EnginePool
+from repro.tree.priors import priors_from_checkins
 
 from tests.conftest import TEST_EPSILON
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="highspy not installed (repro[native] extra)"
+)
 
 
 def _fresh_lp(small_location_set, epsilon=TEST_EPSILON, **kwargs):
@@ -440,6 +451,159 @@ class TestServerPipeline:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServerConfig(max_workers=0).validate()
+
+    def test_zero_robust_iterations_rejected(self, pipeline_engine, small_location_set):
+        """Regression: t = 0 served the non-robust matrix labelled δ-robust."""
+        with pytest.raises(ValueError, match="robust_iterations"):
+            ServerConfig(robust_iterations=0).validate()
+        location = (
+            small_location_set["node_ids"],
+            small_location_set["distance_matrix"],
+            small_location_set["quality_model"],
+            TEST_EPSILON,
+        )
+        with pytest.raises(ValueError, match="max_iterations"):
+            RobustMatrixGenerator(*location, delta=1, max_iterations=0)
+        # δ = 0 needs no robust iteration, so t = 0 stays legal there.
+        assert RobustMatrixGenerator(*location, delta=0, max_iterations=0).generate().iterations_run == 0
+        pipeline_engine.config.robust_iterations = 0
+        with pytest.raises(ValueError, match="max_iterations"):
+            pipeline_engine.build_forest(privacy_level=1, delta=1)
+
+
+# --------------------------------------------------------------------- #
+# The engine's LP solution cache
+# --------------------------------------------------------------------- #
+
+EPSILON_PARAMETERS = ("epsilon", [2.0, 15.0])
+DELTA_PARAMETERS = ("delta", [0, 1, 2])
+METHOD_PARAMETERS = ("solver_method", ["highs", "highs-ipm"])
+
+#: Sub-trees at level 1 of the height-2 tree.
+SUBTREES = 7
+
+
+@pytest.fixture(scope="module")
+def lp_tree(medium_tree, synthetic_dataset):
+    """The height-2 tree (7 sub-trees of 7 leaves at level 1) with priors."""
+    tree = copy.deepcopy(medium_tree)
+    priors_from_checkins(tree, synthetic_dataset)
+    return tree
+
+
+def _lp_engine(tree, **overrides):
+    # Pinned to scipy: "auto" resolves to the native backend where highspy
+    # is installed, and that backend bypasses the LP cache.
+    config = dict(epsilon=15.0, num_targets=5, robust_iterations=2, solver_backend="scipy")
+    config.update(overrides)
+    return ForestEngine(tree, ServerConfig(**config))
+
+
+def _uncached_forest(tree, monkeypatch, delta, epsilon, **overrides):
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "LP_CACHE_ENTRIES", 0)
+        engine = _lp_engine(tree, **overrides)
+    forest = engine.build_forest(1, delta, epsilon=epsilon)
+    assert engine.cache_diagnostics()["lp_stats"]["hits"] == 0
+    return forest
+
+
+def _forest_dicts(forest):
+    return [(root_id, matrix.to_dict()) for root_id, matrix in forest]
+
+
+class TestLPCache:
+    @pytest.mark.parametrize(*METHOD_PARAMETERS)
+    @pytest.mark.parametrize(*DELTA_PARAMETERS)
+    @pytest.mark.parametrize(*EPSILON_PARAMETERS)
+    def test_cached_forest_equals_uncached(self, lp_tree, monkeypatch, epsilon, delta, solver_method):
+        engine = _lp_engine(lp_tree, solver_method=solver_method)
+        for other_epsilon, other_delta in itertools.product(EPSILON_PARAMETERS[1], DELTA_PARAMETERS[1]):
+            if (other_epsilon, other_delta) != (epsilon, delta):
+                engine.build_forest(1, other_delta, epsilon=other_epsilon)
+        hits = engine.lp_cache.stats.hits
+        forest = engine.build_forest(1, delta, epsilon=epsilon)
+        # The warm-up built other δ at this ε, so the non-robust starts hit.
+        assert engine.lp_cache.stats.hits - hits >= SUBTREES
+        uncached = _uncached_forest(lp_tree, monkeypatch, delta, epsilon, solver_method=solver_method)
+        assert _forest_dicts(forest) == _forest_dicts(uncached)
+
+    def test_robust_build_reuses_the_nonrobust_starts(self, lp_tree):
+        engine = _lp_engine(lp_tree, robust_iterations=2)
+        engine.build_forest(1, 0, epsilon=15.0)
+        before = engine.cache_diagnostics()
+        engine.build_forest(1, 1, epsilon=15.0)
+        after = engine.cache_diagnostics()
+        assert after["lp_stats"]["hits"] - before["lp_stats"]["hits"] == SUBTREES
+        assert after["solver"]["solves"] - before["solver"]["solves"] == SUBTREES * 2
+        solver = after["solver"]
+        assert solver["solves"] == solver["warm_solves"] + solver["cold_solves"]
+        assert solver["solves"] == after["lp_stats"]["misses"]
+
+    def test_fixed_points_are_not_solved_again(self, lp_tree, monkeypatch):
+        # At ε = 2, δ = 1 the pair budgets clamp, so Algorithm 1 reaches
+        # exact fixed points within t = 4 and then repeats its LP.
+        engine = _lp_engine(lp_tree, robust_iterations=4)
+        forest = engine.build_forest(1, 1, epsilon=2.0)
+        assert engine.cache_diagnostics()["solver"]["solves"] < SUBTREES * 5
+        uncached = _uncached_forest(lp_tree, monkeypatch, 1, 2.0, robust_iterations=4)
+        assert _forest_dicts(forest) == _forest_dicts(uncached)
+
+    @needs_native
+    def test_native_backend_bypasses_the_cache(self, lp_tree):
+        engine = _lp_engine(lp_tree, solver_backend="highs-native")
+        engine.build_forest(1, 1, epsilon=15.0)
+        diagnostics = engine.cache_diagnostics()
+        assert diagnostics["lp_stats"]["hits"] + diagnostics["lp_stats"]["misses"] == 0
+        assert diagnostics["lp_entries"] == 0
+
+    def test_full_invalidation_and_publish_empty_it(self, lp_tree):
+        tree = copy.deepcopy(lp_tree)
+        engine = _lp_engine(tree)
+        engine.build_forest(1, 0)
+        assert engine.cache_diagnostics()["lp_entries"] == SUBTREES
+        engine.invalidate(1)
+        assert engine.cache_diagnostics()["lp_entries"] == SUBTREES
+        engine.invalidate()
+        assert engine.cache_diagnostics()["lp_entries"] == 0
+        engine.build_forest(1, 0)
+        engine.publish_priors({leaf.node_id: index + 1.0 for index, leaf in enumerate(tree.leaves())})
+        assert engine.cache_diagnostics()["lp_entries"] == 0
+
+    def test_pool_sums_lp_stats_over_shards(self, lp_tree):
+        config = ServerConfig(epsilon=15.0, num_targets=5, robust_iterations=1, solver_backend="scipy")
+        with EnginePool(copy.deepcopy(lp_tree), config, num_shards=2) as pool:
+            homes = {}
+            for epsilon in (15.0, 16.0, 17.0, 18.0, 19.0, 20.0):
+                homes.setdefault(pool.route_key((1, 0, epsilon))[0], epsilon)
+            assert len(homes) == 2
+            for epsilon in homes.values():
+                pool.build_forest(1, 0, epsilon=epsilon)
+            diagnostics = pool.cache_diagnostics()
+        # One non-robust LP per sub-tree on each shard.
+        stats = diagnostics["lp_stats"]
+        assert stats["hits"] + stats["misses"] == 2 * SUBTREES
+        assert diagnostics["lp_entries"] == stats["misses"]
+        assert diagnostics["solver"]["solves"] == stats["misses"]
+
+    def test_clamped_budgets_are_logged_once_per_forest(self, lp_tree, caplog):
+        engine = _lp_engine(lp_tree)
+
+        def clamp_warnings():
+            return [
+                record
+                for record in caplog.records
+                if record.levelno == logging.WARNING and "clamped" in record.getMessage()
+            ]
+
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            engine.build_forest(1, 1, epsilon=2.0)
+        [warning] = clamp_warnings()
+        assert "Section 5.3" in warning.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            engine.build_forest(1, 1, epsilon=15.0)
+        assert clamp_warnings() == []
 
 
 class TestLinearQualityModel:
