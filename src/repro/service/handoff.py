@@ -85,7 +85,8 @@ class SnapshotEntry:
         return (self.privacy_level, self.delta, self.epsilon)
 
     def without_payload(self) -> "SnapshotEntry":
-        """A key-only copy (used when priors versions skew — see the pool)."""
+        """A key-only copy (used when priors versions skew — see ``import_cache``
+        in :class:`~repro.service.shard.ShardOpExecutor`)."""
         return replace(self, matrices=None)
 
 

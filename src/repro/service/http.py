@@ -9,7 +9,9 @@ adds routing, status codes and JSON framing, nothing else:
 * ``POST /forest/batch`` — body: ``{"requests": [<request>, ...]}``;
   response: ``{"responses": [<response>, ...]}`` (order-aligned).
 * ``GET /healthz`` — liveness probe.
-* ``GET /metrics`` — :meth:`CORGIService.snapshot` JSON.
+* ``GET /metrics`` — :meth:`CORGIService.snapshot` JSON: request counters
+  and latencies under ``service``, engine diagnostics under ``engine``; on
+  a pool, its drain, hand-off and respawn counters under ``engine.pool``.
 * ``GET /priors/<subtree_root_id>`` — published leaf priors (footnote 5).
 * ``GET /admin/durability`` — durable-tier diagnostics (control-log replay
   length, snapshot-store hits and compression ratio, pre-warm counters);

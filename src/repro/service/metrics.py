@@ -2,9 +2,12 @@
 
 The service records one latency observation per served request plus a set
 of monotonic counters (requests, coalesced waits, engine builds, engine
-cache hits, admission rejections, batch statistics).  Latencies are kept in
-a bounded ring so a long-running service cannot grow without bound;
-percentiles are computed over that window with the nearest-rank method.
+cache hits, admission rejections, batch statistics, push-gateway events).
+Latencies are kept in a bounded ring so a long-running service cannot grow
+without bound; percentiles are computed over that window with the
+nearest-rank method.  A sharded pool keeps its own counters (drains,
+hand-offs, respawns, …) in ``EnginePool.pool_stats()``, which
+:meth:`CORGIService.snapshot` reports under ``["engine"]["pool"]``.
 """
 
 from __future__ import annotations
@@ -28,12 +31,6 @@ COUNTER_NAMES: Tuple[str, ...] = (
     "batch_requests",
     "batch_coalesced",
     "invalidated",
-    # Warm hand-off lifecycle (mirrored from EnginePool events so the
-    # service snapshot reports them under the same single-lock consistency
-    # guarantee as every other counter).
-    "drains",
-    "handoffs",
-    "warm_failovers",
     # Push-gateway lifecycle (incremented by repro.service.gateway so held
     # connections, pushes and evictions land in the same snapshot as the
     # request counters they amortize).

@@ -35,7 +35,13 @@ shard's live cache to its ring siblings as a versioned snapshot — see
 crash handler replays the slot's hot-key ledger to the siblings so even an
 unplanned failover pre-warms instead of cold-building.  :meth:`respawn`
 revives a drained slot and :meth:`rebalance` re-homes cached keys after
-the topology settles.
+the topology settles.  A cached forest has one shape from export to
+import: a shard exports its cache as a snapshot stamped with its own
+priors version, and drain, crash recovery, rebalance and the boot
+pre-warm all ship entries through one path; the receiving replica alone
+decides whether a payload's priors version lets it install.  The pool
+counts these events itself (:meth:`pool_stats`, reported under
+``cache_diagnostics()["pool"]``).
 
 Shards need not live on this host: ``remote_shards`` adds ring slots that
 dial ``python -m repro.service.netshard`` servers over TCP instead of
@@ -87,7 +93,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.exceptions import CORGIError
 from repro.core.objective import TargetDistribution
@@ -220,6 +226,31 @@ def ring_failover_order(
     return order
 
 
+def _merge_diagnostics(reports: Iterable[Mapping[str, object]]) -> Dict[str, object]:
+    """Sum engine diagnostics key by key (pure; the pool's shard merge).
+
+    Numbers add, flags OR, dicts recurse, and strings become the sorted
+    list of distinct values.  Each ``hit_rate`` is recomputed from the
+    summed ``hits`` and ``misses``, so it stays a rate.
+    """
+    reports = list(reports)
+    merged: Dict[str, object] = {}
+    for name in dict.fromkeys(name for report in reports for name in report):
+        values = [report[name] for report in reports if name in report]
+        if isinstance(values[0], Mapping):
+            merged[name] = _merge_diagnostics(values)
+        elif isinstance(values[0], bool):
+            merged[name] = any(values)
+        elif isinstance(values[0], (int, float)):
+            merged[name] = sum(values)
+        else:
+            merged[name] = sorted({str(value) for value in values})
+    if "hit_rate" in merged:
+        lookups = merged.get("hits", 0) + merged.get("misses", 0)
+        merged["hit_rate"] = merged.get("hits", 0) / lookups if lookups else 0.0
+    return merged
+
+
 class EnginePool:
     """N forest-engine replicas in shard processes behind one provider API.
 
@@ -343,9 +374,8 @@ class EnginePool:
         self._tree_lock = threading.Lock()
         self._tickets = itertools.count(1)
         self._closed = False
-        # Stats live under their own lock (not the lifecycle lock) so the
-        # crash handler can bump them — and fire the user-supplied listener
-        # — without ever invoking foreign code while holding a pool lock.
+        # Stats live under their own leaf lock, so any path — the crash
+        # handler included — can bump them while holding a pool lock.
         self._stats_lock = threading.Lock()
         self._stats = {
             "respawns": 0,
@@ -365,7 +395,6 @@ class EnginePool:
             "store_prewarm_dropped": 0,
             "store_persist_dropped": 0,
         }
-        self._stats_listener: Optional[Callable[[str, int], None]] = None
         # Per-slot hot-key ledger: the most recently served request keys,
         # replayed to ring siblings when the slot dies without a drain so
         # even SIGKILL failover pre-warms instead of cold-building.
@@ -530,8 +559,7 @@ class EnginePool:
         try:
             vetted = validate_prior_masses(last_publish.get("priors"))
             normalize = bool(last_publish.get("normalize", True))
-            with self._tree_lock:
-                self.tree.set_leaf_priors(dict(vetted), normalize=normalize)
+            self._apply_tree_priors(vetted, normalize)
         except Exception as error:  # noqa: BLE001 - a bad record boots cold
             self._durability_errors.append(f"replayed priors rejected: {error}")
             logger.warning(
@@ -580,7 +608,7 @@ class EnginePool:
             matrices=dict(matrices),
         )
         try:
-            persist_queue.put_nowait((shard.slot, priors_version, store_epoch, entry))
+            persist_queue.put_nowait((shard.slot, priors_version, entry, store_epoch))
         except queue_module.Full:
             self._bump("store_persist_dropped")
 
@@ -595,16 +623,9 @@ class EnginePool:
                 continue
             if item is None:
                 return
-            slot, version, store_epoch, entry = item
+            slot, version, entry, store_epoch = item
             try:
-                blob = encode_snapshot(
-                    CacheSnapshot(
-                        shard_slot=slot, priors_version=version, entries=(entry,)
-                    )
-                )
-                with self._store_lock:
-                    if store_epoch == self._store_epoch:  # else purged since dispatch
-                        self._store.put(entry.privacy_level, entry.delta, entry.epsilon, blob)
+                self._store_entry(slot, version, entry, store_epoch)
             except Exception:  # noqa: BLE001 - persistence must not die mid-run
                 # A snapshot-encode failure is a persistence gap exactly
                 # like a failed disk write: count it where the durability
@@ -620,33 +641,40 @@ class EnginePool:
             self._store_epoch += 1
             self._store.purge(privacy_level)
 
-    def _persist_exported(
-        self, slot: int, version: int, raw_entries: List[Dict[str, object]]
-    ) -> int:
+    def _store_entry(
+        self,
+        slot: int,
+        version: int,
+        entry: SnapshotEntry,
+        store_epoch: Optional[int] = None,
+    ) -> bool:
+        """Write one entry to the store as a single-entry snapshot blob.
+
+        With *store_epoch*, the write is dropped if the store was purged
+        since that epoch was read.
+        """
+        blob = encode_snapshot(
+            CacheSnapshot(shard_slot=slot, priors_version=version, entries=(entry,))
+        )
+        with self._store_lock:
+            if store_epoch is not None and store_epoch != self._store_epoch:
+                return False
+            return self._store.put(entry.privacy_level, entry.delta, entry.epsilon, blob)
+
+    def _persist_exported(self, snapshot: CacheSnapshot) -> int:
         """Persist a draining shard's exported payload entries (synchronous)."""
         if self._store is None:
             return 0
         persisted = 0
-        for raw in raw_entries:
-            if raw.get("matrices") is None:
+        for entry in snapshot.entries:
+            if entry.matrices is None:
                 continue
             try:
-                entry = SnapshotEntry(
-                    privacy_level=int(raw["privacy_level"]),
-                    delta=int(raw["delta"]),
-                    epsilon=float(raw["epsilon"]),
-                    matrices=raw.get("matrices"),
-                )
-                blob = encode_snapshot(
-                    CacheSnapshot(
-                        shard_slot=slot, priors_version=version, entries=(entry,)
-                    )
+                persisted += self._store_entry(
+                    snapshot.shard_slot, snapshot.priors_version, entry
                 )
             except Exception as error:  # noqa: BLE001 - skip the one bad entry
-                logger.warning("could not persist drained entry %r: %s", raw, error)
-                continue
-            if self._store.put(entry.privacy_level, entry.delta, entry.epsilon, blob):
-                persisted += 1
+                logger.warning("could not persist drained entry %s: %s", entry.key, error)
         return persisted
 
     def _store_prewarm(self) -> None:
@@ -660,8 +688,9 @@ class EnginePool:
         the replayed generation are skipped (and counted) — and even for
         matching ones the shard executor re-checks the version at import,
         so a stored payload can never be served under different priors.
-        Any per-blob failure is counted and the loop moves on; the thread
-        can only end by finishing or by pool close.
+        The rest ship to their home shards through :meth:`_transfer_entries`,
+        the hand-off path.  Any per-blob failure is counted and the loop
+        moves on; the thread can only end by finishing or by pool close.
         """
         try:
             try:
@@ -690,7 +719,9 @@ class EnginePool:
                 except SnapshotFormatError as error:
                     store.quarantine_blob(name, error)
                     continue
-                entries = [entry for entry in snapshot.entries if store.filename_for(*entry.key) == name]
+                entries = tuple(
+                    entry for entry in snapshot.entries if store.filename_for(*entry.key) == name
+                )
                 if len(entries) < len(snapshot.entries):
                     self._bump("store_prewarm_foreign", len(snapshot.entries) - len(entries))
                     logger.info(
@@ -708,37 +739,17 @@ class EnginePool:
                         pool_version,
                     )
                     continue
-                for entry in entries:
-                    dest = self._destination_for(entry.key, None)
-                    if dest is None:
-                        self._bump("store_prewarm_dropped")
-                        continue
-                    dest_shard = self._shards[dest]
-                    deadline = time.monotonic() + self.request_timeout_s
-                    single = encode_snapshot(
-                        CacheSnapshot(
-                            shard_slot=snapshot.shard_slot,
-                            priors_version=snapshot.priors_version,
-                            entries=(entry,),
-                        )
+                deadline = time.monotonic() + self.request_timeout_s
+                try:
+                    report = self._transfer_entries(
+                        replace(snapshot, entries=entries), deadline, exclude_slot=None
                     )
-                    try:
-                        counts = self._shard_request(
-                            dest_shard, "import_cache", single, deadline
-                        )
-                    except (EnginePoolError, ShardCrashedError, ShardUnavailableError) as error:
-                        self._bump("store_prewarm_dropped")
-                        logger.warning(
-                            "store pre-warm of %s into shard %d failed: %s",
-                            name,
-                            dest,
-                            error,
-                        )
-                        continue
-                    self._bump("store_prewarm_imported", int(counts.get("imported", 0)))
-                    self._bump("store_prewarm_prewarmed", int(counts.get("prewarmed", 0)))
-                    self._bump("store_prewarm_skipped", int(counts.get("skipped", 0)))
-                    self._record_hot_key(dest, entry.key)
+                except EnginePoolError as error:
+                    self._bump("store_prewarm_dropped", len(entries))
+                    logger.warning("store pre-warm of %s failed: %s", name, error)
+                    continue
+                for outcome in ("imported", "prewarmed", "skipped", "dropped"):
+                    self._bump(f"store_prewarm_{outcome}", report[outcome])
         except Exception:  # noqa: BLE001 - pre-warm must never take the pool down
             logger.exception("store pre-warm thread failed")
         finally:
@@ -829,18 +840,12 @@ class EnginePool:
         if record_type == "publish_priors":
             vetted = validate_prior_masses(record.get("priors"))
             normalize = bool(record.get("normalize", True))
-            with self._tree_lock:
-                self.tree.set_leaf_priors(dict(vetted), normalize=normalize)
+            self._apply_tree_priors(vetted, normalize)
+            payload = (vetted, normalize, version)
             with self._lifecycle_lock:
-                if version > self._priors_version:
-                    self._priors_version = version
-                payload = (vetted, normalize, version)
+                self._priors_version = max(self._priors_version, version)
                 self._current_priors = payload
-            answers = self._broadcast("set_priors", payload)
-            for slot in answers:
-                shard = self._shards[slot]
-                with shard.lock:
-                    shard.priors_version = max(shard.priors_version, version)
+            self._broadcast_priors(version, payload)
         elif record_type == "invalidate":
             level = record.get("privacy_level")
             level = None if level is None else int(level)
@@ -885,26 +890,15 @@ class EnginePool:
                         "reset": True,
                     }
                 )
+        payload = None
         if vetted is not None:
-            with self._tree_lock:
-                self.tree.set_leaf_priors(dict(vetted), normalize=bool(normalize))
+            self._apply_tree_priors(vetted, bool(normalize))
+            payload = (vetted, bool(normalize), version)
         with self._lifecycle_lock:
             self._priors_version = version
-            self._current_priors = (
-                None if vetted is None else (vetted, bool(normalize), version)
-            )
+            self._current_priors = payload
         self._purge_store(None)
-        if vetted is not None:
-            answers = self._broadcast("set_priors", (vetted, bool(normalize), version))
-        else:
-            answers = self._broadcast("invalidate", None)
-        for slot in answers:
-            shard = self._shards[slot]
-            with shard.lock:
-                # Deliberately downward: the replica's old generation never
-                # happened, so max() would preserve exactly the lie the
-                # reset is erasing.
-                shard.priors_version = version
+        self._broadcast_priors(version, payload, reset=True)
         logger.warning(
             "replication reset complete: this head now serves the primary's "
             "priors generation v%d",
@@ -1092,14 +1086,7 @@ class EnginePool:
         instead of cold-built on the request path.  A local slot's child is
         killed and reaped before its successor forks: a frozen child never
         exits on its own.
-
-        Stat bumps are deferred until the lifecycle lock is released: the
-        bump path notifies the user-supplied stats listener, and running
-        foreign code (which may raise, block, or call back into the pool)
-        from inside the crash handler's critical section could deadlock or
-        kill the session thread that detects shard death.
         """
-        bumps: List[Tuple[str, int]] = []
         respawn = False
         crashed = False
         try:
@@ -1120,7 +1107,7 @@ class EnginePool:
                         f"shard {shard.slot} (generation {generation}) died mid-request"
                     )
                 )
-                bumps.append(("crash_failures", failed))
+                self._bump("crash_failures", failed)
                 logger.warning(
                     "shard %d died (generation %d, %d request(s) in flight)",
                     shard.slot,
@@ -1144,11 +1131,9 @@ class EnginePool:
                     return
                 with shard.lock:
                     shard.respawns += 1
-                bumps.append(("respawns", 1))
+                self._bump("respawns")
                 respawn = True
         finally:
-            for name, amount in bumps:
-                self._bump(name, amount)
             if crashed:
                 shard.reap(0.0)
         if respawn:
@@ -1272,106 +1257,6 @@ class EnginePool:
             f"no shard became ready within request_timeout_s={self.request_timeout_s}"
         )
 
-    def _request_routed(self, key: Tuple[int, int, float], op: str, payload) -> object:
-        """Run one op on the key's home shard, failing over along the ring."""
-        if self._closed:
-            raise EnginePoolError("engine pool is closed")
-        deadline = time.monotonic() + self.request_timeout_s
-        max_attempts = self.num_shards * (self.respawn_limit + 1) + 1
-        last_error: Optional[BaseException] = None
-        store_epoch = self._store_epoch
-        for _ in range(max_attempts):
-            shard = self._pick_shard(key)
-            if shard is None:
-                self._wait_any_progress(deadline)
-                continue
-            with shard.lock:
-                priors_version = shard.priors_version
-            ticket = self._next_ticket()
-            try:
-                entry = shard.submit(op, payload, ticket)
-            except ShardUnavailableError as error:
-                last_error = error
-                continue
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not entry.event.wait(timeout=remaining):
-                shard.abandon(ticket)
-                raise PoolTimeoutError(
-                    f"shard {shard.slot} did not answer {op!r} within "
-                    f"{self.request_timeout_s:.1f} s"
-                )
-            if entry.error is not None:
-                if isinstance(entry.error, (ShardCrashedError, ShardUnavailableError)):
-                    last_error = entry.error
-                    self._bump("retries")
-                    logger.info(
-                        "retrying %s for key %s after %s", op, key, entry.error
-                    )
-                    continue
-                raise entry.error
-            if op == "build":
-                self._record_hot_key(shard.slot, key)
-                if not entry.result.get("cached"):
-                    # Write-through: a freshly built forest goes to the
-                    # snapshot store so even an unplanned full-fleet kill -9
-                    # restarts warm (a drain is not required for durability).
-                    self._schedule_persist(
-                        shard, key, entry.result, store_epoch, priors_version
-                    )
-            return entry.result
-        raise last_error or EnginePoolError(f"request {op!r} exhausted retries")
-
-    # ------------------------------------------------------------------ #
-    # Hot-key ledger and hand-off bookkeeping
-    # ------------------------------------------------------------------ #
-
-    def set_stats_listener(self, listener: Optional[Callable[[str, int], None]]) -> None:
-        """Register a callback fired on every pool-stat increment.
-
-        The CORGI service uses this to mirror hand-off events (``drains``,
-        ``handoffs``, ``warm_failovers``) into its own lock-consistent
-        :class:`~repro.service.metrics.ServiceMetrics` counters.
-        """
-        with self._stats_lock:
-            self._stats_listener = listener
-
-    def _bump(self, name: str, amount: int = 1) -> None:
-        """Increment one pool stat and notify the listener (outside any lock).
-
-        The listener is user-supplied code: it is invoked with no pool lock
-        held and inside a try/except, so a listener that raises (or calls
-        back into the pool) can never deadlock the crash handler or kill
-        the session thread that detects shard death.
-        """
-        if amount <= 0:
-            return
-        with self._stats_lock:
-            self._stats[name] = self._stats.get(name, 0) + int(amount)
-            listener = self._stats_listener
-        if listener is not None:
-            try:
-                listener(name, int(amount))
-            except Exception:  # noqa: BLE001 - monitoring must not break serving
-                logger.exception("pool stats listener failed for %r", name)
-
-    def _record_hot_key(self, slot: int, key: Tuple[int, int, float]) -> None:
-        """Remember that *slot* served *key* (bounded, most-recent-last)."""
-        with self._ledger_lock:
-            ledger = self._hot_keys.setdefault(slot, {})
-            ledger.pop(key, None)
-            ledger[key] = time.monotonic()
-            while len(ledger) > HOT_KEY_LEDGER_SIZE:
-                ledger.pop(next(iter(ledger)))
-
-    def hot_keys(self, slot: int) -> List[Tuple[int, int, float]]:
-        """The slot's remembered hot keys, oldest first (diagnostics/tests)."""
-        with self._ledger_lock:
-            return list(self._hot_keys.get(int(slot), {}))
-
-    # ------------------------------------------------------------------ #
-    # Warm hand-off: graceful drain, respawn, rebalance, crash recovery
-    # ------------------------------------------------------------------ #
-
     def _shard_request(
         self,
         shard: ShardHandle,
@@ -1394,6 +1279,69 @@ class EnginePool:
             raise entry.error
         return entry.result
 
+    def _request_routed(self, key: Tuple[int, int, float]) -> Dict[str, object]:
+        """Build one key on its home shard, failing over along the ring."""
+        if self._closed:
+            raise EnginePoolError("engine pool is closed")
+        deadline = time.monotonic() + self.request_timeout_s
+        max_attempts = self.num_shards * (self.respawn_limit + 1) + 1
+        last_error: Optional[BaseException] = None
+        store_epoch = self._store_epoch
+        for _ in range(max_attempts):
+            shard = self._pick_shard(key)
+            if shard is None:
+                self._wait_any_progress(deadline)
+                continue
+            with shard.lock:
+                priors_version = shard.priors_version
+            try:
+                result = self._shard_request(shard, "build", key, deadline)
+            except ShardUnavailableError as error:
+                # Not READY by the time of the submit: pick again.
+                last_error = error
+                continue
+            except ShardCrashedError as error:
+                last_error = error
+                self._bump("retries")
+                logger.info("retrying build for key %s after %s", key, error)
+                continue
+            self._record_hot_key(shard.slot, key)
+            if not result.get("cached"):
+                # Write-through: a freshly built forest goes to the snapshot
+                # store so even an unplanned full-fleet kill -9 restarts warm
+                # (a drain is not required for durability).
+                self._schedule_persist(shard, key, result, store_epoch, priors_version)
+            return result
+        raise last_error or EnginePoolError("build request exhausted retries")
+
+    # ------------------------------------------------------------------ #
+    # Hot-key ledger and hand-off bookkeeping
+    # ------------------------------------------------------------------ #
+
+    def _bump(self, name: str, amount: int = 1) -> None:
+        """Increment one pool stat (see :meth:`pool_stats`)."""
+        if amount > 0:
+            with self._stats_lock:
+                self._stats[name] += int(amount)
+
+    def _record_hot_key(self, slot: int, key: Tuple[int, int, float]) -> None:
+        """Remember that *slot* served *key* (bounded, most-recent-last)."""
+        with self._ledger_lock:
+            ledger = self._hot_keys.setdefault(slot, {})
+            ledger.pop(key, None)
+            ledger[key] = time.monotonic()
+            while len(ledger) > HOT_KEY_LEDGER_SIZE:
+                ledger.pop(next(iter(ledger)))
+
+    def hot_keys(self, slot: int) -> List[Tuple[int, int, float]]:
+        """The slot's remembered hot keys, oldest first (diagnostics/tests)."""
+        with self._ledger_lock:
+            return list(self._hot_keys.get(int(slot), {}))
+
+    # ------------------------------------------------------------------ #
+    # Warm hand-off: graceful drain, respawn, rebalance, crash recovery
+    # ------------------------------------------------------------------ #
+
     def _destination_for(
         self, key: Tuple[int, int, float], exclude_slot: Optional[int]
     ) -> Optional[int]:
@@ -1409,40 +1357,26 @@ class EnginePool:
         return None
 
     def _transfer_entries(
-        self,
-        source_slot: int,
-        source_version: int,
-        raw_entries: List[Dict[str, object]],
-        deadline: float,
-        *,
-        exclude_source: bool = True,
+        self, snapshot: CacheSnapshot, deadline: float, *, exclude_slot: Optional[int]
     ) -> Dict[str, int]:
-        """Ship exported cache entries to each key's owning live sibling.
+        """Ship a snapshot's entries to each key's owning live shard.
 
         Entries are grouped by destination — the first READY shard along
-        each key's ring order — encoded into one versioned snapshot blob per
-        destination and imported there.  A destination whose priors version
-        differs from the source's gets a key-only snapshot (payloads built
-        on other priors must never be installed); keys with no live
-        destination are dropped and counted.
+        each key's ring order, skipping *exclude_slot* — and imported there
+        as snapshots that keep *snapshot*'s slot and priors version.  The
+        receiving replica checks that version against its own and rebuilds,
+        rather than installs, payloads built under other priors.  Keys with
+        no live destination are dropped and counted.  Callers bump their
+        own counters from the returned report.
         """
         groups: Dict[int, List[SnapshotEntry]] = {}
         dropped = 0
-        for raw in raw_entries:
-            entry = SnapshotEntry(
-                privacy_level=int(raw["privacy_level"]),
-                delta=int(raw["delta"]),
-                epsilon=float(raw["epsilon"]),
-                matrices=raw.get("matrices"),
-            )
-            dest = self._destination_for(
-                entry.key, source_slot if exclude_source else None
-            )
-            if dest is None or dest == source_slot:
-                if dest is None:
-                    dropped += 1
-                continue
-            groups.setdefault(dest, []).append(entry)
+        for entry in snapshot.entries:
+            dest = self._destination_for(entry.key, exclude_slot)
+            if dest is None:
+                dropped += 1
+            else:
+                groups.setdefault(dest, []).append(entry)
         report = {
             "handoff_keys": 0,
             "payloads": 0,
@@ -1452,24 +1386,6 @@ class EnginePool:
             "dropped": dropped,
         }
         for dest, entries in sorted(groups.items()):
-            dest_shard = self._shards[dest]
-            with dest_shard.lock:
-                dest_version = dest_shard.priors_version
-            has_payloads = any(entry.matrices is not None for entry in entries)
-            if has_payloads and dest_version != source_version:
-                # Optimization only — the worker re-checks the snapshot's
-                # priors version at import time (a publish racing this read
-                # would otherwise slip stale payloads through) — but known
-                # skew means there is no point shipping the bytes.
-                logger.warning(
-                    "hand-off %d -> %d: priors version skew (%d vs %d); "
-                    "stripping payloads, sibling will pre-warm",
-                    source_slot,
-                    dest,
-                    source_version,
-                    dest_version,
-                )
-                entries = [entry.without_payload() for entry in entries]
             # Payload entries are cheap to install and ship as one blob;
             # each key-only entry is its own op because the receiving worker
             # *rebuilds* it — per-entry ops let live requests interleave
@@ -1480,16 +1396,10 @@ class EnginePool:
                 [entry] for entry in keyonly_entries
             ]
             for batch in batches:
-                blob = encode_snapshot(
-                    CacheSnapshot(
-                        shard_slot=source_slot,
-                        priors_version=source_version,
-                        entries=tuple(batch),
-                    )
-                )
+                blob = encode_snapshot(replace(snapshot, entries=tuple(batch)))
                 try:
                     counts = self._shard_request(
-                        dest_shard, "import_cache", blob, deadline
+                        self._shards[dest], "import_cache", blob, deadline
                     )
                 except (ShardCrashedError, ShardUnavailableError) as error:
                     # The destination died mid-import: its keys will fail
@@ -1505,11 +1415,14 @@ class EnginePool:
                     report[name] += int(counts.get(name, 0))
                 for entry in batch:
                     self._record_hot_key(dest, entry.key)
+        return report
+
+    def _count_handoff(self, report: Mapping[str, int]) -> None:
+        """Bump the hand-off counters from one :meth:`_transfer_entries` report."""
         self._bump("handoffs", report["handoff_keys"])
         self._bump("handoff_payloads", report["payloads"])
         self._bump("handoff_prewarms", report["prewarmed"])
         self._bump("handoff_dropped", report["dropped"])
-        return report
 
     def _check_slot(self, slot: object) -> int:
         """The slot id as an int, or :class:`ValueError` (the typed 4xx path).
@@ -1553,7 +1466,6 @@ class EnginePool:
                     f"shard {slot} is {shard.state.value}; only a ready shard can drain"
                 )
             shard.transition(ShardState.DRAINING)
-            source_version = shard.priors_version
         timeout = self.request_timeout_s if timeout_s is None else float(timeout_s)
         deadline = time.monotonic() + timeout
         logger.info("draining shard %d (flushing in-flight work)", slot)
@@ -1578,23 +1490,21 @@ class EnginePool:
                         f"after {timeout:.1f} s; drain aborted"
                     )
                 time.sleep(0.005)
-            entries = self._shard_request(
-                shard,
-                "export_cache",
-                HANDOFF_PAYLOAD_BUDGET_BYTES,
-                deadline,
-                allow_draining=True,
+            blob = self._shard_request(
+                shard, "export_cache", HANDOFF_PAYLOAD_BUDGET_BYTES, deadline, allow_draining=True
             )
+            snapshot = decode_snapshot(blob)
             try:
                 # Persist before the sibling transfer: the export is the
                 # last full copy of this shard's cache, and for the final
                 # drain of a fleet shutdown there is no live sibling — the
                 # store is what makes the next boot warm.
-                persisted = self._persist_exported(slot, source_version, entries)
+                persisted = self._persist_exported(snapshot)
             except Exception:  # noqa: BLE001 - persistence is best-effort
                 logger.exception("persisting drained cache of shard %d failed", slot)
                 persisted = 0
-            report = self._transfer_entries(slot, source_version, entries, deadline)
+            report = self._transfer_entries(snapshot, deadline, exclude_slot=slot)
+            self._count_handoff(report)
             report["persisted"] = persisted
         except BaseException:
             # A failed drain must not strand the slot: the worker is still
@@ -1624,7 +1534,7 @@ class EnginePool:
             report["prewarmed"],
             report["dropped"],
         )
-        return {"slot": slot, "exported": len(entries), **report}
+        return {"slot": slot, "exported": len(snapshot.entries), **report}
 
     def drain_all(self, timeout_s: Optional[float] = None) -> List[Dict[str, object]]:
         """Drain every READY shard in slot order (graceful pool shutdown).
@@ -1698,29 +1608,24 @@ class EnginePool:
         for shard in self._shards:
             with shard.lock:
                 state = shard.state
-                source_version = shard.priors_version
             if state is not ShardState.READY:
                 continue
             try:
-                entries = self._shard_request(
-                    shard, "export_cache", HANDOFF_PAYLOAD_BUDGET_BYTES, deadline
-                )
+                blob = self._shard_request(shard, "export_cache", HANDOFF_PAYLOAD_BUDGET_BYTES, deadline)
             except (ShardCrashedError, ShardUnavailableError):
                 continue
-            foreign = [
-                raw
-                for raw in entries
-                if self._destination_for(
-                    (int(raw["privacy_level"]), int(raw["delta"]), float(raw["epsilon"])),
-                    None,
-                )
-                not in (None, shard.slot)
-            ]
+            snapshot = decode_snapshot(blob)
+            foreign = tuple(
+                entry
+                for entry in snapshot.entries
+                if self._destination_for(entry.key, None) not in (None, shard.slot)
+            )
             if not foreign:
                 continue
             report = self._transfer_entries(
-                shard.slot, source_version, foreign, deadline, exclude_source=False
+                replace(snapshot, entries=foreign), deadline, exclude_slot=shard.slot
             )
+            self._count_handoff(report)
             summary["moved_keys"] += report["handoff_keys"]
             summary["imported"] += report["imported"]
             summary["prewarmed"] += report["prewarmed"]
@@ -1731,9 +1636,8 @@ class EnginePool:
         """Kick off background ledger replay for a crashed slot.
 
         Called from the crash handler while it holds the lifecycle lock —
-        hence no ``_bump`` here and all slow work on a daemon thread: the
-        crash path must stay fast so failover latency is not inflated by
-        pre-warm builds.
+        hence all slow work on a daemon thread: the crash path must stay
+        fast so failover latency is not inflated by pre-warm builds.
         """
         if not self._warm_recovery:
             return
@@ -1741,34 +1645,29 @@ class EnginePool:
             keys = list(self._hot_keys.pop(slot, {}))
         if not keys:
             return
-        with self._shards[slot].lock:
-            priors_version = self._shards[slot].priors_version
         threading.Thread(
             target=self._warm_recover,
-            args=(slot, keys, priors_version),
+            args=(slot, keys),
             name=f"corgi-shard-{slot}-warm-recovery",
             daemon=True,
         ).start()
 
-    def _warm_recover(
-        self, slot: int, keys: List[Tuple[int, int, float]], priors_version: int
-    ) -> None:
+    def _warm_recover(self, slot: int, keys: List[Tuple[int, int, float]]) -> None:
         """Replay a dead slot's hot-key ledger to its ring siblings (best effort)."""
-        entries = [
-            {
-                "privacy_level": key[0],
-                "delta": key[1],
-                "epsilon": key[2],
-                "matrices": None,  # the process died — only the keys survive
-            }
-            for key in keys
-        ]
+        # The process died — only the keys survive, and key-only entries
+        # are rebuilt whatever priors version the snapshot names.
+        snapshot = CacheSnapshot(
+            shard_slot=slot,
+            priors_version=0,
+            entries=tuple(SnapshotEntry(*key) for key in keys),
+        )
         deadline = time.monotonic() + self.request_timeout_s
         try:
-            report = self._transfer_entries(slot, priors_version, entries, deadline)
+            report = self._transfer_entries(snapshot, deadline, exclude_slot=slot)
         except EnginePoolError as error:
             logger.warning("warm recovery for shard %d failed: %s", slot, error)
             return
+        self._count_handoff(report)
         if report["handoff_keys"]:
             self._bump("warm_failovers", 1)
             logger.info(
@@ -1797,7 +1696,7 @@ class EnginePool:
         to a single-process build.
         """
         key = self._normalize(privacy_level, delta, epsilon)
-        result = self._request_routed(key, "build", key)
+        result = self._request_routed(key)
         forest = PrivacyForest(
             self.tree, result["privacy_level"], result["delta"], result["epsilon"]
         )
@@ -1913,8 +1812,7 @@ class EnginePool:
         # forked in between then carries the new tree with an old version
         # stamp (one redundant re-send), never the old tree with a new
         # stamp (a silently stale replica).
-        with self._tree_lock:
-            self.tree.set_leaf_priors(dict(vetted), normalize=normalize)
+        self._apply_tree_priors(vetted, normalize)
         with self._lifecycle_lock:
             if self._control_log is not None:
                 # Write-ahead: commit (append + fsync) before the broadcast,
@@ -1936,12 +1834,40 @@ class EnginePool:
             # own priors generation (the import_cache skew check).
             payload = (vetted, bool(normalize), version)
             self._current_priors = payload
-        answers = self._broadcast("set_priors", payload)
+        answers = self._broadcast_priors(version, payload)
+        return sum(int(count) for count in answers.values())
+
+    def _apply_tree_priors(self, vetted: Mapping[str, float], normalize: bool) -> None:
+        """Install vetted leaf priors on the parent tree (forked shards copy it)."""
+        with self._tree_lock:
+            self.tree.set_leaf_priors(dict(vetted), normalize=normalize)
+
+    def _broadcast_priors(
+        self,
+        version: int,
+        payload: Optional[Tuple[Dict[str, float], bool, int]],
+        *,
+        reset: bool = False,
+    ) -> Dict[int, object]:
+        """Broadcast ``set_priors`` (``invalidate`` for a reset without priors)
+        and move each answering shard's priors version to *version*.
+
+        A publish only moves versions up (``max``).  A reset moves them
+        exactly, downward included: the replica's old generation never
+        happened, so ``max`` would preserve exactly the lie the reset is
+        erasing.
+        """
+        if payload is None:
+            answers = self._broadcast("invalidate", None)
+        else:
+            answers = self._broadcast("set_priors", payload)
         for slot in answers:
             shard = self._shards[slot]
             with shard.lock:
-                shard.priors_version = max(shard.priors_version, version)
-        return sum(int(count) for count in answers.values())
+                shard.priors_version = (
+                    version if reset else max(shard.priors_version, version)
+                )
+        return answers
 
     # ------------------------------------------------------------------ #
     # Health and introspection
@@ -1966,74 +1892,28 @@ class EnginePool:
             return dict(self._stats)
 
     def cache_diagnostics(self, timeout_s: float = 10.0) -> Dict[str, object]:
-        """Aggregated engine diagnostics plus pool lifecycle state.
+        """The shards' engine diagnostics, summed, plus pool lifecycle state.
 
         The per-shard engine numbers are fetched with one ``diagnostics`` op
         per shard; the broadcast is partial, so a shard stuck in a long
         build is merely absent from ``shards_reporting`` rather than
-        blocking monitoring or zeroing its siblings' counters.  Scalar counters are summed across
-        the shards that answered; the summary keeps the single-engine key
-        shape (``forest_entries``, ``structure_sharing``, …) so existing
-        dashboards and :meth:`CORGIService.snapshot` work unchanged.
+        blocking monitoring or zeroing its siblings' counters.  The shards
+        that answered are merged by :func:`_merge_diagnostics`, so the
+        summary keeps the single-engine key shape (``forest_entries``,
+        ``lp_stats``, ``solver``, …) and a counter an engine adds is summed
+        without a pool edit.  When no shard answers, the engine counters
+        are absent rather than zero.  The ``pool`` block carries the pool's
+        own counters (:meth:`pool_stats`) and slot states.
         """
         answers = self._broadcast("diagnostics", None, timeout_s=timeout_s, partial=True)
-        summed = {
-            "forest_entries": 0,
-            "invalidations": 0,
-            "handoff_imports": 0,
-            "handoff_prewarms": 0,
-            "matrix_entries": 0,
-            "lp_entries": 0,
-        }
-        forest_stats = {"hits": 0, "misses": 0, "evictions": 0}
-        matrix_stats = {"hits": 0, "misses": 0, "evictions": 0}
-        lp_stats = {"hits": 0, "misses": 0, "evictions": 0}
-        structure = {"groups": 0, "builds": 0, "reuses": 0}
-        solver = {
-            "solves": 0,
-            "warm_solves": 0,
-            "cold_solves": 0,
-            "basis_reuse_hits": 0,
-            "cold_retries": 0,
-        }
-        solver_time: Dict[str, float] = {}
-        solver_backends: set = set()
-        solver_native = False
-        for diagnostics in answers.values():
-            for name in summed:
-                summed[name] += int(diagnostics.get(name, 0))
-            solver_source = diagnostics.get("solver", {})
-            for name in solver:
-                solver[name] += int(solver_source.get(name, 0))
-            for stage, elapsed in (solver_source.get("time_s") or {}).items():
-                solver_time[stage] = solver_time.get(stage, 0.0) + float(elapsed)
-            if solver_source.get("backend_resolved"):
-                solver_backends.add(str(solver_source["backend_resolved"]))
-            solver_native = solver_native or bool(solver_source.get("native_available"))
-            for target, source_key in (
-                (forest_stats, "forest_stats"),
-                (matrix_stats, "matrix_stats"),
-                (lp_stats, "lp_stats"),
-                (structure, "structure_sharing"),
-            ):
-                source = diagnostics.get(source_key, {})
-                for name in target:
-                    target[name] += int(source.get(name, 0))
+        merged = _merge_diagnostics(answers.values())
+        solver = merged.setdefault("solver", {})
+        solver["backend_requested"] = str(self.config.solver_backend)
+        # Shards may resolve "auto" differently across hosts; the merge
+        # keeps every backend the reporting shards actually use.
+        solver.setdefault("backend_resolved", [])
         return {
-            **summed,
-            "forest_stats": forest_stats,
-            "matrix_stats": matrix_stats,
-            "lp_stats": lp_stats,
-            "structure_sharing": structure,
-            "solver": {
-                "backend_requested": str(self.config.solver_backend),
-                # Shards may resolve "auto" differently across hosts; report
-                # every backend the reporting shards actually use.
-                "backend_resolved": sorted(solver_backends),
-                "native_available": solver_native,
-                **solver,
-                "time_s": solver_time,
-            },
+            **merged,
             "max_workers": self.num_shards,
             "pool": {
                 "num_shards": self.num_shards,
@@ -2047,7 +1927,6 @@ class EnginePool:
                 "hot_keys": {
                     slot: len(self.hot_keys(slot)) for slot in range(self.num_shards)
                 },
-                "durability": self.durability_diagnostics(),
                 **self.pool_stats(),
             },
         }

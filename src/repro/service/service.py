@@ -161,15 +161,20 @@ class ServiceConfig:
 
 
 class _InFlightBuild:
-    """Rendezvous for one in-progress forest build (single-flight entry)."""
+    """Rendezvous for one in-progress forest build (single-flight entry).
 
-    __slots__ = ("event", "forest", "error", "followers")
+    ``generation`` is the service's priors generation when the build was
+    led; only requests of the same generation may join it.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("event", "forest", "error", "followers", "generation")
+
+    def __init__(self, generation: int) -> None:
         self.event = threading.Event()
         self.forest: Optional[PrivacyForest] = None
         self.error: Optional[BaseException] = None
         self.followers = 0
+        self.generation = generation
 
 
 #: Normalized request identity: ``(privacy_level, delta, effective_epsilon)``.
@@ -210,30 +215,20 @@ class CORGIService:
         self.metrics = ServiceMetrics(self.config.latency_window)
         self._lock = threading.Lock()
         self._inflight: Dict[RequestKey, _InFlightBuild] = {}
+        # Bumped (under self._lock) after every publish_priors returns: a
+        # build led before the publish may have run on the old priors, so a
+        # later request must lead its own build rather than join it.
+        self._generation = 0
         self._pending_leaders = 0
         self._build_slots = threading.BoundedSemaphore(self.config.max_in_flight)
         # Cache-update listeners (the push gateway subscribes here): called
         # after invalidate / publish_priors so held connections learn about
-        # refreshes without polling.  Guarded like the pool stats listener —
-        # a raising listener must never fail the admin operation itself.
+        # refreshes without polling.  A raising listener is logged and must
+        # never fail the admin operation itself.
         self._update_listeners: List = []
         # Attached gateway diagnostics providers (callables returning a
         # JSON-friendly dict), merged into diagnostics()/snapshot().
         self._gateway_diagnostics: List = []
-        # A sharded pool reports hand-off lifecycle events (drains,
-        # hand-offs, warm failovers) through a listener; mirroring them into
-        # ServiceMetrics keeps the wire snapshot lock-consistent with every
-        # other counter.
-        register = getattr(self.engine, "set_stats_listener", None)
-        if callable(register):
-            register(self._record_pool_event)
-
-    #: Pool stat names mirrored 1:1 into service counters.
-    _POOL_MIRRORED_EVENTS = frozenset({"drains", "handoffs", "warm_failovers"})
-
-    def _record_pool_event(self, name: str, amount: int) -> None:
-        if name in self._POOL_MIRRORED_EVENTS:
-            self.metrics.increment(name, amount)
 
     # ------------------------------------------------------------------ #
     # Cache-update listeners (push-gateway hook)
@@ -331,14 +326,14 @@ class CORGIService:
         self.metrics.increment("requests")
         with self._lock:
             entry = self._inflight.get(key)
-            if entry is None:
+            if entry is None or entry.generation != self._generation:
                 if self._pending_leaders >= self.config.max_in_flight + self.config.max_queue_depth:
                     self.metrics.increment("rejected")
                     raise ServiceOverloadedError(
                         f"service at capacity: {self.config.max_in_flight} builds in flight "
                         f"and {self.config.max_queue_depth} queued"
                     )
-                entry = _InFlightBuild()
+                entry = _InFlightBuild(self._generation)
                 self._inflight[key] = entry
                 self._pending_leaders += 1
                 leader = True
@@ -381,7 +376,8 @@ class CORGIService:
         finally:
             with self._lock:
                 self._pending_leaders -= 1
-                self._inflight.pop(key, None)
+                if self._inflight.get(key) is entry:  # else a newer leader's
+                    del self._inflight[key]
             entry.event.set()
             self.metrics.observe_latency(time.perf_counter() - start)
         if entry.followers:
@@ -500,6 +496,11 @@ class CORGIService:
         :class:`~repro.service.replication.ReplicationRoleError` (HTTP 400).
         """
         dropped = int(self.engine.publish_priors(priors, normalize=normalize))
+        # Bump only once the engine serves the new priors: a build led
+        # between an earlier bump and the publish could still run on the
+        # old priors while carrying the new generation.
+        with self._lock:
+            self._generation += 1
         self.metrics.increment("invalidated", dropped)
         self._notify_update("priors", None)
         return dropped
@@ -510,10 +511,9 @@ class CORGIService:
         Only meaningful when the engine is a sharded
         :class:`~repro.service.pool.EnginePool`; a plain engine has no slots
         and raises :class:`ValueError` (HTTP 400 on the wire, like every
-        other bad drain request — see ``POST /admin/drain``).  The pool's
-        hand-off counters reach :attr:`metrics` through the stats listener
-        registered at construction, so the returned report and the next
-        :meth:`snapshot` agree.
+        other bad drain request — see ``POST /admin/drain``).  The pool
+        counts drains and hand-offs itself; the next :meth:`snapshot`
+        reports them under ``["engine"]["pool"]``.
         """
         drain = getattr(self.engine, "drain", None)
         if not callable(drain):

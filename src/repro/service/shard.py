@@ -48,7 +48,13 @@ from repro.core.matrix import ObfuscationMatrix
 from repro.core.objective import TargetDistribution
 from repro.core.solver import SolverBackendUnavailableError
 from repro.server.engine import ForestEngine, ServerConfig
-from repro.service.handoff import SnapshotFormatError, decode_snapshot
+from repro.service.handoff import (
+    CacheSnapshot,
+    SnapshotEntry,
+    SnapshotFormatError,
+    decode_snapshot,
+    encode_snapshot,
+)
 from repro.service.wire import (
     HEARTBEAT_INTERVAL_S,
     LIVENESS_TIMEOUT_S,
@@ -175,18 +181,21 @@ class ShardOpExecutor:
     * ``set_priors`` — payload ``(priors_mapping, normalize, version)``;
       result = #forests flushed.  The executor records *version* as its
       current priors generation.
-    * ``export_cache`` — payload ``payload_budget_bytes``; result = list of
-      plain cache entries (see ``ForestEngine.export_cache_entries``).
-    * ``import_cache`` — payload = an encoded snapshot blob
-      (:func:`repro.service.handoff.encode_snapshot`); result =
-      ``{"imported", "prewarmed", "skipped"}`` counts.  The replica — not
-      just the pool — compares the snapshot's priors version against its
-      own: on a mismatch payloads are dropped and the entries pre-warmed
-      by rebuilding, so matrices built under other priors can never be
-      installed under a fresh-priors fingerprint (the pool-side check is
-      only an optimization; a ``set_priors`` queued ahead of the import
-      would race it).  A malformed or version-skewed blob is an *answer*
-      (``SnapshotFormatError`` raised to the transport), never a death.
+    * ``export_cache`` — payload ``payload_budget_bytes``; result = the
+      replica's forest cache as an encoded snapshot blob
+      (:func:`repro.service.handoff.encode_snapshot`) stamped with this
+      shard's id and current priors version, entries as
+      ``ForestEngine.export_cache_entries`` lists them.
+    * ``import_cache`` — payload = an encoded snapshot blob, the shape
+      ``export_cache`` answers; result = ``{"imported", "prewarmed",
+      "skipped"}`` counts.  The replica compares the snapshot's priors
+      version against its own: on a mismatch payloads are dropped and the
+      entries pre-warmed by rebuilding, so matrices built under other
+      priors can never be installed under a fresh-priors fingerprint.  The
+      check lives here, not in the pool, because a ``set_priors`` queued
+      ahead of the import would race any earlier one.  A malformed or
+      version-skewed blob is an *answer* (``SnapshotFormatError`` raised
+      to the transport), never a death.
     * ``diagnostics`` — engine cache diagnostics dict.
     * ``ping`` — liveness probe; result ``"pong"``.
     """
@@ -234,7 +243,14 @@ class ShardOpExecutor:
             self.priors_version = int(version)
             return result
         if op == "export_cache":
-            return self.engine.export_cache_entries(payload_budget_bytes=int(payload))
+            entries = self.engine.export_cache_entries(payload_budget_bytes=int(payload))
+            return encode_snapshot(
+                CacheSnapshot(
+                    shard_slot=self.spec.shard_id,
+                    priors_version=self.priors_version,
+                    entries=tuple(SnapshotEntry(**entry) for entry in entries),
+                )
+            )
         if op == "import_cache":
             snapshot = decode_snapshot(payload)
             counts = {"imported": 0, "prewarmed": 0, "skipped": 0}
@@ -266,11 +282,7 @@ class ShardOpExecutor:
 # --------------------------------------------------------------------- #
 
 
-def _encode_matrices(
-    matrices: Optional[Dict[str, ObfuscationMatrix]],
-) -> Optional[Dict[str, object]]:
-    if matrices is None:
-        return None
+def _encode_matrices(matrices: Dict[str, ObfuscationMatrix]) -> Dict[str, object]:
     return {str(root_id): matrix.to_dict() for root_id, matrix in matrices.items()}
 
 
@@ -296,7 +308,8 @@ def encode_request(op: str, ticket: int, payload: object) -> Dict[str, object]:
     The op vocabulary and payload shapes are exactly those of
     :class:`ShardOpExecutor`; only the encodings that are not JSON-native
     change representation (`import_cache`'s snapshot blob rides as its
-    UTF-8 text — it *is* versioned JSON already).
+    UTF-8 text — it *is* versioned JSON already — exactly as
+    `export_cache`'s answer does in :func:`encode_result`).
     """
     if op == "build":
         privacy_level, delta, epsilon = payload
@@ -372,13 +385,7 @@ def encode_result(op: str, result: object) -> object:
         encoded["matrices"] = _encode_matrices(result["matrices"])
         return encoded
     if op == "export_cache":
-        assert isinstance(result, list)
-        entries = []
-        for entry in result:
-            encoded_entry = dict(entry)
-            encoded_entry["matrices"] = _encode_matrices(entry["matrices"])
-            entries.append(encoded_entry)
-        return entries
+        return bytes(result).decode("utf-8")
     return result
 
 
@@ -392,16 +399,9 @@ def decode_result(op: str, result: object) -> object:
             decoded["matrices"] = _decode_matrices(result.get("matrices")) or {}
             return decoded
         if op == "export_cache":
-            if not isinstance(result, list):
-                raise FrameFormatError("export_cache result must be a list")
-            entries = []
-            for entry in result:
-                if not isinstance(entry, dict):
-                    raise FrameFormatError("export_cache entries must be objects")
-                decoded_entry = dict(entry)
-                decoded_entry["matrices"] = _decode_matrices(entry.get("matrices"))
-                entries.append(decoded_entry)
-            return entries
+            if not isinstance(result, str):
+                raise FrameFormatError("export_cache result must be a snapshot string")
+            return result.encode("utf-8")
     except (KeyError, TypeError, ValueError) as error:
         if isinstance(error, FrameFormatError):
             raise

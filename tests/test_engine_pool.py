@@ -134,13 +134,49 @@ class TestServiceOverPool:
         dispatched = [info["dispatched"] for info in pool.shard_states()]
         assert sorted(dispatched) == [0, 1]
 
-    def test_snapshot_reports_pool_diagnostics(self, pool):
+    def test_snapshot_reports_pool_diagnostics(self, pool, pool_tree):
         service = CORGIService(pool)
         service.generate_privacy_forest(1, 0)
         snapshot = service.snapshot()
         assert snapshot["engine"]["pool"]["num_shards"] == 2
         assert snapshot["engine"]["forest_entries"] == 1
         assert snapshot["gauges"] == {"pending_leaders": 0, "inflight_keys": 0}
+
+        # The pool's merge keeps the engine's shape: after the same builds,
+        # every key path of one engine's diagnostics exists in the pool's,
+        # and each hit rate is still hits / (hits + misses).
+        engine = ForestEngine(copy.deepcopy(pool_tree), ServerConfig(**POOL_CONFIG))
+        for level, delta in [(1, 0), (1, 0), (1, 1)]:
+            engine.build_forest(level, delta)
+        for level, delta in [(1, 0), (1, 1)]:  # the service built (1, 0) once above
+            pool.build_forest(level, delta)
+
+        def key_paths(report, prefix=()):
+            for name, value in report.items():
+                yield prefix + (name,)
+                if isinstance(value, dict):
+                    yield from key_paths(value, prefix + (name,))
+
+        merged = pool.cache_diagnostics()
+        assert set(key_paths(engine.cache_diagnostics())) - set(key_paths(merged)) == set()
+        rates = [value for name, value in merged.items() if name.endswith("_stats")]
+        assert len(rates) == 3
+        for stats in rates:
+            assert stats["hits"] + stats["misses"] > 0
+            assert stats["hit_rate"] == stats["hits"] / (stats["hits"] + stats["misses"])
+
+    def test_diagnostics_with_no_answering_shard_omit_engine_counters(self, pool_tree):
+        """No report is not a cold pool: with every slot drained, the merged
+        engine counters are absent rather than zero."""
+        with EnginePool(pool_tree, ServerConfig(**POOL_CONFIG), num_shards=1) as pool:
+            pool.build_forest(1, 0)
+            pool.drain(0)
+            diagnostics = pool.cache_diagnostics()
+        assert diagnostics["pool"]["shards_reporting"] == []
+        assert diagnostics["pool"]["drains"] == 1
+        for name in ("forest_entries", "forest_stats", "lp_stats", "structure_sharing"):
+            assert name not in diagnostics
+        assert diagnostics["solver"]["backend_resolved"] == []
 
     def test_pooled_and_single_process_forests_byte_identical(
         self, pool, small_tree_with_priors

@@ -17,10 +17,7 @@ Covers the ISSUE acceptance surface for the durable state tier:
   resurrect dropped forests; snapshots from a superseded priors
   generation, or written under another pipeline fingerprint, are skipped
   at pre-warm (zero stale serving); and a write-through is stamped with
-  the priors version its build was dispatched under;
-* **supervision hygiene** — a user stats listener that raises can no
-  longer kill the crash collector: the shard still respawns and counters
-  still advance.
+  the priors version its build was dispatched under.
 
 All synchronization goes through the conftest helpers (``wait_until``) —
 no ad-hoc sleeps.
@@ -581,46 +578,6 @@ class TestDurableConsistency:
         assert served.keys() == expected.keys()
         for root_id, values in expected.items():
             assert np.array_equal(served[root_id], values), "an old-priors forest was served"
-
-
-# --------------------------------------------------------------------- #
-# Supervision hygiene: a hostile stats listener cannot kill the collector
-# --------------------------------------------------------------------- #
-
-
-class TestStatsListenerIsolation:
-    def test_raising_listener_does_not_break_crash_recovery(self, pool_tree):
-        """Regression: the listener used to run under the pool lock inside
-        the crash collector — one raise killed supervision.  Now it is
-        invoked lock-free and exceptions are swallowed: the shard still
-        respawns and the counters still advance."""
-        pool = EnginePool(
-            pool_tree, ServerConfig(**POOL_CONFIG), num_shards=2, respawn_limit=2
-        )
-        seen = []
-
-        def hostile(name, amount):
-            seen.append((name, amount))
-            raise ValueError("listener goes boom")
-
-        try:
-            pool.wait_ready()
-            pool.set_stats_listener(hostile)
-            pool._shards[0].process.kill()
-            wait_until(
-                lambda: pool.pool_stats()["respawns"] >= 1,
-                timeout_s=60,
-                message="the crashed shard to be respawned despite the listener",
-            )
-            assert any(name == "respawns" for name, _ in seen)
-            wait_until(
-                lambda: pool.shard_states()[0]["state"] == "ready",
-                timeout_s=60,
-                message="the respawned shard to come back READY",
-            )
-            assert pool.build_forest(0, 0).is_complete()
-        finally:
-            pool.close()
 
 
 # --------------------------------------------------------------------- #

@@ -286,6 +286,72 @@ class TestSingleFlight:
             assert error.__cause__ is originals[0]
             assert error.args == originals[0].args
 
+    def test_request_after_publish_never_joins_a_pre_publish_build(
+        self, small_tree_with_priors
+    ):
+        """Regression: a request that arrived after ``publish_priors``
+        returned could join a leader whose engine call had already returned
+        the pre-publish forest (the leader's entry stays in flight until its
+        ``finally``), and was served that stale forest."""
+        config = ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=1)
+        engine = ForestEngine(copy.deepcopy(small_tree_with_priors), config)
+        service = CORGIService(engine)
+        stale = engine.build_forest(1, 1)
+        engine.invalidate()
+        original = engine.build_forest_traced
+        parked = threading.Event()
+        release = threading.Event()
+
+        def parked_leader_build(*args, **kwargs):
+            # The real call returns first, so the engine's priors reader
+            # slot is released and publish_priors does not wait for us.
+            result = original(*args, **kwargs)
+            if not parked.is_set():
+                parked.set()
+                release.wait(timeout=60)
+            return result
+
+        engine.build_forest_traced = parked_leader_build
+        served = {}
+        leader = threading.Thread(
+            target=lambda: served.setdefault("leader", service.generate_privacy_forest(1, 1)),
+            daemon=True,
+        )
+        late = threading.Thread(
+            target=lambda: served.setdefault("late", service.generate_privacy_forest(1, 1)),
+            daemon=True,
+        )
+        leader.start()
+        try:
+            assert parked.wait(timeout=60)
+            leaves = engine.tree.leaves()
+            service.publish_priors(
+                {leaf.node_id: float(index + 1) for index, leaf in enumerate(leaves)}
+            )
+            late.start()
+            wait_until(
+                lambda: "late" in served or service.metrics.count("coalesced") == 1,
+                timeout_s=60,
+                message="the late request to be served or to join the parked leader",
+            )
+        finally:
+            release.set()
+            leader.join(timeout=60)
+            if late.ident is not None:
+                late.join(timeout=60)
+        assert not leader.is_alive() and not late.is_alive()
+        assert service.metrics.count("coalesced") == 0
+        fresh = ForestEngine(copy.deepcopy(engine.tree), config).build_forest(1, 1)
+
+        def encoded(forest):
+            return [(root_id, matrix.to_dict()) for root_id, matrix in forest]
+
+        assert encoded(served["leader"]) == encoded(stale)
+        assert encoded(served["late"]) == encoded(fresh)
+        assert encoded(fresh) != encoded(stale)
+        # The late leader's entry is gone; the parked leader did not remove it early.
+        assert service.snapshot()["gauges"] == {"pending_leaders": 0, "inflight_keys": 0}
+
     def test_rewrap_falls_back_when_type_is_not_reconstructible(self):
         class PickyError(Exception):
             def __init__(self, code, *, detail):

@@ -11,9 +11,10 @@ Covers the ISSUE acceptance surface for the hand-off protocol:
   sibling so its keys are pre-warmed there;
 * **determinism** — a drained-then-respawned pool keeps returning
   responses byte-identical to a single-process engine;
-* **hygiene** — exports ship payloads only within their byte budget,
-  imports skip keys this tree cannot hold, and foreign-topology payloads
-  are rebuilt instead of mis-served;
+* **hygiene** — exports ship payloads only within their byte budget and
+  carry the replica's own priors version, imports skip keys this tree
+  cannot hold, and foreign-topology payloads are rebuilt instead of
+  mis-served;
 * **admin surface** — ``POST /admin/drain`` answers structured 4xx (never
   500) for bad slot ids, and ``HTTPTransport.drain`` propagates typed
   errors like the existing ``invalidate`` helper.
@@ -34,9 +35,8 @@ from helpers_concurrency import run_burst, wait_until
 from repro.client.transport import HTTPTransport, TransportError
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.server.messages import ObfuscationRequest
-from repro.service.handoff import CacheSnapshot, SnapshotEntry, encode_snapshot
+from repro.service.handoff import CacheSnapshot, SnapshotEntry, decode_snapshot, encode_snapshot
 from repro.service.http import CORGIHTTPServer
-from repro.service.metrics import ServiceMetrics
 from repro.service.pool import EnginePool, EnginePoolError, PoolTimeoutError
 from repro.service.service import CORGIService
 
@@ -425,6 +425,23 @@ class TestSnapshotHygiene:
         matching = import_with_version(version=5)
         assert matching["imported"] == 1
 
+    def test_export_carries_the_replica_priors_version(self, small_tree_with_priors):
+        """The export is stamped with the version the replica serves, which
+        is what the receiving replica checks its import against."""
+        from repro.service.shard import ShardOpExecutor, ShardSpec
+
+        tree = copy.deepcopy(small_tree_with_priors)
+        executor = ShardOpExecutor(
+            ShardSpec(shard_id=3, tree=tree, config=ServerConfig(**POOL_CONFIG))
+        )
+        priors = {leaf.node_id: leaf.prior for leaf in tree.leaves()}
+        executor.execute("set_priors", (priors, False, 5))
+        executor.execute("build", (1, 1, POOL_CONFIG["epsilon"]))
+        snapshot = decode_snapshot(executor.execute("export_cache", 1 << 20))
+        assert (snapshot.shard_slot, snapshot.priors_version) == (3, 5)
+        assert [entry.key for entry in snapshot.entries] == [(1, 1, POOL_CONFIG["epsilon"])]
+        assert snapshot.entries[0].matrices is not None
+
     def test_import_foreign_topology_rebuilds(self, small_tree_with_priors):
         """A payload whose sub-tree roots don't match this tree must be
         rebuilt, never installed (replica-mismatch guard)."""
@@ -444,14 +461,6 @@ class TestSnapshotHygiene:
 
 
 class TestServiceSurface:
-    def test_metrics_grow_handoff_counters(self):
-        snapshot = ServiceMetrics().snapshot()
-        for name in ("drains", "handoffs", "warm_failovers"):
-            assert snapshot[name] == 0
-        metrics = ServiceMetrics()
-        metrics.increment("warm_failovers")
-        assert metrics.snapshot()["warm_failovers"] == 1
-
     def test_service_drain_mirrors_pool_counters(self, pool_tree):
         with EnginePool(pool_tree, ServerConfig(**POOL_CONFIG), num_shards=2) as pool:
             service = CORGIService(pool)
@@ -461,10 +470,9 @@ class TestServiceSurface:
             report = service.drain(victim)
             assert report["slot"] == victim
             snapshot = service.snapshot()
-            assert snapshot["service"]["drains"] == 1
-            assert snapshot["service"]["handoffs"] == len(victim_keys)
-            assert snapshot["service"]["warm_failovers"] == 0
             assert snapshot["engine"]["pool"]["drains"] == 1
+            assert snapshot["engine"]["pool"]["handoffs"] == len(victim_keys)
+            assert snapshot["engine"]["pool"]["warm_failovers"] == 0
             assert service.diagnostics()["handoff_imports"] == len(victim_keys)
 
     def test_service_drain_requires_pool(self, small_tree_with_priors):
@@ -510,8 +518,8 @@ class TestAdminDrainHTTP:
                 assert report["slot"] == victim
                 assert report["handoff_keys"] == len(victim_keys)
                 metrics = transport.metrics()
-                assert metrics["service"]["drains"] == 1
-                assert metrics["service"]["handoffs"] == len(victim_keys)
+                assert metrics["engine"]["pool"]["drains"] == 1
+                assert metrics["engine"]["pool"]["handoffs"] == len(victim_keys)
 
     def test_bad_slots_are_structured_4xx_never_500(self, pool_tree):
         """Acceptance: every malformed drain request is a client-class

@@ -71,6 +71,7 @@ from repro.service.controllog import (  # noqa: E402
     scan_records,
 )
 from repro.service.http import CORGIHTTPServer  # noqa: E402
+from repro.service.shard import decode_result, encode_result  # noqa: E402
 from repro.service.wire import (  # noqa: E402
     FRAME_MAGIC,
     FRAME_MAGIC_DEFLATE,
@@ -435,6 +436,28 @@ class TestSnapshotProperties:
         legacy = json.loads(blob)["entries"]
         current = json.loads(encode_snapshot(restored))["entries"]
         assert all(len(set(old) - set(new)) == 1 for old, new in zip(legacy, current))
+
+    @DETERMINISTIC
+    @given(snapshot=cache_snapshots())
+    def test_export_cache_answer_roundtrips_through_a_frame(self, snapshot):
+        """A shard's ``export_cache`` answer is its encoded snapshot: through
+        the result codec and real JSON it decodes to the same snapshot."""
+        wire = json.loads(json.dumps(encode_result("export_cache", encode_snapshot(snapshot))))
+        restored = decode_snapshot(decode_result("export_cache", wire))
+        assert encode_snapshot(restored) == encode_snapshot(snapshot)
+
+    @DETERMINISTIC
+    @given(
+        answer=st.one_of(
+            st.lists(st.dictionaries(st.text(max_size=4), st.integers(), max_size=3), max_size=3),
+            st.text(max_size=32),
+        )
+    )
+    def test_export_cache_junk_answer_fails_typed(self, answer):
+        """A list (the old per-entry answer) or a string that is not a
+        snapshot raises a typed wire error, never anything else."""
+        with pytest.raises((FrameFormatError, SnapshotFormatError)):
+            decode_snapshot(decode_result("export_cache", answer))
 
 
 # --------------------------------------------------------------------- #
