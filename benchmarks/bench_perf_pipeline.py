@@ -14,15 +14,6 @@ An LP-level microbenchmark separately compares rebuild-everything
 constraint assembly (one fresh :class:`ObfuscationLP` per solve, the
 seed's behaviour) against the incremental structure-reuse path.
 
-A second microbenchmark (``lp_warm_start_s``) runs at the paper's
-per-sub-tree scale — K=49 locations, graph-approximation constraints —
-and times a fresh-LP-per-solve cold loop against a single warm
-:class:`~repro.core.solver.SolverSession` absorbing every solve.  The
-section records which backend actually ran (``highs-native`` where the
-``repro[native]`` extra is installed, ``scipy`` otherwise), which
-``ci_gate.py`` uses to decide whether the ≥5× native warm-start
-improvement gate applies.
-
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_perf_pipeline.py -s
@@ -43,7 +34,6 @@ import pytest
 
 from repro.core.lp import ObfuscationLP
 from repro.core.objective import QualityLossModel, TargetDistribution
-from repro.core.solver import native_available
 from repro.geometry.haversine import LatLng
 from repro.core.graphapprox import HexNeighborhoodGraph
 from repro.server.engine import ForestEngine, ServerConfig
@@ -145,48 +135,6 @@ def test_perf_pipeline_speedups():
     _, lp_cold_s = _timed(lp_cold)
     _, lp_incremental_s = _timed(lp_incremental)
 
-    # Warm-start microbenchmark at paper per-sub-tree scale: K=49 locations
-    # (NR_TARGET), graph-approximation constraints.  Cold = one fresh LP
-    # (fresh structure, fresh session) per solve; warm = one ObfuscationLP
-    # whose single SolverSession absorbs the whole solve sequence — on the
-    # native backend every solve after the first re-starts dual simplex
-    # from the retained optimal basis.
-    all_leaves = engine.tree.leaves()
-    warm_node_ids = [leaf.node_id for leaf in all_leaves]
-    warm_centers = [leaf.center.as_tuple() for leaf in all_leaves]
-    warm_graph = HexNeighborhoodGraph(engine.tree.grid, [leaf.cell for leaf in all_leaves])
-    warm_distances = warm_graph.euclidean_distance_matrix()
-    warm_constraints = warm_graph.constraint_set()
-    warm_targets = TargetDistribution.sample_from_centers(warm_centers, 10, seed=2)
-    warm_quality = QualityLossModel(warm_centers, warm_targets)
-    warm_solves = 6
-
-    def lp_warm_cold():
-        for _ in range(warm_solves):
-            ObfuscationLP(
-                warm_node_ids,
-                warm_distances,
-                warm_quality,
-                EPSILON,
-                constraint_set=warm_constraints,
-            ).solve_nonrobust()
-
-    warm_lp = ObfuscationLP(
-        warm_node_ids,
-        warm_distances,
-        warm_quality,
-        EPSILON,
-        constraint_set=warm_constraints,
-    )
-
-    def lp_warm():
-        for _ in range(warm_solves):
-            warm_lp.solve_nonrobust()
-
-    _, lp_warm_cold_s = _timed(lp_warm_cold)
-    _, lp_warm_s = _timed(lp_warm)
-    warm_backend = warm_lp.session().backend
-
     payload = {
         "workload": {
             "tree_height": TREE_HEIGHT,
@@ -211,15 +159,6 @@ def test_perf_pipeline_speedups():
             "structure_reuse": lp_incremental_s,
             "speedup": lp_cold_s / lp_incremental_s if lp_incremental_s else float("inf"),
         },
-        "lp_warm_start_s": {
-            "num_locations": len(warm_node_ids),
-            "solves": warm_solves,
-            "backend": warm_backend,
-            "native_available": native_available(),
-            "rebuild_every_solve": lp_warm_cold_s,
-            "warm": lp_warm_s,
-            "speedup": lp_warm_cold_s / lp_warm_s if lp_warm_s else float("inf"),
-        },
         "matrix_cache_stats": engine.matrix_cache.stats.as_dict(),
         "lp_cache_stats": engine.lp_cache.stats.as_dict(),
         "cold_forest_solves": cold_solves,
@@ -228,14 +167,7 @@ def test_perf_pipeline_speedups():
     print(f"\nwrote {RESULT_PATH}")
     print(json.dumps(payload["forest_generation_s"], indent=2))
     print(json.dumps(payload["speedup_vs_cold"], indent=2))
-    print(json.dumps(payload["lp_warm_start_s"], indent=2))
 
     # Acceptance: warm forest generation is at least 2x faster than cold.
     assert payload["speedup_vs_cold"]["warm_matrix_cache"] >= 2.0
     assert payload["speedup_vs_cold"]["warm_forest_cache"] >= 2.0
-    # Acceptance (native only): the warm-started native backend beats the
-    # rebuild-every-solve loop by >= 5x at K=49.  The scipy fallback has no
-    # warm path to measure, so there the section records the numbers and
-    # the improvement gate in ci_gate.py skips with a note.
-    if warm_backend == "highs-native":
-        assert payload["lp_warm_start_s"]["speedup"] >= 5.0

@@ -11,9 +11,6 @@ Extras:
   the hard per-test timeouts the stress jobs use), hypothesis for the
   property-based wire fuzzers, and ruff for the lint gate.
 * ``repro[bench]`` — the benchmark harness dependencies.
-* ``repro[native]`` — the native HiGHS bindings (``highspy``) enabling the
-  warm-started LP solver backend (``solver_backend="highs-native"``);
-  everything falls back to scipy ``linprog`` without it.
 * ``repro[loadgen]`` — the trace-replay harness (``python -m
   repro.loadgen``).  Deliberately empty: the fleet simulator, online
   adversary, SLO reports and terminal dashboard are pure stdlib + the core
@@ -33,10 +30,6 @@ TEST_REQUIRES = [
 BENCH_REQUIRES = [
     "pytest>=7",
     "pytest-benchmark>=4",
-]
-
-NATIVE_REQUIRES = [
-    "highspy>=1.7",
 ]
 
 #: The loadgen harness adds no dependencies beyond the core install; the
@@ -61,7 +54,6 @@ setup(
     extras_require={
         "test": TEST_REQUIRES,
         "bench": BENCH_REQUIRES,
-        "native": NATIVE_REQUIRES,
         "loadgen": LOADGEN_REQUIRES,
     },
 )

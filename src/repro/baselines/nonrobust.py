@@ -40,9 +40,6 @@ class NonRobustLPMechanism(ObfuscationMechanism):
         efficient O(K²) formulation).
     solver_method:
         HiGHS method, spelled as ``linprog`` spells it.
-    solver_backend:
-        Solver engine (``"auto"``, ``"scipy"`` or ``"highs-native"``; see
-        :mod:`repro.core.solver`).
     structure:
         Optional shared :class:`~repro.core.lp.ConstraintStructure` (e.g.
         one structure reused across every point of an ε sweep).
@@ -59,7 +56,6 @@ class NonRobustLPMechanism(ObfuscationMechanism):
         *,
         constraint_set: Optional[GeoIndConstraintSet] = None,
         solver_method: str = "highs",
-        solver_backend: str = "auto",
         structure: Optional[ConstraintStructure] = None,
         level: int = 0,
     ) -> None:
@@ -72,7 +68,6 @@ class NonRobustLPMechanism(ObfuscationMechanism):
             constraint_set=constraint_set,
             level=level,
             structure=structure,
-            solver_backend=solver_backend,
         )
         self._solver_method = solver_method
         self._solution: Optional[LPSolution] = None

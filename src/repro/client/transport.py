@@ -151,9 +151,9 @@ class HTTPTransport:
     def diagnostics(self) -> Dict[str, object]:
         """``GET /admin/diagnostics``: engine cache + LP-solver diagnostics.
 
-        The ``"solver"`` block carries the aggregate warm-start counters
-        (backend, warm vs cold solves, basis-reuse hits, per-stage time
-        totals), summed across shards when the server runs a pool.
+        The ``"solver"`` block carries the aggregate solve count and
+        per-stage time totals, summed across shards when the server runs a
+        pool.
         """
         return self._get("/admin/diagnostics")
 

@@ -9,9 +9,8 @@ privacy budget ε'_{i,j} (Eq. 15).  Both are instances of the same LP; the
 only difference is the effective ε used per pair, so one builder serves
 both, taking an optional reserved-privacy-budget matrix.
 
-The LP is solved through a pluggable :class:`~repro.core.solver.SolverSession`
-(scipy's bundled HiGHS, bit-identical to ``linprog``, or the warm-started
-native HiGHS backend when :mod:`highspy` is installed — see
+The LP is solved through a :class:`~repro.core.solver.SolverSession` on
+scipy's bundled HiGHS, bit-identical to ``linprog`` (see
 :mod:`repro.core.solver`).  Constraints are assembled as sparse matrices:
 with the graph approximation the problem has ``K²`` variables, ``K``
 equality rows and ``~24·K·K`` inequality rows — a few tens of thousands of
@@ -31,10 +30,9 @@ Algorithm 1 makes every later iteration solve the same LP, and once every
 pair budget clamps the robust LP no longer depends on ε or δ.  An optional
 LP cache (the serving engine's ``lp_cache``) maps a digest of what defines
 the LP — K, the constraint pairs, the objective, the clamped per-pair
-factors, the solver method and the session backend — to the solver's
-``x``.  It is consulted only when the session's solves are history-free
-(:attr:`~repro.core.solver.SolverSession.history_free`), so a hit returns
-the bits the solver would have returned.
+factors and the solver method — to the solver's ``x``.  Every solve is
+cold, so its ``x`` is a function of the LP alone and a hit returns the bits
+the solver would have returned.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from repro.core.exceptions import InfeasibleMatrixError
 from repro.core.geoind import GeoIndConstraintSet, all_pairs_constraints
 from repro.core.matrix import ObfuscationMatrix
 from repro.core.objective import QualityLossModel
-from repro.core.solver import RawSolution, SolverSession, create_session
+from repro.core.solver import RawSolution, SolverSession
 from repro.utils.timing import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only; pipeline imports core
@@ -163,7 +161,7 @@ class LPSolution:
     status:
         Solver status string (``"optimal"`` on success).
     solve_time_s:
-        Wall-clock seconds spent inside the backend's solve call (the
+        Wall-clock seconds spent inside the solver's solve call (the
         ``solve`` stage of ``diagnostics["solve_breakdown_s"]``).
     num_variables, num_inequality_constraints, num_equality_constraints:
         Problem dimensions, used by the Fig. 10 experiments.
@@ -205,17 +203,12 @@ class ObfuscationLP:
         structure shared across every point of an ε/δ sweep over the same
         location set).  When omitted, a structure is built lazily on the
         first solve and reused by later solves of this instance.
-    solver_backend:
-        ``"auto"`` (default), ``"scipy"`` or ``"highs-native"`` — see
-        :mod:`repro.core.solver`.  ``auto`` uses the warm-started native
-        HiGHS backend when :mod:`highspy` is installed and the solver
-        method is simplex-class, falling back to scipy otherwise.
     session:
         Optional pre-built :class:`~repro.core.solver.SolverSession` to
-        reuse (e.g. one per worker process, shared with the structure
+        reuse (e.g. one per worker thread, shared with the structure
         across every point of a sweep).  When omitted, a session is
         created lazily on the first solve and reused by later solves of
-        this instance — which is what warm-starts Algorithm 1.
+        this instance, so the stacked pattern is bound once.
     lp_cache:
         Optional :class:`~repro.pipeline.cache.MatrixCache` of solutions
         keyed by LP content (see the module docstring), shared by every
@@ -232,7 +225,6 @@ class ObfuscationLP:
         constraint_set: Optional[GeoIndConstraintSet] = None,
         level: int = 0,
         structure: Optional[ConstraintStructure] = None,
-        solver_backend: str = "auto",
         session: Optional[SolverSession] = None,
         lp_cache: Optional["MatrixCache"] = None,
     ) -> None:
@@ -267,7 +259,6 @@ class ObfuscationLP:
                 )
             self._structure = structure
             self._structure_shared = True
-        self.solver_backend = str(solver_backend)
         self._session: Optional[SolverSession] = session
         self._session_shared = session is not None
         self._lp_cache = lp_cache
@@ -293,10 +284,10 @@ class ObfuscationLP:
             self._structure = ConstraintStructure(self.size, self.constraint_set)
         return self._structure
 
-    def session(self, solver_method: str = "highs") -> SolverSession:
-        """The (lazily built) solver session carrying warm state across solves."""
+    def session(self) -> SolverSession:
+        """The (lazily built) solver session, reused across solves."""
         if self._session is None:
-            self._session = create_session(self.solver_backend, solver_method=solver_method)
+            self._session = SolverSession()
         return self._session
 
     def effective_epsilons(self, reserved_budget: Optional[np.ndarray] = None) -> np.ndarray:
@@ -335,14 +326,14 @@ class ObfuscationLP:
         factors = np.exp(self.effective_epsilons(reserved_budget) * distances)
         return self.structure.inequality_matrix(factors)
 
-    def _lp_key(self, objective: np.ndarray, factors: np.ndarray, solver_method: str, backend: str) -> str:
+    def _lp_key(self, objective: np.ndarray, factors: np.ndarray, solver_method: str) -> str:
         """Digest of everything that defines the LP a session is handed.
 
         The constraint pattern and right-hand sides are functions of K and
         the pairs, and the coefficients of the per-pair factors, so these
         inputs fix the LP byte for byte.
         """
-        digest = hashlib.blake2b(f"{backend}|{solver_method}|{self.size}".encode(), digest_size=20)
+        digest = hashlib.blake2b(f"{solver_method}|{self.size}".encode(), digest_size=20)
         for array in (self.constraint_set.pairs, objective, factors):
             array = np.ascontiguousarray(array)
             digest.update(f"|{array.dtype.str}{array.shape}|".encode())
@@ -366,12 +357,12 @@ class ObfuscationLP:
     ) -> LPSolution:
         """Solve the LP and return the optimal obfuscation matrix.
 
-        With an LP cache and a history-free session, the LP's digest is
-        looked up first; a hit skips the coefficient refresh and the solver
-        call and takes the cached ``x``, and a successful solve is stored.
-        Every step after the solver (the clip, the all-zero-row refusal and
-        the matrix validation) runs on either ``x``.  Failed solves are not
-        cached.  ``diagnostics["lp_cache_hit"]`` says which path ran.
+        With an LP cache, the LP's digest is looked up first; a hit skips
+        the coefficient refresh and the solver call and takes the cached
+        ``x``, and a successful solve is stored.  Every step after the
+        solver (the clip, the all-zero-row refusal and the matrix
+        validation) runs on either ``x``.  Failed solves are not cached.
+        ``diagnostics["lp_cache_hit"]`` says which path ran.
 
         Parameters
         ----------
@@ -382,9 +373,7 @@ class ObfuscationLP:
         delta:
             Recorded on the produced matrix (provenance only).
         solver_method:
-            HiGHS method, spelled as ``linprog`` spells it, used verbatim
-            by the scipy backend and ignored by the native backend (which
-            always runs dual simplex — the warm-startable algorithm).
+            HiGHS method, spelled as ``linprog`` spells it.
 
         Raises
         ------
@@ -396,18 +385,17 @@ class ObfuscationLP:
         objective = self.quality_model.objective_vector()
         structure = self.structure
         structure_was_fresh = structure.refresh_count == 0
-        session = self.session(solver_method)
-        cache = self._lp_cache if session.history_free else None
+        cache = self._lp_cache
         with Timer() as refresh_timer:
             epsilons, clamped_pairs = self._effective_epsilons(reserved_budget)
             factors = np.exp(epsilons * self.constraint_set.distances_km)
-            key = None if cache is None else self._lp_key(objective, factors, solver_method, session.backend)
+            key = None if cache is None else self._lp_key(objective, factors, solver_method)
             raw: Optional[RawSolution] = None if cache is None else cache.get(key)
             if raw is None:
                 a_ub = structure.inequality_matrix(factors)
         cache_hit = raw is not None
         if not cache_hit:
-            raw = session.solve(
+            raw = self.session().solve(
                 objective,
                 a_ub,
                 structure.b_ub,
@@ -463,13 +451,9 @@ class ObfuscationLP:
             diagnostics={
                 "lp_cache_hit": cache_hit,
                 "clamped_pairs": clamped_pairs,
-                "solver_backend": session.backend,
                 "solver_status": raw.status,
                 "scipy_status": _int_or_none(raw.status),
                 "iterations": raw.iterations,
-                "warm_start": raw.warm,
-                "basis_reused": raw.basis_reused,
-                "cold_retry": raw.cold_retry,
                 "solve_breakdown_s": breakdown,
                 "matrix_build_time_s": refresh_timer.elapsed,
                 "structure_build_time_s": structure.build_time_s,
@@ -490,14 +474,14 @@ _NO_SOLVER_TIME = {"presolve": 0.0, "build": 0.0, "solve": 0.0, "extract": 0.0}
 
 
 def _cacheable(raw: RawSolution) -> RawSolution:
-    """What the LP cache keeps of a solve: its answer, read-only, without solver history."""
+    """What the LP cache keeps of a solve: its answer, read-only, without stage times."""
     x = np.array(raw.x, dtype=float)
     x.flags.writeable = False
-    return replace(raw, x=x, warm=False, basis_reused=False, cold_retry=False, timings_s=_NO_SOLVER_TIME)
+    return replace(raw, x=x, timings_s=_NO_SOLVER_TIME)
 
 
 def _int_or_none(status: str) -> Optional[int]:
-    """Numeric scipy status when the backend reports one (kept for dashboards)."""
+    """Numeric scipy status when the solver reports one (kept for dashboards)."""
     try:
         return int(status)
     except (TypeError, ValueError):

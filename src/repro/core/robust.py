@@ -226,21 +226,15 @@ class RobustMatrixGenerator:
         Passed through to :func:`reserved_privacy_budget_approx`.
     solver_method:
         HiGHS method, spelled as ``linprog`` spells it, used for every
-        solve (ignored by the native backend, which always runs dual
-        simplex).
-    solver_backend:
-        Solver backend choice (``"auto"`` / ``"scipy"`` /
-        ``"highs-native"``); see :mod:`repro.core.solver`.  One
-        :class:`~repro.core.solver.SolverSession` is reused across all
-        ``t + 1`` solves of Algorithm 1, so the native backend re-solves
-        warm from the previous iteration's optimal basis.
+        solve.  One :class:`~repro.core.solver.SolverSession` is reused
+        across all ``t + 1`` solves of Algorithm 1.
     structure:
         Optional shared :class:`~repro.core.lp.ConstraintStructure`; when
         omitted the LP builds (and reuses) its own across the ``t``
         iterations.
     session:
         Optional shared :class:`~repro.core.solver.SolverSession` (e.g.
-        the pipeline executor's per-worker session); when omitted the LP
+        the pipeline executor's per-thread session); when omitted the LP
         creates its own.
     lp_cache:
         Optional LP solution cache, passed to
@@ -264,7 +258,6 @@ class RobustMatrixGenerator:
         rpb_method: Literal["approx", "exact"] = "approx",
         basis_row: BasisRow = "real",
         solver_method: str = "highs",
-        solver_backend: str = "auto",
         structure: Optional["ConstraintStructure"] = None,
         session: Optional["SolverSession"] = None,
         level: int = 0,
@@ -289,7 +282,6 @@ class RobustMatrixGenerator:
             constraint_set=constraint_set,
             level=level,
             structure=structure,
-            solver_backend=solver_backend,
             session=session,
             lp_cache=lp_cache,
         )

@@ -62,12 +62,8 @@ class ExperimentConfig:
     #: tractable while preserving the "wider range ⇒ higher loss" comparison.
     privacy_level_choices: Tuple[Tuple[int, int], ...] = ((2, 1), (1, 0))
     #: LP solver and RNG seed.  ``solver_method`` is the HiGHS method,
-    #: spelled as ``linprog`` spells it.  ``solver_backend`` picks the solver
-    #: engine: ``"auto"`` uses the warm-started native HiGHS backend when
-    #: ``highspy`` is installed and the method is simplex-class, else
-    #: scipy's bundled HiGHS (see :mod:`repro.core.solver`).
+    #: spelled as ``linprog`` spells it.
     solver_method: str = "highs-ipm"
-    solver_backend: str = "auto"
     seed: int = 20230331
     #: Worker processes for independent LP generations (1 = serial; results
     #: are identical for every value — see repro.pipeline.executor).

@@ -75,7 +75,6 @@ def run_convergence_experiment(
             delta,
             constraint_set=location_set.constraint_set,
             max_iterations=iterations,
-            solver_backend=config.solver_backend,
         )
         generation = generator.generate()
         history = generation.objective_history

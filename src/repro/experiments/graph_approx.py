@@ -114,7 +114,6 @@ def run_runtime_experiment(
                 delta,
                 constraint_set=constraint_set,
                 max_iterations=iterations,
-                solver_backend=config.solver_backend,
             )
             generation = generator.generate()
             timings[label] = float(sum(generation.solve_times_s))

@@ -52,7 +52,6 @@ def _recalculation_time(
         delta,
         constraint_set=location_set.constraint_set,
         max_iterations=iterations,
-        solver_backend=config.solver_backend,
     )
     generation = generator.generate()
     return float(sum(generation.solve_times_s)), generation.matrix

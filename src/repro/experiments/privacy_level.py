@@ -94,7 +94,6 @@ def run_privacy_level_experiment(
                     constraint_set=location_set.constraint_set,
                     max_iterations=config.robust_iterations,
                     solver_method=config.solver_method,
-                    solver_backend=config.solver_backend,
                     structure=structure,
                 )
                 generation = generator.generate()

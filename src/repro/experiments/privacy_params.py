@@ -81,7 +81,6 @@ def run_privacy_params_experiment(
             epsilon,
             constraint_set=location_set.constraint_set,
             solver_method=config.solver_method,
-            solver_backend=config.solver_backend,
             structure=structure,
         )
         nonrobust_loss = location_set.quality_model.expected_loss(baseline.matrix)
@@ -138,7 +137,6 @@ def _generate_sweep(
                 constraint_description=location_set.constraint_set.description,
                 max_iterations=config.robust_iterations,
                 solver_method=config.solver_method,
-                solver_backend=config.solver_backend,
             )
             for epsilon, delta in sweep
         ]
@@ -153,7 +151,6 @@ def _generate_sweep(
             constraint_set=location_set.constraint_set,
             max_iterations=config.robust_iterations,
             solver_method=config.solver_method,
-            solver_backend=config.solver_backend,
             structure=structure,
         ).generate()
         for epsilon, delta in sweep

@@ -69,7 +69,6 @@ def _generate_matrices(
         config.epsilon,
         constraint_set=location_set.constraint_set,
         solver_method=config.solver_method,
-        solver_backend=config.solver_backend,
     )
     matrices["non-robust"] = baseline.matrix
     for delta in deltas:
@@ -81,7 +80,6 @@ def _generate_matrices(
             delta,
             constraint_set=location_set.constraint_set,
             max_iterations=config.robust_iterations,
-            solver_backend=config.solver_backend,
         )
         matrices[f"CORGI(delta={delta})"] = generator.generate().matrix
     return matrices

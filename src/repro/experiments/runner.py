@@ -120,8 +120,6 @@ def serve(config: ExperimentConfig, args: argparse.Namespace) -> int:
         num_targets=config.num_targets,
         robust_iterations=config.robust_iterations,
         solver_method=config.solver_method,
-        solver_backend=config.solver_backend,
-        max_workers=config.max_workers,
     )
     pool: Optional[EnginePool] = None
     remote_shards = None
@@ -237,21 +235,15 @@ def main(argv: Optional[list] = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for independent LP generations (default 1 = serial; "
-        "results are identical for every value)",
+        help="worker processes for the experiments' independent LP generations "
+        "(default 1 = serial; results are identical for every value; serve mode "
+        "takes its process parallelism from --shards)",
     )
     parser.add_argument(
         "--only",
         nargs="*",
         default=None,
         help=f"subset of experiments to run (choices: {', '.join(EXPERIMENTS)})",
-    )
-    parser.add_argument(
-        "--solver-backend",
-        choices=("auto", "scipy", "highs-native"),
-        default=None,
-        help="LP solver engine (default auto: warm-started native HiGHS when "
-        "highspy is installed and the method is simplex-class, else scipy)",
     )
     parser.add_argument("--output", default=None, help="write results as JSON to this path")
     parser.add_argument("--verbose", action="store_true", help="enable debug logging")
@@ -380,8 +372,6 @@ def main(argv: Optional[list] = None) -> int:
         if args.workers < 1:
             parser.error("--workers must be >= 1")
         config = config.derive(max_workers=args.workers)
-    if args.solver_backend is not None:
-        config = config.derive(solver_backend=args.solver_backend)
     if args.shards < 1:
         parser.error("--shards must be >= 1")
     if args.replication_port is not None and args.replicate_from is not None:

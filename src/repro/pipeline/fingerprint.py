@@ -124,7 +124,6 @@ def problem_fingerprint(
     rpb_method: str,
     max_iterations: int,
     solver_method: str,
-    extra: Optional[Mapping[str, object]] = None,
 ) -> str:
     """Canonical fingerprint of one robust-generation problem.
 
@@ -143,5 +142,4 @@ def problem_fingerprint(
         rpb_method=str(rpb_method),
         max_iterations=int(max_iterations),
         solver_method=str(solver_method),
-        extra=dict(extra) if extra else {},
     )

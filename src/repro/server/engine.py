@@ -3,10 +3,12 @@
 This module is the *computation* half of the server-side split.  A
 :class:`ForestEngine` knows how to turn ``(privacy_level, δ, ε)`` into a
 :class:`~repro.server.privacy_forest.PrivacyForest` — iterating over every
-node at the privacy level, fingerprinting each per-sub-tree problem,
+node at the privacy level, fingerprinting each per-sub-tree problem, and
 sharing one :class:`~repro.core.lp.ConstraintStructure` across sibling
-sub-trees with congruent geometry, and fanning independent generations out
-across worker processes.  Three LRU-bounded, content-addressed
+sub-trees with congruent geometry.  Sub-trees are generated serially on the
+request thread; concurrent requests for distinct keys build in parallel
+threads, and an :class:`~repro.service.pool.EnginePool` adds process
+parallelism across shards.  Three LRU-bounded, content-addressed
 :class:`~repro.pipeline.cache.MatrixCache` instances serve repeats:
 
 * ``forest_cache`` — whole forests by forest fingerprint
@@ -14,9 +16,8 @@ across worker processes.  Three LRU-bounded, content-addressed
 * ``matrix_cache`` — each sub-tree's served matrix by problem fingerprint
   (:data:`MATRIX_CACHE_ENTRIES`);
 * ``lp_cache`` — each LP's solution by a digest of the LP itself
-  (:data:`LP_CACHE_ENTRIES`), consulted inside Algorithm 1 on the serial
-  path when the solver session is history-free (the scipy backend; the
-  warm-started native backend bypasses it).
+  (:data:`LP_CACHE_ENTRIES`), consulted before every LP solve of
+  Algorithm 1.
 
 A full :meth:`ForestEngine.invalidate` clears all three; a per-level one
 drops only that level's forests.
@@ -47,7 +48,7 @@ from repro.core.graphapprox import HexNeighborhoodGraph, Weighting
 from repro.core.matrix import ObfuscationMatrix
 from repro.core.objective import QualityLossModel, TargetDistribution
 from repro.core.robust import BasisRow, RobustGenerationResult
-from repro.core.solver import HIGHS_METHODS, KNOWN_BACKENDS, native_available, resolve_backend
+from repro.core.solver import HIGHS_METHODS
 from repro.pipeline.cache import MatrixCache
 from repro.pipeline.executor import RobustGenerationTask, run_robust_task_groups
 from repro.pipeline.fingerprint import (
@@ -106,20 +107,13 @@ class ServerConfig:
     solver_method:
         HiGHS method, spelled as ``linprog`` spells it (one of
         :data:`~repro.core.solver.HIGHS_METHODS`), threaded through every
-        LP solve (the native backend ignores it and always runs dual
-        simplex).
+        LP solve.
     solver_backend:
-        LP solver backend: ``"auto"`` (default — warm-started native HiGHS
-        when :mod:`highspy` is installed and the solver method is
-        simplex-class, scipy otherwise), ``"scipy"``, or ``"highs-native"``
-        (errors at validation where :mod:`highspy` is absent).  Threaded
-        through every LP solve; each worker process keeps one persistent
-        solver session per constraint structure.
+        The LP solver; ``"scipy"`` (scipy's bundled HiGHS) is the only
+        value.  It is folded into the forest fingerprint and the store
+        namespace like every other field.
     target_seed:
         Seed for sampling the default target distribution.
-    max_workers:
-        Worker processes for per-sub-tree generation fan-out; 1 = serial.
-        Results are identical for every value.
 
     Mutation semantics
     ------------------
@@ -128,7 +122,7 @@ class ServerConfig:
     Mutating ``engine.config`` itself is safe for every result-affecting
     field: the forest cache key folds all of them in, and the derived
     default target distribution is refreshed when ``num_targets`` /
-    ``target_seed`` change.  ``max_workers`` takes effect on the next build.
+    ``target_seed`` change.
     """
 
     epsilon: float = 15.0
@@ -139,9 +133,8 @@ class ServerConfig:
     rpb_method: str = "approx"
     rpb_basis_row: BasisRow = "real"
     solver_method: str = "highs"
-    solver_backend: str = "auto"
+    solver_backend: str = "scipy"
     target_seed: int = 13
-    max_workers: int = 1
 
     def validate(self) -> None:
         """Raise :class:`ValueError` for inconsistent settings."""
@@ -155,17 +148,8 @@ class ServerConfig:
             raise ValueError(f"unknown rpb_method {self.rpb_method!r}")
         if self.solver_method not in HIGHS_METHODS:
             raise ValueError(f"unknown solver_method {self.solver_method!r}; known: {HIGHS_METHODS}")
-        if self.solver_backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"unknown solver_backend {self.solver_backend!r}; known: {KNOWN_BACKENDS}"
-            )
-        if self.solver_backend == "highs-native" and not native_available():
-            raise ValueError(
-                "solver_backend='highs-native' requires the highspy package "
-                "(repro[native] extra); use 'auto' for detect-with-fallback"
-            )
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
+        if self.solver_backend != "scipy":
+            raise ValueError(f"unknown solver_backend {self.solver_backend!r}; the only solver is 'scipy'")
 
 
 def validate_prior_masses(priors: Mapping[str, float]) -> Dict[str, float]:
@@ -230,10 +214,6 @@ class ForestEngine:
         self._structure_stats: Dict[str, int] = {"groups": 0, "builds": 0, "reuses": 0}
         self._solver_stats: Dict[str, object] = {
             "solves": 0,
-            "warm_solves": 0,
-            "cold_solves": 0,
-            "basis_reuse_hits": 0,
-            "cold_retries": 0,
             "time_s": {"presolve": 0.0, "build": 0.0, "solve": 0.0, "extract": 0.0, "refresh": 0.0},
         }
         self.stopwatch = Stopwatch()
@@ -250,6 +230,10 @@ class ForestEngine:
         self._active_builds = 0
         self._prior_writers = 0
         self._priors_write_lock = threading.Lock()
+        # Bumped (under the state lock) once a publish_priors has installed
+        # its priors; the service's single-flight gate lets a request join
+        # only a build led under the generation it read.
+        self.priors_generation = 0
 
     # ------------------------------------------------------------------ #
     # Target workload
@@ -295,11 +279,12 @@ class ForestEngine:
             np.asarray(targets.locations, dtype=float), targets.probabilities
         )
 
-    #: Config fields that do not affect the generated forest (execution
-    #: strategy only).  Everything else is fingerprinted, so a future
-    #: result-affecting field is keyed automatically — forgetting to update
-    #: this list can only over-invalidate, never serve a stale forest.
-    _NON_RESULT_CONFIG_FIELDS = frozenset({"epsilon", "max_workers"})
+    #: Config fields that do not enter the forest key as config (``epsilon``
+    #: enters as the per-request effective value).  Everything else is
+    #: fingerprinted, so a future result-affecting field is keyed
+    #: automatically — forgetting to update this list can only
+    #: over-invalidate, never serve a stale forest.
+    _NON_RESULT_CONFIG_FIELDS = frozenset({"epsilon"})
 
     def _forest_fingerprint(self, privacy_level: int, delta: int, epsilon: float) -> str:
         """Cache key folding the full effective configuration.
@@ -435,14 +420,13 @@ class ForestEngine:
             )
         logger.info(
             "generated privacy forest: level=%d delta=%d epsilon=%.2f subtrees=%d "
-            "(%d cached, %d solved, %d workers, %.2f s)",
+            "(%d cached, %d solved, %.2f s)",
             privacy_level,
             delta,
             epsilon,
             len(forest),
             len(forest) - len(pending),
             len(pending),
-            self.config.max_workers,
             elapsed,
         )
         with self._state_lock:
@@ -516,7 +500,10 @@ class ForestEngine:
                 with self._state_lock:
                     self._prior_writers -= 1
                     self._build_cond.notify_all()
-        return self.invalidate(None)
+        dropped = self.invalidate(None)
+        with self._state_lock:
+            self.priors_generation += 1
+        return dropped
 
     # ------------------------------------------------------------------ #
     # Warm hand-off hooks (cache export / import)
@@ -600,34 +587,22 @@ class ForestEngine:
     def _accumulate_solver_stats(self, results: List[RobustGenerationResult]) -> None:
         """Fold per-solve LP diagnostics into the engine-wide solver aggregates.
 
-        Solutions ride back from worker processes inside each
-        :class:`RobustGenerationResult`, so warm/cold counts and the stage
-        breakdown survive the process boundary; matrix-cache and LP-cache
-        hits run no solver and contribute nothing.
+        Matrix-cache and LP-cache hits run no solver and contribute nothing.
         """
-        counters = {"solves": 0, "warm_solves": 0, "cold_solves": 0, "basis_reuse_hits": 0, "cold_retries": 0}
+        solves = 0
         stage_times: Dict[str, float] = {}
         for result in results:
             for solution in result.solutions:
                 diagnostics = solution.diagnostics
                 if diagnostics.get("lp_cache_hit"):
                     continue
-                counters["solves"] += 1
-                if diagnostics.get("warm_start"):
-                    counters["warm_solves"] += 1
-                else:
-                    counters["cold_solves"] += 1
-                if diagnostics.get("basis_reused"):
-                    counters["basis_reuse_hits"] += 1
-                if diagnostics.get("cold_retry"):
-                    counters["cold_retries"] += 1
+                solves += 1
                 for stage, elapsed in (diagnostics.get("solve_breakdown_s") or {}).items():
                     stage_times[stage] = stage_times.get(stage, 0.0) + float(elapsed)
-        if not counters["solves"]:
+        if not solves:
             return
         with self._state_lock:
-            for name, value in counters.items():
-                self._solver_stats[name] = int(self._solver_stats[name]) + value
+            self._solver_stats["solves"] = int(self._solver_stats["solves"]) + solves
             time_s = self._solver_stats["time_s"]
             for stage, elapsed in stage_times.items():
                 time_s[stage] = time_s.get(stage, 0.0) + elapsed
@@ -638,9 +613,7 @@ class ForestEngine:
         Tasks are grouped by :func:`structure_fingerprint`; each group shares
         one :class:`~repro.core.lp.ConstraintStructure` (the ROADMAP lever —
         sibling hexagon sub-trees at one level are usually all congruent).
-        When fanning out, groups are split into chunks so structure sharing
-        never *reduces* parallelism below what ungrouped execution had: each
-        worker then builds one structure for its chunk.  Results are in task
+        Every LP goes through the engine's LP cache.  Results are in task
         order and identical to unshared serial execution.
         """
         if not tasks:
@@ -650,28 +623,20 @@ class ForestEngine:
             key = structure_fingerprint(len(task.node_ids), task.constraint_pairs)
             groups.setdefault(key, []).append(index)
 
-        index_chunks: List[List[int]] = []
-        max_workers = self.config.max_workers
-        chunk_size = len(tasks) if max_workers <= 1 else max(1, math.ceil(len(tasks) / max_workers))
-        for indices in groups.values():
-            for offset in range(0, len(indices), chunk_size):
-                index_chunks.append(indices[offset : offset + chunk_size])
-
-        chunk_results = run_robust_task_groups(
-            [[tasks[index] for index in chunk] for chunk in index_chunks],
-            max_workers=max_workers,
+        group_results = run_robust_task_groups(
+            [[tasks[index] for index in indices] for indices in groups.values()],
             lp_cache=self.lp_cache,
         )
         results: List[Optional[RobustGenerationResult]] = [None] * len(tasks)
-        for chunk, chunk_result in zip(index_chunks, chunk_results):
-            for index, result in zip(chunk, chunk_result):
+        for indices, group_result in zip(groups.values(), group_results):
+            for index, result in zip(indices, group_result):
                 results[index] = result
 
         with self._state_lock:
-            self._structure_stats["groups"] += len(index_chunks)
-            for chunk in index_chunks:
+            self._structure_stats["groups"] += len(groups)
+            for indices in groups.values():
                 constrained = sum(
-                    1 for index in chunk if tasks[index].constraint_pairs is not None
+                    1 for index in indices if tasks[index].constraint_pairs is not None
                 )
                 if constrained:
                     self._structure_stats["builds"] += 1
@@ -715,7 +680,6 @@ class ForestEngine:
             rpb_method=self.config.rpb_method,
             basis_row=self.config.rpb_basis_row,
             solver_method=self.config.solver_method,
-            solver_backend=self.config.solver_backend,
             level=0,
             metadata={"subtree_root": subtree_root_id},
         )
@@ -731,7 +695,6 @@ class ForestEngine:
             rpb_method=str(self.config.rpb_method),
             max_iterations=int(self.config.robust_iterations),
             solver_method=str(self.config.solver_method),
-            extra={"solver_backend": str(self.config.solver_backend)},
         )
         return task, problem_key
 
@@ -769,16 +732,7 @@ class ForestEngine:
                 "lp_stats": self.lp_cache.stats.as_dict(),
                 "structure_sharing": dict(self._structure_stats),
                 "solver": {
-                    "backend_requested": str(self.config.solver_backend),
-                    "backend_resolved": resolve_backend(
-                        self.config.solver_backend,
-                        solver_method=self.config.solver_method,
-                    ),
-                    "native_available": native_available(),
-                    **{
-                        name: (dict(value) if isinstance(value, dict) else value)
-                        for name, value in self._solver_stats.items()
-                    },
+                    "solves": self._solver_stats["solves"],
+                    "time_s": dict(self._solver_stats["time_s"]),
                 },
-                "max_workers": self.config.max_workers,
             }

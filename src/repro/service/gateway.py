@@ -182,13 +182,6 @@ class GatewayConfig:
         Period of the idle-connection heartbeat frames.
     max_subscriptions:
         Distinct keys one connection may subscribe to.
-    executor_workers:
-        Threads in the blocking-build executor; defaults to the service's
-        ``max_in_flight`` so the gateway can never demand more concurrent
-        engine builds than the sync core admits.
-    build_wait_timeout_s:
-        Async follower deadline; defaults to the service's
-        ``build_wait_timeout_s``.
     write_buffer_high:
         When set, clamp the per-connection transport write buffer (and the
         kernel send buffer) to roughly this many bytes, so a peer that
@@ -201,8 +194,6 @@ class GatewayConfig:
     queue_limit: int = 64
     heartbeat_interval_s: float = 10.0
     max_subscriptions: int = 64
-    executor_workers: Optional[int] = None
-    build_wait_timeout_s: Optional[float] = None
     write_buffer_high: Optional[int] = None
 
     def validate(self) -> None:
@@ -213,10 +204,6 @@ class GatewayConfig:
             raise ValueError("heartbeat_interval_s must be positive")
         if self.max_subscriptions < 1:
             raise ValueError("max_subscriptions must be >= 1")
-        if self.executor_workers is not None and self.executor_workers < 1:
-            raise ValueError("executor_workers must be >= 1 when given")
-        if self.build_wait_timeout_s is not None and self.build_wait_timeout_s <= 0:
-            raise ValueError("build_wait_timeout_s must be positive when given")
         if self.write_buffer_high is not None and self.write_buffer_high < 0:
             raise ValueError("write_buffer_high must be >= 0 when given")
 
@@ -241,30 +228,22 @@ class AsyncCORGIService:
     concurrent identical keys share one executor ticket through an async
     single-flight rendezvous (the same leader/follower shape the shard
     layer's ticket map uses), so N held connections refreshing the same key
-    cost one executor slot, not N.  All coroutine methods are loop-confined
-    (call them from one event loop); the executor threads only touch the
-    thread-safe sync service.
+    cost one executor slot, not N.  The executor has the service's
+    ``max_in_flight`` threads, so the gateway can never demand more
+    concurrent engine builds than the sync core admits, and an async
+    follower waits the service's ``build_wait_timeout_s``.  All coroutine
+    methods are loop-confined (call them from one event loop); the executor
+    threads only touch the thread-safe sync service.
     """
 
-    def __init__(
-        self,
-        service: CORGIService,
-        *,
-        max_workers: Optional[int] = None,
-        build_wait_timeout_s: Optional[float] = None,
-    ) -> None:
+    def __init__(self, service: CORGIService) -> None:
         if not isinstance(service, CORGIService):
             service = CORGIService(service)  # type: ignore[arg-type]
         self.service = service
-        workers = max_workers if max_workers is not None else service.config.max_in_flight
         self._executor = ThreadPoolExecutor(
-            max_workers=int(workers), thread_name_prefix="gateway-build"
+            max_workers=service.config.max_in_flight, thread_name_prefix="gateway-build"
         )
-        self.build_wait_timeout_s = float(
-            build_wait_timeout_s
-            if build_wait_timeout_s is not None
-            else service.config.build_wait_timeout_s
-        )
+        self.build_wait_timeout_s = float(service.config.build_wait_timeout_s)
         self._inflight: Dict[RequestKey, _AsyncBuild] = {}
 
     def normalize(self, privacy_level, delta, epsilon=None) -> RequestKey:
@@ -533,11 +512,7 @@ class GatewayServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._async = AsyncCORGIService(
-            self.service,
-            max_workers=self.config.executor_workers,
-            build_wait_timeout_s=self.config.build_wait_timeout_s,
-        )
+        self._async = AsyncCORGIService(self.service)
         try:
             server = await asyncio.start_server(
                 self._handle_connection,

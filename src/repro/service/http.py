@@ -26,9 +26,8 @@ adds routing, status codes and JSON framing, nothing else:
   through the primary's log, never through side writes.
 * ``GET /admin/diagnostics`` — engine cache/solver diagnostics
   (:meth:`CORGIService.diagnostics`): forest/matrix cache stats, structure
-  sharing, and the aggregate LP-solver block (backend, warm vs cold solve
-  counts, basis-reuse hits, per-stage time totals) — summed across shards
-  on a pool.
+  sharing, and the aggregate LP-solver block (solve count and per-stage
+  time totals) — summed across shards on a pool.
 * ``POST /admin/invalidate`` — body ``{"privacy_level": <int|null>}``
   (field optional); drops cached forests — on a sharded
   :class:`~repro.service.pool.EnginePool` across every shard — and answers

@@ -299,7 +299,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         num_targets=config.num_targets,
         robust_iterations=config.robust_iterations,
         solver_method=config.solver_method,
-        solver_backend=config.solver_backend,
     )
     spec = ShardSpec(
         shard_id=args.shard_id,

@@ -229,9 +229,8 @@ def ring_failover_order(
 def _merge_diagnostics(reports: Iterable[Mapping[str, object]]) -> Dict[str, object]:
     """Sum engine diagnostics key by key (pure; the pool's shard merge).
 
-    Numbers add, flags OR, dicts recurse, and strings become the sorted
-    list of distinct values.  Each ``hit_rate`` is recomputed from the
-    summed ``hits`` and ``misses``, so it stays a rate.
+    Numbers add and dicts recurse.  Each ``hit_rate`` is recomputed from
+    the summed ``hits`` and ``misses``, so it stays a rate.
     """
     reports = list(reports)
     merged: Dict[str, object] = {}
@@ -239,12 +238,8 @@ def _merge_diagnostics(reports: Iterable[Mapping[str, object]]) -> Dict[str, obj
         values = [report[name] for report in reports if name in report]
         if isinstance(values[0], Mapping):
             merged[name] = _merge_diagnostics(values)
-        elif isinstance(values[0], bool):
-            merged[name] = any(values)
-        elif isinstance(values[0], (int, float)):
-            merged[name] = sum(values)
         else:
-            merged[name] = sorted({str(value) for value in values})
+            merged[name] = sum(values)
     if "hit_rate" in merged:
         lookups = merged.get("hits", 0) + merged.get("misses", 0)
         merged["hit_rate"] = merged.get("hits", 0) / lookups if lookups else 0.0
@@ -263,8 +258,7 @@ class EnginePool:
     config:
         Engine configuration, shared by every shard (snapshot — mutating
         the caller's object afterwards is inert, exactly like
-        :class:`~repro.server.engine.ForestEngine`).  ``max_workers`` is
-        forced to 1 inside shards: the shards are the parallelism.
+        :class:`~repro.server.engine.ForestEngine`).
     targets:
         Optional explicit service-target distribution, forwarded verbatim.
     num_shards:
@@ -405,6 +399,11 @@ class EnginePool:
         # re-sent when it becomes READY — see _mark_ready.
         self._priors_version = 0
         self._current_priors: Optional[Tuple[Dict[str, float], bool, int]] = None
+        # Bumped after every priors broadcast (local publish, replicated
+        # publish or replication reset) has been answered; the service's
+        # single-flight gate lets a request join only a build led under the
+        # generation it read.
+        self.priors_generation = 0
         # Durable state tier (optional): replay the control log *before*
         # spawning shards, so every shard is stamped with the recovered
         # priors generation and carries the replayed tree priors.
@@ -1867,6 +1866,8 @@ class EnginePool:
                 shard.priors_version = (
                     version if reset else max(shard.priors_version, version)
                 )
+        with self._lifecycle_lock:
+            self.priors_generation += 1
         return answers
 
     # ------------------------------------------------------------------ #
@@ -1906,15 +1907,8 @@ class EnginePool:
         own counters (:meth:`pool_stats`) and slot states.
         """
         answers = self._broadcast("diagnostics", None, timeout_s=timeout_s, partial=True)
-        merged = _merge_diagnostics(answers.values())
-        solver = merged.setdefault("solver", {})
-        solver["backend_requested"] = str(self.config.solver_backend)
-        # Shards may resolve "auto" differently across hosts; the merge
-        # keeps every backend the reporting shards actually use.
-        solver.setdefault("backend_resolved", [])
         return {
-            **merged,
-            "max_workers": self.num_shards,
+            **_merge_diagnostics(answers.values()),
             "pool": {
                 "num_shards": self.num_shards,
                 "local_shards": self.local_shards,

@@ -163,8 +163,8 @@ class ServiceConfig:
 class _InFlightBuild:
     """Rendezvous for one in-progress forest build (single-flight entry).
 
-    ``generation`` is the service's priors generation when the build was
-    led; only requests of the same generation may join it.
+    ``generation`` is the engine's ``priors_generation`` when the build
+    was led; only requests that read the same generation may join it.
     """
 
     __slots__ = ("event", "forest", "error", "followers", "generation")
@@ -215,10 +215,6 @@ class CORGIService:
         self.metrics = ServiceMetrics(self.config.latency_window)
         self._lock = threading.Lock()
         self._inflight: Dict[RequestKey, _InFlightBuild] = {}
-        # Bumped (under self._lock) after every publish_priors returns: a
-        # build led before the publish may have run on the old priors, so a
-        # later request must lead its own build rather than join it.
-        self._generation = 0
         self._pending_leaders = 0
         self._build_slots = threading.BoundedSemaphore(self.config.max_in_flight)
         # Cache-update listeners (the push gateway subscribes here): called
@@ -325,15 +321,20 @@ class CORGIService:
         start = time.perf_counter()
         self.metrics.increment("requests")
         with self._lock:
+            # The engine bumps its priors generation once a publish (local or
+            # replicated) has installed the new priors: a build led before
+            # that may have run on the old priors, so a later request must
+            # lead its own build rather than join it.
+            generation = getattr(self.engine, "priors_generation", 0)
             entry = self._inflight.get(key)
-            if entry is None or entry.generation != self._generation:
+            if entry is None or entry.generation != generation:
                 if self._pending_leaders >= self.config.max_in_flight + self.config.max_queue_depth:
                     self.metrics.increment("rejected")
                     raise ServiceOverloadedError(
                         f"service at capacity: {self.config.max_in_flight} builds in flight "
                         f"and {self.config.max_queue_depth} queued"
                     )
-                entry = _InFlightBuild(self._generation)
+                entry = _InFlightBuild(generation)
                 self._inflight[key] = entry
                 self._pending_leaders += 1
                 leader = True
@@ -496,11 +497,6 @@ class CORGIService:
         :class:`~repro.service.replication.ReplicationRoleError` (HTTP 400).
         """
         dropped = int(self.engine.publish_priors(priors, normalize=normalize))
-        # Bump only once the engine serves the new priors: a build led
-        # between an earlier bump and the publish could still run on the
-        # old priors while carrying the new generation.
-        with self._lock:
-            self._generation += 1
         self.metrics.increment("invalidated", dropped)
         self._notify_update("priors", None)
         return dropped

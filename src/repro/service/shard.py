@@ -33,7 +33,7 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Optional, Tuple
 
@@ -46,7 +46,6 @@ from repro.core.exceptions import (
 )
 from repro.core.matrix import ObfuscationMatrix
 from repro.core.objective import TargetDistribution
-from repro.core.solver import SolverBackendUnavailableError
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.service.handoff import (
     CacheSnapshot,
@@ -143,12 +142,7 @@ class RemoteShardError(CORGIError, RuntimeError):
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything a worker process needs to host an engine replica (picklable).
-
-    ``max_workers`` is forced to 1: shard processes *are* the parallelism,
-    and nested process fan-out inside a daemonic child is not allowed by
-    ``multiprocessing`` anyway.
-    """
+    """Everything a worker process needs to host an engine replica (picklable)."""
 
     shard_id: int
     tree: LocationTree
@@ -159,9 +153,6 @@ class ShardSpec:
     #: replica tracks it through ``set_priors`` ops and uses it to reject
     #: snapshot payloads built under different priors (see ``import_cache``).
     priors_version: int = 0
-
-    def engine_config(self) -> ServerConfig:
-        return replace(self.config, max_workers=1)
 
 
 class ShardOpExecutor:
@@ -202,7 +193,7 @@ class ShardOpExecutor:
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        self.engine = ForestEngine(spec.tree, spec.engine_config(), targets=spec.targets)
+        self.engine = ForestEngine(spec.tree, spec.config, targets=spec.targets)
         self.priors_version = int(spec.priors_version)
 
     def ready_announcement(self) -> Dict[str, object]:
@@ -422,7 +413,6 @@ _ERROR_REGISTRY: Tuple[Tuple[str, type], ...] = (
     ("InfeasibleMatrixError", InfeasibleMatrixError),
     ("PruningError", PruningError),
     ("PrecisionReductionError", PrecisionReductionError),
-    ("SolverBackendUnavailableError", SolverBackendUnavailableError),
     ("ShardUnavailableError", ShardUnavailableError),
     ("RemoteShardError", RemoteShardError),
     ("ValueError", ValueError),

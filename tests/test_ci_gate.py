@@ -100,7 +100,7 @@ def test_missing_fresh_file_fails_and_marks_every_metric(tmp_path):
     assert completed.returncode == 1
     assert "fresh results missing" in completed.stderr
     assert "`forest_generation_s.cold`" in summary
-    assert summary.count("❌ MISSING") == 5  # every BENCH_pipeline gate
+    assert summary.count("❌ MISSING") == 4  # every BENCH_pipeline gate
 
 
 def test_no_summary_env_still_gates(tmp_path):

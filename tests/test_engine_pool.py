@@ -174,9 +174,8 @@ class TestServiceOverPool:
             diagnostics = pool.cache_diagnostics()
         assert diagnostics["pool"]["shards_reporting"] == []
         assert diagnostics["pool"]["drains"] == 1
-        for name in ("forest_entries", "forest_stats", "lp_stats", "structure_sharing"):
+        for name in ("forest_entries", "forest_stats", "lp_stats", "structure_sharing", "solver"):
             assert name not in diagnostics
-        assert diagnostics["solver"]["backend_resolved"] == []
 
     def test_pooled_and_single_process_forests_byte_identical(
         self, pool, small_tree_with_priors
@@ -424,8 +423,7 @@ class TestEngineLPCache:
         cache and still serve exactly the serial, uncached forests."""
         tree = copy.deepcopy(medium_tree)
         priors_from_checkins(tree, synthetic_dataset)
-        # Pinned to scipy: the native backend bypasses the LP cache.
-        config = ServerConfig(epsilon=15.0, num_targets=5, robust_iterations=2, solver_backend="scipy")
+        config = ServerConfig(epsilon=15.0, num_targets=5, robust_iterations=2)
         engine = ForestEngine(tree, config)
         deltas = range(4)
         interval = sys.getswitchinterval()

@@ -34,7 +34,7 @@ from repro.service.gateway import (
     decode_gateway_frame,
     encode_gateway_frame,
 )
-from repro.service.service import CORGIService, ServiceBuildTimeoutError
+from repro.service.service import CORGIService, ServiceBuildTimeoutError, ServiceConfig
 
 KEY = (1, 1, 2.0)  # the normalized form of privacy_level=1, delta=1
 
@@ -328,8 +328,8 @@ class TestAsyncSingleFlight:
         assert all(json.dumps(r, sort_keys=True) == first for r in responses)
 
     def test_follower_deadline_raises_typed_timeout(self, engine):
-        service = CORGIService(engine)
-        adapter = AsyncCORGIService(service, build_wait_timeout_s=0.1)
+        service = CORGIService(engine, ServiceConfig(build_wait_timeout_s=0.1))
+        adapter = AsyncCORGIService(service)
 
         async def scenario():
             from repro.service.gateway import _AsyncBuild

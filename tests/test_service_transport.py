@@ -31,6 +31,7 @@ from repro.server.engine import ForestEngine, ServerConfig
 from repro.server.messages import ObfuscationRequest, PrivacyForestResponse
 from repro.service.http import CORGIHTTPServer
 from repro.service.metrics import ServiceMetrics
+from repro.service.pool import EnginePool
 from repro.service.service import (
     CoalescedBuildError,
     CORGIService,
@@ -351,6 +352,75 @@ class TestSingleFlight:
         assert encoded(fresh) != encoded(stale)
         # The late leader's entry is gone; the parked leader did not remove it early.
         assert service.snapshot()["gauges"] == {"pending_leaders": 0, "inflight_keys": 0}
+
+    def test_request_after_replicated_publish_never_joins_a_pre_publish_build(
+        self, small_tree_with_priors
+    ):
+        """Regression: on a follower head a publish arrives through
+        ``EnginePool.apply_replicated_control``, never through
+        ``CORGIService.publish_priors``; a request that arrived after it
+        could still join a leader holding the pre-publish forest."""
+        config = ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=1)
+        with EnginePool(copy.deepcopy(small_tree_with_priors), config, num_shards=1) as pool:
+            service = CORGIService(pool)
+            stale = pool.build_forest(1, 1)
+            pool.invalidate()
+            original = pool.build_forest_traced
+            parked = threading.Event()
+            release = threading.Event()
+
+            def parked_leader_build(*args, **kwargs):
+                # The shard has answered before the leader parks, so the
+                # replicated publish does not wait for it.
+                result = original(*args, **kwargs)
+                if not parked.is_set():
+                    parked.set()
+                    release.wait(timeout=60)
+                return result
+
+            pool.build_forest_traced = parked_leader_build
+            served = {}
+            leader = threading.Thread(
+                target=lambda: served.setdefault("leader", service.generate_privacy_forest(1, 1)),
+                daemon=True,
+            )
+            late = threading.Thread(
+                target=lambda: served.setdefault("late", service.generate_privacy_forest(1, 1)),
+                daemon=True,
+            )
+            leader.start()
+            try:
+                assert parked.wait(timeout=60)
+                leaves = pool.tree.leaves()
+                pool.apply_replicated_control(
+                    {
+                        "type": "publish_priors",
+                        "version": 1,
+                        "priors": {leaf.node_id: float(index + 1) for index, leaf in enumerate(leaves)},
+                        "normalize": True,
+                    }
+                )
+                late.start()
+                wait_until(
+                    lambda: "late" in served or service.metrics.count("coalesced") == 1,
+                    timeout_s=60,
+                    message="the late request to be served or to join the parked leader",
+                )
+            finally:
+                release.set()
+                leader.join(timeout=60)
+                if late.ident is not None:
+                    late.join(timeout=60)
+            assert not leader.is_alive() and not late.is_alive()
+            assert service.metrics.count("coalesced") == 0
+            fresh = ForestEngine(copy.deepcopy(pool.tree), config).build_forest(1, 1)
+
+        def encoded(forest):
+            return [(root_id, matrix.to_dict()) for root_id, matrix in forest]
+
+        assert encoded(served["leader"]) == encoded(stale)
+        assert encoded(served["late"]) == encoded(fresh)
+        assert encoded(fresh) != encoded(stale)
 
     def test_rewrap_falls_back_when_type_is_not_reconstructible(self):
         class PickyError(Exception):

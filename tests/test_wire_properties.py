@@ -93,7 +93,6 @@ from repro.service.gateway import (  # noqa: E402
 from repro.service.pool import build_ring, ring_failover_order  # noqa: E402
 from repro.service.service import CORGIService  # noqa: E402
 from repro.core.lp import ObfuscationLP  # noqa: E402
-from repro.core.solver import SCIPY_BACKEND, available_backends  # noqa: E402
 from repro.service.store import (  # noqa: E402
     STORE_VERSION,
     StoreFormatError,
@@ -1125,16 +1124,11 @@ class TestHTTPNever500:
 
 
 class TestSolverSessionProperties:
-    """Coefficient refreshes must never leak stale warm-start state.
+    """Coefficient refreshes must never leak solver state between solves.
 
-    The warm-started backends retain the previous optimal basis between
-    solves of the same :class:`~repro.core.lp.ConstraintStructure`; the
-    property solves A, a perturbed A', then A again through one session and
-    demands the third answer match the first: the scipy backend (stateless,
-    cold every time) bit-for-bit, the native backend (warm from A''s basis)
-    to the 1e-9 objective / 1e-12 stochasticity acceptance bounds — a basis
-    carried over from A' may walk to a different vertex of A's optimal
-    face, but never to a different optimum or an infeasible point.
+    One session solves A, a perturbed A', then A again, rebinding nothing
+    between them; every solve is cold, so the third answer must equal the
+    first bit for bit.
     """
 
     @settings(derandomize=True, max_examples=15, deadline=None,
@@ -1149,30 +1143,18 @@ class TestSolverSessionProperties:
         size = len(small_location_set["node_ids"])
         rng = np.random.default_rng(seed)
         budget = rng.uniform(0.0, scale * TEST_EPSILON, size=(size, size))
-        for backend in available_backends():
-            lp = ObfuscationLP(
-                small_location_set["node_ids"],
-                small_location_set["distance_matrix"],
-                small_location_set["quality_model"],
-                TEST_EPSILON,
-                constraint_set=small_location_set["graph"].constraint_set(),
-                solver_backend=backend,
-            )
-            first = lp.solve(None)
-            lp.solve(budget, delta=1)  # perturbed coefficients A'
-            third = lp.solve(None)
-            if backend == SCIPY_BACKEND:
-                np.testing.assert_array_equal(
-                    third.matrix.values, first.matrix.values
-                )
-                assert third.objective_value == first.objective_value
-            else:
-                assert third.objective_value == pytest.approx(
-                    first.objective_value, abs=1e-9
-                )
-                np.testing.assert_allclose(
-                    third.matrix.values.sum(axis=1), 1.0, atol=1e-12
-                )
+        lp = ObfuscationLP(
+            small_location_set["node_ids"],
+            small_location_set["distance_matrix"],
+            small_location_set["quality_model"],
+            TEST_EPSILON,
+            constraint_set=small_location_set["graph"].constraint_set(),
+        )
+        first = lp.solve(None)
+        lp.solve(budget, delta=1)  # perturbed coefficients A'
+        third = lp.solve(None)
+        np.testing.assert_array_equal(third.matrix.values, first.matrix.values)
+        assert third.objective_value == first.objective_value
 
 
 # --------------------------------------------------------------------- #
