@@ -45,6 +45,7 @@ from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
+
 class _ThreadLocalSolverState(threading.local):
     """Per-thread cache of the most recent (structure, solver session) pair.
 

@@ -343,6 +343,39 @@ class TestAsyncSingleFlight:
         adapter.close()
         assert service.metrics.count("build_timeouts") == 1
 
+    def test_build_threads_and_follower_deadline_follow_the_service(self, engine):
+        # The gateway can never demand more concurrent engine builds than
+        # the sync core admits, and its followers wait the core's deadline.
+        service = CORGIService(engine, ServiceConfig(max_in_flight=2, build_wait_timeout_s=7.5))
+        adapter = AsyncCORGIService(service)
+        assert adapter.build_wait_timeout_s == 7.5
+        assert adapter._executor._max_workers == 2
+        lock = threading.Lock()
+        running = [0]
+        peak = [0]
+        pair = threading.Barrier(2, timeout=30.0)
+
+        def held(key):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            pair.wait()  # passes only with two builds running at once
+            with lock:
+                running[0] -= 1
+            return {"key": list(key)}
+
+        adapter._build_sync = held
+
+        async def distinct_keys():
+            return await asyncio.gather(
+                *(adapter.forest_response((1, delta, 2.0)) for delta in range(4))
+            )
+
+        responses = asyncio.run(distinct_keys())
+        adapter.close()
+        assert responses == [{"key": [1, delta, 2.0]} for delta in range(4)]
+        assert peak[0] == 2
+
     def test_follower_gets_wrapped_copy_of_leader_error(self, engine):
         service = CORGIService(engine)
         adapter = AsyncCORGIService(service)

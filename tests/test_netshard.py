@@ -252,6 +252,16 @@ class TestMessageCodec:
         assert str(decoded) == str(error)
         assert getattr(decoded, "solver_status", None) == getattr(error, "solver_status", None)
 
+    def test_error_type_unknown_to_this_build_decodes_as_remote_error(self):
+        # A peer on another release may name a type this registry does not
+        # hold (SolverBackendUnavailableError left it with the native
+        # backend); it arrives as a RemoteShardError that names it.
+        decoded = decode_error(
+            {"type": "SolverBackendUnavailableError", "message": "highspy is not installed"}
+        )
+        assert type(decoded) is RemoteShardError
+        assert str(decoded) == "SolverBackendUnavailableError: highspy is not installed"
+
     def test_parse_shard_hosts(self):
         assert parse_shard_hosts("a:1, b:2,") == [("a", 1), ("b", 2)]
         for bad in ("", "hostonly", "host:", "host:notaport", "host:0", "host:70000"):

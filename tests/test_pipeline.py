@@ -4,15 +4,20 @@ Covers the incremental constraint-structure reuse in the LP layer, the
 content-addressed MatrixCache (hit/miss, eviction, fingerprint
 sensitivity), the process-parallel executor (parallel == serial), the
 server's full-configuration cache keys (no stale forests after a config
-change), the engine's LP solution cache (cached forests equal uncached
-ones byte for byte) and the vectorised exact reserved-privacy-budget path
-(bit-identical to the original subset-enumeration loop).
+change), the engine's serial build path (every LP solved on the request
+thread), the engine's LP solution cache (cached forests equal uncached
+ones byte for byte, and every solve a cache miss) and the vectorised exact
+reserved-privacy-budget path (bit-identical to the original
+subset-enumeration loop).
 """
 
+import concurrent.futures
 import copy
+import functools
 import itertools
 import logging
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +29,8 @@ from repro.core.robust import (
     _MASS_CEILING,
     reserved_privacy_budget_exact,
 )
+from repro.core.solver import SolverSession
+from repro.pipeline import executor as executor_module
 from repro.pipeline.cache import MatrixCache
 from repro.pipeline.executor import (
     RobustGenerationTask,
@@ -425,6 +432,47 @@ class TestServerPipeline:
         assert pipeline_engine.cache_size() == 0
         assert len(pipeline_engine.matrix_cache) == 0
 
+    def test_config_validation(self, small_tree_with_priors):
+        # The engine validates the config it snapshots, and the per-build
+        # process fan-out knob is gone rather than ignored.
+        with pytest.raises(ValueError, match="solver_backend"):
+            ForestEngine(small_tree_with_priors, ServerConfig(solver_backend="auto"))
+        with pytest.raises(TypeError, match="max_workers"):
+            ServerConfig(max_workers=2)
+
+    def test_forest_build_runs_on_the_calling_thread(self, small_tree_with_priors, monkeypatch):
+        def no_process_pool(*args, **kwargs):
+            raise AssertionError("a forest build started a process pool")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_process_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process_pool)
+        solving_threads = []
+        solve = SolverSession.solve
+
+        def recording_solve(session, *args, **kwargs):
+            solving_threads.append(threading.get_ident())
+            return solve(session, *args, **kwargs)
+
+        monkeypatch.setattr(SolverSession, "solve", recording_solve)
+        engine = ForestEngine(
+            small_tree_with_priors, ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=2)
+        )
+        assert engine.build_forest(privacy_level=1, delta=1).is_complete()
+        assert len(solving_threads) == engine.cache_diagnostics()["solver"]["solves"] >= 2
+        assert set(solving_threads) == {threading.get_ident()}
+
+    def test_concurrent_builds_of_distinct_keys_equal_serial_builds(self, small_tree_with_priors, burst):
+        # Request threads are the engine's only concurrency: each solves on
+        # its own solver slot, beside the shared LP and matrix caches.
+        keys = [(1, 0), (1, 1), (1, 2), (0, 1)]
+        config = ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=2)
+        engine = ForestEngine(small_tree_with_priors, config)
+        outcome = burst([functools.partial(engine.build_forest, level, delta) for level, delta in keys])
+        assert not outcome.errors
+        serial = ForestEngine(small_tree_with_priors, config)
+        for (level, delta), forest in zip(keys, outcome.results):
+            assert _forest_dicts(forest) == _forest_dicts(serial.build_forest(level, delta))
+
     def test_zero_robust_iterations_rejected(self, pipeline_engine, small_location_set):
         """Regression: t = 0 served the non-robust matrix labelled δ-robust."""
         with pytest.raises(ValueError, match="robust_iterations"):
@@ -508,6 +556,26 @@ class TestLPCache:
         assert after["lp_stats"]["hits"] - before["lp_stats"]["hits"] == SUBTREES
         assert after["solver"]["solves"] - before["solver"]["solves"] == SUBTREES * 2
         assert after["solver"]["solves"] == after["lp_stats"]["misses"]
+
+    def test_every_solve_is_an_lp_cache_miss(self, lp_tree, monkeypatch):
+        # Every LP of a build is looked up first; the solver runs on a miss
+        # only, so no execution path bypasses the cache.
+        solves = []
+        solve = SolverSession.solve
+
+        def counting_solve(session, *args, **kwargs):
+            solves.append(session)
+            return solve(session, *args, **kwargs)
+
+        monkeypatch.setattr(SolverSession, "solve", counting_solve)
+        engine = _lp_engine(lp_tree, robust_iterations=2)
+        engine.build_forest(1, 0, epsilon=15.0)
+        engine.build_forest(1, 1, epsilon=15.0)
+        diagnostics = engine.cache_diagnostics()
+        stats = diagnostics["lp_stats"]
+        # δ = 0 asks one LP per sub-tree; δ = 1 asks its start and t = 2 more.
+        assert stats["hits"] + stats["misses"] == SUBTREES * (1 + 1 + 2)
+        assert len(solves) == stats["misses"] == diagnostics["solver"]["solves"]
 
     def test_fixed_points_are_not_solved_again(self, lp_tree, monkeypatch):
         # At ε = 2, δ = 1 the pair budgets clamp, so Algorithm 1 reaches

@@ -3,10 +3,14 @@
 Covers the session (its direct path on scipy's bundled HiGHS against
 ``linprog`` bit for bit, its failures, and its ``linprog`` fallback), the
 all-zero-row NaN guard in :meth:`ObfuscationLP.solve`, session reuse
-across Algorithm-1 iterations and across executor task groups, the
-``solver_backend`` config check, and the solver diagnostics surfaced
+across Algorithm-1 iterations and across executor task groups (a
+session's answer independent of its history, one solver slot per
+thread), the ``solver_backend`` config check with the store namespace and
+forest key it leaves unchanged, and the solver diagnostics surfaced
 through the engine / HTTP admin path.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -18,15 +22,18 @@ from repro.core.exceptions import InfeasibleMatrixError
 from repro.core.geoind import all_pairs_constraints
 from repro.core.graphapprox import HexNeighborhoodGraph
 from repro.core.lp import ConstraintStructure, ObfuscationLP
-from repro.core.objective import QualityLossModel
+from repro.core.objective import QualityLossModel, TargetDistribution
 from repro.core.robust import RobustMatrixGenerator, reserved_privacy_budget_approx
 from repro.core.solver import HIGHS_METHODS, RawSolution, SolverSession
+from repro.geometry.haversine import LatLng
 from repro.pipeline.executor import (
     RobustGenerationTask,
     execute_robust_task,
     execute_robust_task_group,
 )
 from repro.server.engine import ForestEngine, ServerConfig
+from repro.service.store import pipeline_store_fingerprint
+from repro.tree.builder import tree_for_point
 
 from tests.conftest import TEST_EPSILON
 
@@ -51,6 +58,23 @@ def _lp_arguments(lp):
         structure.b_ub,
         structure.a_eq,
         structure.b_eq,
+    )
+
+
+def _robust_task(location_set, delta):
+    """One graph-constrained Algorithm-1 task over the 7-leaf set."""
+    constraint_set = location_set["graph"].constraint_set()
+    return RobustGenerationTask(
+        key=f"delta={delta}",
+        node_ids=location_set["node_ids"],
+        distance_matrix_km=location_set["distance_matrix"],
+        cost_matrix=location_set["quality_model"].cost_matrix,
+        priors=location_set["quality_model"].priors,
+        epsilon=TEST_EPSILON,
+        delta=delta,
+        constraint_pairs=constraint_set.pairs,
+        constraint_distances_km=constraint_set.distances_km,
+        max_iterations=2,
     )
 
 
@@ -163,21 +187,8 @@ class TestSessionReuse:
         assert solution.diagnostics["session_shared"] is True
 
     def test_executor_group_shares_session_and_matches_serial(self, small_location_set):
-        constraint_set = small_location_set["graph"].constraint_set()
-
         def task(delta):
-            return RobustGenerationTask(
-                key=f"delta={delta}",
-                node_ids=small_location_set["node_ids"],
-                distance_matrix_km=small_location_set["distance_matrix"],
-                cost_matrix=small_location_set["quality_model"].cost_matrix,
-                priors=small_location_set["quality_model"].priors,
-                epsilon=TEST_EPSILON,
-                delta=delta,
-                constraint_pairs=constraint_set.pairs,
-                constraint_distances_km=constraint_set.distances_km,
-                max_iterations=2,
-            )
+            return _robust_task(small_location_set, delta)
 
         grouped = execute_robust_task_group([task(0), task(1)])
         serial = [execute_robust_task(task(0)), execute_robust_task(task(1))]
@@ -190,6 +201,47 @@ class TestSessionReuse:
         assert all(
             solution.diagnostics["session_shared"] for result in grouped for solution in result.solutions
         )
+
+    @pytest.mark.parametrize("method", HIGHS_METHODS)
+    def test_solution_is_independent_of_session_history(self, small_location_set, method):
+        # The LP cache serves one stored x wherever an LP recurs, which is
+        # sound only if a session's answer is a function of the LP alone:
+        # not of what it solved before, nor of the pattern it had bound.
+        lp = _lp_arguments(_make_lp(small_location_set))
+        other = _lp_arguments(_make_lp(small_location_set, epsilon=1.5 * TEST_EPSILON))
+        session = SolverSession()
+        first = session.solve(*lp, solver_method=method)
+        session.solve(*other, solver_method=method)  # rebinds another structure's pattern
+        again = session.solve(*lp, solver_method=method)
+        fresh = SolverSession().solve(*lp, solver_method=method)
+        assert first.ok
+        for raw in (again, fresh):
+            assert np.array_equal(raw.x, first.x)
+            assert raw.objective_value == first.objective_value
+
+    def test_solver_slot_is_per_thread(self, small_location_set):
+        # Concurrent requests for distinct keys run their groups on their
+        # own threads; one slot shared between them would refresh a
+        # structure's coefficients in place under a sibling's solve.
+        from repro.pipeline.executor import _WORKER_SOLVER_STATE
+
+        task = _robust_task(small_location_set, 1)
+        [reference] = execute_robust_task_group([task])
+        slot = (_WORKER_SOLVER_STATE.structure, _WORKER_SOLVER_STATE.session)
+        seen = {}
+
+        def other_thread():
+            [result] = execute_robust_task_group([task])
+            seen["slot"] = (_WORKER_SOLVER_STATE.structure, _WORKER_SOLVER_STATE.session)
+            seen["matrix"] = result.matrix.values
+
+        thread = threading.Thread(target=other_thread, daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert seen["slot"][0] is not slot[0] and seen["slot"][1] is not slot[1]
+        assert _WORKER_SOLVER_STATE.structure is slot[0] and _WORKER_SOLVER_STATE.session is slot[1]
+        np.testing.assert_array_equal(seen["matrix"], reference.matrix.values)
 
 
 class TestServerConfigValidation:
@@ -205,6 +257,38 @@ class TestServerConfigValidation:
         # a client-side 400; reject them when the config is validated.
         with pytest.raises(ValueError, match="solver_method"):
             ServerConfig(epsilon=2.0, solver_method="simplex").validate()
+
+    # The two keys below were computed by the release that still had the
+    # backend selection knob and ServerConfig.max_workers, for a config that
+    # spelled solver_backend="scipy".  Dropping those fields must leave both
+    # keys alone: a changed store namespace orphans every durable store
+    # written before, and a changed forest key misses every cached forest.
+    # Change these digests only together with a deliberate key change.
+
+    @staticmethod
+    def _keyed_tree():
+        tree = tree_for_point(LatLng(37.77, -122.42), height=1, root_resolution=8)
+        leaves = tree.leaves()
+        for leaf in leaves:
+            leaf.prior = 1.0 / len(leaves)
+        targets = TargetDistribution.uniform([leaf.center.as_tuple() for leaf in leaves[:3]])
+        return tree, targets
+
+    def test_scipy_config_keeps_its_store_namespace(self):
+        tree, targets = self._keyed_tree()
+        assert pipeline_store_fingerprint(tree, ServerConfig()) == (
+            "afdb330e2c1bfad18757fd3356dfcabb7e504b2c9ef5f356cc7f65aa92f5fd9a"
+        )
+        assert pipeline_store_fingerprint(tree, ServerConfig(), targets) == (
+            "be2b154b445d2caa1e07387cd2364de1a38fedfafde8e1c71f470bd6858f5b41"
+        )
+
+    def test_scipy_config_keeps_its_forest_key(self):
+        tree, targets = self._keyed_tree()
+        engine = ForestEngine(tree, ServerConfig(), targets=targets)
+        assert engine._forest_fingerprint(1, 1, 15.0) == (
+            "3dc483b41c5e8ec63a6b7e511c13dc231979b03d80aa440ae65d422b821c4c3e"
+        )
 
 
 class TestBundledHighsMatchesLinprog:
