@@ -1,13 +1,11 @@
 """Perf trajectory for the matrix-generation pipeline.
 
-Times three forest-generation regimes at small scale and records them in
+Times two forest-generation regimes at small scale and records them in
 ``BENCH_pipeline.json`` (repo root) so future PRs can track the trend:
 
 * **cold** — a fresh engine, every per-sub-tree problem generated from
   scratch (an LP the build repeats is served from the engine's LP cache;
   ``cold_forest_solves`` and ``lp_cache_stats`` record how many);
-* **warm (matrix cache)** — forest-level cache dropped, per-sub-tree
-  problems served from the content-addressed :class:`MatrixCache`;
 * **warm (forest cache)** — the full forest served from the forest cache.
 
 An LP-level microbenchmark separately compares rebuild-everything
@@ -29,7 +27,6 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.lp import ObfuscationLP
@@ -75,27 +72,14 @@ def test_perf_pipeline_speedups():
         engine.build_forest, PRIVACY_LEVEL, DELTA
     )
     assert cold_forest.is_complete()
-    cold_misses = engine.matrix_cache.stats.misses
     # Solver calls of the cold build; LPs it repeats are LP-cache hits.
     cold_solves = engine.cache_diagnostics()["solver"]["solves"]
 
-    # Warm path 1: forest cache dropped, per-sub-tree problems unchanged →
-    # served from the matrix cache without a single LP solve.
-    engine.forest_cache.clear()
-    warm_matrix_forest, warm_matrix_s = _timed(
-        engine.build_forest, PRIVACY_LEVEL, DELTA
-    )
-    assert engine.matrix_cache.stats.misses == cold_misses
-    assert engine.matrix_cache.stats.hits >= len(warm_matrix_forest)
-
-    # Warm path 2: full forest cache hit.
+    # Warm path: full forest cache hit.
     warm_forest, warm_forest_s = _timed(
         engine.build_forest, PRIVACY_LEVEL, DELTA
     )
-    assert warm_forest is warm_matrix_forest
-
-    for root_id, matrix in warm_matrix_forest:
-        assert np.allclose(matrix.values, cold_forest.matrix_for_subtree(root_id).values)
+    assert warm_forest is cold_forest
 
     # LP-level microbenchmark: rebuild-everything vs incremental refresh
     # across the t solves of Algorithm 1 (same problem, same budgets).
@@ -147,11 +131,9 @@ def test_perf_pipeline_speedups():
         },
         "forest_generation_s": {
             "cold": cold_s,
-            "warm_matrix_cache": warm_matrix_s,
             "warm_forest_cache": warm_forest_s,
         },
         "speedup_vs_cold": {
-            "warm_matrix_cache": cold_s / warm_matrix_s if warm_matrix_s else float("inf"),
             "warm_forest_cache": cold_s / warm_forest_s if warm_forest_s else float("inf"),
         },
         "lp_incremental_s": {
@@ -159,7 +141,6 @@ def test_perf_pipeline_speedups():
             "structure_reuse": lp_incremental_s,
             "speedup": lp_cold_s / lp_incremental_s if lp_incremental_s else float("inf"),
         },
-        "matrix_cache_stats": engine.matrix_cache.stats.as_dict(),
         "lp_cache_stats": engine.lp_cache.stats.as_dict(),
         "cold_forest_solves": cold_solves,
     }
@@ -169,5 +150,4 @@ def test_perf_pipeline_speedups():
     print(json.dumps(payload["speedup_vs_cold"], indent=2))
 
     # Acceptance: warm forest generation is at least 2x faster than cold.
-    assert payload["speedup_vs_cold"]["warm_matrix_cache"] >= 2.0
     assert payload["speedup_vs_cold"]["warm_forest_cache"] >= 2.0

@@ -26,12 +26,13 @@ Four serving workloads, each the one its mechanism exists for:
   snapshot store, was SIGKILLed wholesale, and the reborn pool pre-warms
   from disk — first responses are cache hits.  The warm p50 must sit at
   least 20× below the cold p50 (the ISSUE acceptance bound).
-* **gateway** — push vs. poll freshness after an invalidation.  Push: a
-  client holds one gateway connection and measures invalidate → refreshed
-  matrix *pushed* onto its socket.  Poll: the same client re-requests on a
-  fixed interval until the rebuilt forest shows up — the pre-gateway
-  pattern, which always pays expected-interval/2 of staleness on top of
-  the rebuild.  The push p50 must beat the poll p50.
+* **gateway_publish** — push vs. poll freshness after a priors publish.
+  Push: a client holds one gateway connection and measures
+  ``publish_priors`` → the matrix rebuilt on the new priors *pushed* onto
+  its socket.  Poll: the same client re-requests on a fixed interval until
+  the rebuilt forest shows up — the pre-gateway pattern, which always pays
+  expected-interval/2 of staleness on top of the rebuild.  The push p50
+  must beat the poll p50.
 * **replication** — control-plane propagation through the replicated log:
   ``publish_priors`` on the primary head → record durably committed and
   applied on a log-shipping follower.  The measured path is WAL append +
@@ -143,7 +144,7 @@ def _update_results(section: str, payload: Dict[str, object]) -> None:
                 "handoff",
                 "netshard",
                 "restart",
-                "gateway",
+                "gateway_publish",
                 "replication",
             )
             if isinstance(existing, dict) and any(
@@ -610,37 +611,47 @@ def test_perf_service_netshard():
     assert failover_p50 < 30.0, payload["failover_latency_s"]
 
 
-@pytest.mark.perf
-def test_perf_service_gateway():
-    """Push vs. poll freshness after an invalidation, through real sockets.
+def _round_priors(tree, round_index: int) -> Dict[str, float]:
+    """Priors no earlier round published: the first leaf's mass grows per round."""
+    return {
+        leaf.node_id: 2.0 + round_index if index == 0 else 1.0
+        for index, leaf in enumerate(tree.leaves())
+    }
 
-    Both sides pay the same rebuild; the difference under measurement is the
-    *delivery* model.  The poller sleeps a fixed interval between
-    re-requests (the pre-gateway client pattern), so its freshness latency
-    is quantized to the polling cadence.  The gateway subscriber holds one
-    connection and the refreshed matrix is pushed the moment the
-    invalidation-triggered rebuild settles.
+
+@pytest.mark.perf
+def test_perf_service_gateway_publish():
+    """Push vs. poll freshness after a priors publish, through real sockets.
+
+    Both sides pay the same rebuild — each round publishes priors no
+    earlier round did, so the forest key is new and its LPs are too; the
+    difference under measurement is the *delivery* model.  The poller
+    sleeps a fixed interval between re-requests (the pre-gateway client
+    pattern), so its freshness latency is quantized to the polling
+    cadence.  The gateway subscriber holds one connection and the rebuilt
+    matrix is pushed the moment the publish-triggered rebuild settles.
     """
     rounds = 7
     poll_interval_s = 0.05
 
     # Poll baseline: its own service, no gateway attached — the client
-    # re-requests until the rebuilt forest replaces the invalidated one.
+    # re-requests until the forest rebuilt on the new priors shows up.
     poll_service = CORGIService(
         _build_engine(), ServiceConfig(max_in_flight=2, max_queue_depth=32)
     )
     poll_latencies: List[float] = []
-    for _ in range(rounds):
+    for round_index in range(rounds):
         before = poll_service.generate_privacy_forest(PRIVACY_LEVEL, DELTA)
+        priors = _round_priors(poll_service.engine.tree, round_index)
         begin = time.perf_counter()
-        poll_service.invalidate(privacy_level=PRIVACY_LEVEL)
+        poll_service.publish_priors(priors)
         while True:
             time.sleep(poll_interval_s)
             if poll_service.generate_privacy_forest(PRIVACY_LEVEL, DELTA) is not before:
                 break
         poll_latencies.append(time.perf_counter() - begin)
 
-    # Push path: one held connection; measure invalidate -> pushed matrix.
+    # Push path: one held connection; measure publish -> pushed matrix.
     push_service = CORGIService(
         _build_engine(), ServiceConfig(max_in_flight=2, max_queue_depth=32)
     )
@@ -650,10 +661,11 @@ def test_perf_service_gateway():
         try:
             key = client.subscribe(PRIVACY_LEVEL, DELTA, wait_s=30.0)
             client.wait_forest(key, min_generation=1, timeout_s=120)
-            for _ in range(rounds):
+            for round_index in range(rounds):
                 base = client.held(key).generation
+                priors = _round_priors(push_service.engine.tree, round_index)
                 begin = time.perf_counter()
-                push_service.invalidate(privacy_level=PRIVACY_LEVEL)
+                push_service.publish_priors(priors)
                 client.wait_forest(key, min_generation=base + 1, timeout_s=120)
                 push_latencies.append(time.perf_counter() - begin)
             counters = {
@@ -686,7 +698,7 @@ def test_perf_service_gateway():
         "push_vs_poll_speedup": poll_p50 / push_p50 if push_p50 else float("inf"),
         "gateway_counters": counters,
     }
-    _update_results("gateway", payload)
+    _update_results("gateway_publish", payload)
     print(json.dumps({k: payload[k] for k in ("push_latency_s", "poll_latency_s")}, indent=2))
     print("push vs poll speedup:", payload["push_vs_poll_speedup"])
 

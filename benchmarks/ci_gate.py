@@ -47,13 +47,12 @@ GATES: Dict[str, Tuple[str, ...]] = {
         "netshard.failover_latency_s.p50",
         "restart.first_response_s.cold_p50",
         "restart.first_response_s.warm_p50",
-        "gateway.push_latency_s.p50",
-        "gateway.poll_latency_s.p50",
+        "gateway_publish.push_latency_s.p50",
+        "gateway_publish.poll_latency_s.p50",
         "replication.propagation_s.p50",
     ),
     "BENCH_pipeline.json": (
         "forest_generation_s.cold",
-        "forest_generation_s.warm_matrix_cache",
         "forest_generation_s.warm_forest_cache",
         "lp_incremental_s.structure_reuse",
     ),

@@ -70,8 +70,8 @@ def main() -> None:
 
             # --- admin publishes fresh priors — the refresh is PUSHED -- #
             new_priors = {leaf.node_id: leaf.prior + 0.001 for leaf in tree.leaves()}
-            flushed = service.publish_priors(new_priors)
-            print(f"admin:  published new priors, flushed {flushed} cached forest(s)")
+            service.publish_priors(new_priors)
+            print("admin:  published new priors")
 
             refreshed = device.wait_forest(key, min_generation=initial.generation + 1)
             print(

@@ -91,18 +91,16 @@ def main() -> None:
         print(json.dumps(metrics["service"], indent=2))
         print("server: structure sharing:", metrics["engine"]["structure_sharing"])
 
-        # --- cache lifecycle over the admin surface -------------------- #
-        # A live prior update (new check-in statistics) flushes every
-        # cached forest; an explicit invalidation does the same on demand.
-        # With `--shards N` (see repro.experiments.runner) both calls are
-        # broadcast to every shard process of the EnginePool.
+        # --- live prior update over the admin surface ------------------ #
+        # New check-in statistics change the forest key, so the next
+        # request rebuilds on the new priors.  With `--shards N` (see
+        # repro.experiments.runner) the update is broadcast to every shard
+        # process of the EnginePool.
         new_priors = {
             leaf.node_id: leaf.prior + 0.001 for leaf in tree.leaves()
         }
-        flushed = transport.publish_priors(new_priors)
-        print(f"admin: published new priors, flushed {flushed} cached forest(s)")
-        dropped = transport.invalidate()
-        print(f"admin: explicit invalidate dropped {dropped} cached forest(s)")
+        transport.publish_priors(new_priors)
+        print("admin: published new priors")
 
 
 if __name__ == "__main__":

@@ -162,39 +162,19 @@ class HTTPTransport:
         return self._get("/admin/durability")
 
     # ------------------------------------------------------------------ #
-    # Admin surface (cache lifecycle)
+    # Admin surface
     # ------------------------------------------------------------------ #
 
-    def invalidate(self, privacy_level: Optional[int] = None) -> int:
-        """``POST /admin/invalidate``: drop the server's cached forests.
-
-        Returns the number of forests dropped (summed across shards when
-        the server runs an :class:`~repro.service.pool.EnginePool`).
-        """
-        payload = self._post(
-            "/admin/invalidate",
-            {"privacy_level": None if privacy_level is None else int(privacy_level)},
-        )
-        return int(payload.get("invalidated", 0))  # type: ignore[arg-type]
-
-    def publish_priors(
-        self, priors: Dict[str, float], *, normalize: bool = True
-    ) -> int:
-        """``POST /admin/priors``: install new leaf priors (live update).
-
-        Returns the number of cached forests the update flushed server-side.
-        """
-        payload = self._post(
-            "/admin/priors", {"priors": dict(priors), "normalize": bool(normalize)}
-        )
-        return int(payload.get("invalidated", 0))  # type: ignore[arg-type]
+    def publish_priors(self, priors: Dict[str, float], *, normalize: bool = True) -> None:
+        """``POST /admin/priors``: install new leaf priors (live update)."""
+        self._post("/admin/priors", {"priors": dict(priors), "normalize": bool(normalize)})
 
     def drain(self, slot: int) -> Dict[str, object]:
         """``POST /admin/drain``: gracefully drain one shard slot.
 
         Returns the server's drain report (``{"slot", "exported",
         "handoff_keys", "imported", "prewarmed", ...}``).  Errors are typed
-        like :meth:`invalidate`: a bad slot id, an undrainable slot or a
+        like every admin call's: a bad slot id, an undrainable slot or a
         server without a pool raises :class:`TransportError` with
         ``status=400`` and the server's ``detail``, so callers can
         distinguish their own fault from a transport failure.

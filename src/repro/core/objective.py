@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.matrix import ObfuscationMatrix
 from repro.geometry.haversine import haversine_matrix_km
-from repro.utils.hashing import array_digest
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import ensure_probability_vector
 
@@ -156,15 +155,6 @@ class LinearQualityModel:
     def size(self) -> int:
         """Number of candidate locations K."""
         return self._cost.shape[0]
-
-    def digest(self) -> str:
-        """Content hash of the model (cost matrix + priors).
-
-        Used by the matrix-generation pipeline as the quality-model part of
-        cache fingerprints: two models with bit-identical cost matrices and
-        priors produce bit-identical LP objectives.
-        """
-        return array_digest(self._cost, self.priors)
 
     def expected_loss(self, matrix: ObfuscationMatrix | np.ndarray) -> float:
         """Expected estimation error Δ(Z) of Eq. (7), in km."""

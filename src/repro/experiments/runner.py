@@ -270,8 +270,8 @@ def main(argv: Optional[list] = None) -> int:
         default=None,
         help="also start the asyncio push gateway on this port (0 = ephemeral): "
         "clients hold one connection, subscribe to (level, delta, epsilon) keys "
-        "and get refreshed matrices pushed on invalidate/priors instead of "
-        "re-polling the HTTP endpoint",
+        "and get refreshed matrices pushed when new priors are installed "
+        "instead of re-polling the HTTP endpoint",
     )
     parser.add_argument(
         "--shards",
@@ -299,7 +299,7 @@ def main(argv: Optional[list] = None) -> int:
         "--state-dir",
         default=None,
         help="directory for the durable state tier (--serve): a crash-safe "
-        "priors/invalidation log replayed on boot plus a compressed snapshot "
+        "priors log replayed on boot plus a compressed snapshot "
         "store that pre-warms the shards — a restart over the same directory "
         "serves warm instead of cold-rebuilding (implies an engine pool)",
     )
@@ -308,9 +308,8 @@ def main(argv: Optional[list] = None) -> int:
         type=int,
         default=None,
         help="serve this head as the control-plane replication *primary*: "
-        "stream every durable control-log record (priors publishes, "
-        "invalidations) to follower heads on this port (requires "
-        "--state-dir)",
+        "stream every durable control-log record (priors publishes) to "
+        "follower heads on this port (requires --state-dir)",
     )
     parser.add_argument(
         "--replicate-from",
@@ -318,7 +317,7 @@ def main(argv: Optional[list] = None) -> int:
         help="host:port of a replication primary; this head becomes a "
         "*follower* — it tails the primary's control log "
         "(store-and-forward into its own --state-dir, crash-safe cursor) "
-        "and refuses local /admin/priors and /admin/invalidate writes",
+        "and refuses local /admin/priors writes",
     )
     parser.add_argument(
         "--seed-store-dir",

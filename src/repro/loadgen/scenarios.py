@@ -85,7 +85,7 @@ class ScenarioOp:
 
     ``at_fraction`` positions the barrier at that fraction of the event
     stream (0.5 = after half the events drained).  ``action`` is one of
-    ``drain`` / ``kill`` / ``publish_priors`` / ``invalidate``.
+    ``drain`` / ``kill`` / ``publish_priors``.
     """
 
     at_fraction: float
@@ -95,7 +95,7 @@ class ScenarioOp:
     def validate(self) -> None:
         if not 0.0 < self.at_fraction < 1.0:
             raise ValueError(f"at_fraction must be in (0, 1), got {self.at_fraction}")
-        if self.action not in ("drain", "kill", "publish_priors", "invalidate"):
+        if self.action not in ("drain", "kill", "publish_priors"):
             raise ValueError(f"unknown scenario op action {self.action!r}")
 
 
@@ -380,16 +380,10 @@ def _make_op(environment: ScenarioEnvironment, op: ScenarioOp) -> ReplayOp:
             masses = environment.tree.leaf_priors()
             mixed = 0.5 * masses + 0.5 * np.roll(masses, 1) + 1e-6
             payload = {leaf.node_id: float(mass) for leaf, mass in zip(leaves, mixed)}
-            flushed = environment.service.publish_priors(payload)
-            return {"action": "publish_priors", "flushed": int(flushed)}
+            environment.service.publish_priors(payload)
+            return {"action": "publish_priors"}
 
         return do_publish
-    if op.action == "invalidate":
-
-        def do_invalidate() -> Mapping[str, object]:
-            return {"action": "invalidate", "invalidated": int(environment.service.invalidate())}
-
-        return do_invalidate
     raise ValueError(f"unknown scenario op action {op.action!r}")
 
 

@@ -4,9 +4,9 @@ This package turns the LP hot path of Algorithms 1 and 3 into a staged
 pipeline:
 
 * :mod:`repro.pipeline.fingerprint` — canonical content-addressed keys for
-  LP / robust-generation problems;
+  forests and shared constraint structures;
 * :mod:`repro.pipeline.cache` — an LRU :class:`MatrixCache` with hit/miss
-  statistics, keyed by those fingerprints;
+  statistics (the engine's forest and LP caches);
 * :mod:`repro.pipeline.executor` — process-parallel fan-out of independent
   per-sub-tree robust generations with deterministic, order-stable results.
 
@@ -27,10 +27,7 @@ from repro.pipeline.executor import (
 from repro.pipeline.fingerprint import (
     FINGERPRINT_VERSION,
     array_digest,
-    constraint_set_digest,
     fingerprint_fields,
-    geometry_fingerprint,
-    problem_fingerprint,
     structure_fingerprint,
 )
 
@@ -44,9 +41,6 @@ __all__ = [
     "run_robust_tasks",
     "FINGERPRINT_VERSION",
     "array_digest",
-    "constraint_set_digest",
     "fingerprint_fields",
-    "geometry_fingerprint",
-    "problem_fingerprint",
     "structure_fingerprint",
 ]

@@ -1,11 +1,9 @@
 """Canonical fingerprints for the matrix-generation pipeline.
 
-A fingerprint is a hex SHA-256 digest of every input that can change the
-result of an LP / robust-generation problem: the node-set geometry (node
-ids and distance matrix), the Geo-Ind constraint pairs, the quality-model
-objective, and the scalar knobs (ε, δ, weighting, basis row, iteration
-count, solver).  Two problems with equal fingerprints produce bit-identical
-LP inputs, so a cached solution can be served in place of a re-solve.
+A fingerprint is a hex SHA-256 digest of every input that can change a
+result: :func:`fingerprint_fields` keys the engine's forest cache and the
+snapshot store's namespace, and :func:`structure_fingerprint` groups
+sub-tree problems that can share one LP constraint structure.
 
 Canonicalisation rules: floats are encoded with ``float.hex()`` (exact, no
 formatting loss), numpy arrays by dtype + shape + raw bytes, containers
@@ -16,11 +14,10 @@ change to the rules invalidates old keys rather than aliasing them.
 from __future__ import annotations
 
 import hashlib
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.core.geoind import GeoIndConstraintSet
 from repro.utils.hashing import array_digest
 
 #: Bumped whenever the canonical encoding changes.
@@ -29,10 +26,7 @@ FINGERPRINT_VERSION = 1
 __all__ = [
     "FINGERPRINT_VERSION",
     "array_digest",
-    "constraint_set_digest",
     "fingerprint_fields",
-    "geometry_fingerprint",
-    "problem_fingerprint",
     "structure_fingerprint",
 ]
 
@@ -74,13 +68,6 @@ def fingerprint_fields(**fields: object) -> str:
     return hasher.hexdigest()
 
 
-def constraint_set_digest(constraint_set: Optional[GeoIndConstraintSet]) -> str:
-    """Digest of the constraint pairs and their distances (``"all-pairs"`` for None)."""
-    if constraint_set is None:
-        return "all-pairs-default"
-    return array_digest(constraint_set.pairs, constraint_set.distances_km)
-
-
 def structure_fingerprint(size: int, constraint_pairs: Optional[np.ndarray]) -> str:
     """Digest of what a :class:`~repro.core.lp.ConstraintStructure` depends on.
 
@@ -99,47 +86,3 @@ def structure_fingerprint(size: int, constraint_pairs: Optional[np.ndarray]) -> 
         return f"v{FINGERPRINT_VERSION}:unshared:{int(size)}"
     pairs = np.ascontiguousarray(np.asarray(constraint_pairs, dtype=np.int64))
     return f"v{FINGERPRINT_VERSION}:{int(size)}:{array_digest(pairs)}"
-
-
-def geometry_fingerprint(node_ids: Sequence[str], distance_matrix_km: np.ndarray) -> str:
-    """Digest of the node-set geometry: ordered ids + pairwise distances."""
-    hasher = hashlib.sha256()
-    for node_id in node_ids:
-        hasher.update(str(node_id).encode())
-        hasher.update(b"\x00")
-    hasher.update(array_digest(np.asarray(distance_matrix_km, dtype=float)).encode())
-    return hasher.hexdigest()
-
-
-def problem_fingerprint(
-    node_ids: Sequence[str],
-    distance_matrix_km: np.ndarray,
-    epsilon: float,
-    delta: int,
-    *,
-    quality_digest: str,
-    constraint_digest: str,
-    weighting: str,
-    basis_row: str,
-    rpb_method: str,
-    max_iterations: int,
-    solver_method: str,
-) -> str:
-    """Canonical fingerprint of one robust-generation problem.
-
-    This is the key the :class:`~repro.pipeline.cache.MatrixCache` stores
-    results under: node-set geometry hash, ε, δ, weighting, basis row,
-    quality-model digest, constraint digest and solver knobs.
-    """
-    return fingerprint_fields(
-        geometry=geometry_fingerprint(node_ids, distance_matrix_km),
-        epsilon=float(epsilon),
-        delta=int(delta),
-        quality=quality_digest,
-        constraints=constraint_digest,
-        weighting=str(weighting),
-        basis_row=str(basis_row),
-        rpb_method=str(rpb_method),
-        max_iterations=int(max_iterations),
-        solver_method=str(solver_method),
-    )

@@ -3,24 +3,23 @@
 This module is the *computation* half of the server-side split.  A
 :class:`ForestEngine` knows how to turn ``(privacy_level, δ, ε)`` into a
 :class:`~repro.server.privacy_forest.PrivacyForest` — iterating over every
-node at the privacy level, fingerprinting each per-sub-tree problem, and
-sharing one :class:`~repro.core.lp.ConstraintStructure` across sibling
-sub-trees with congruent geometry.  Sub-trees are generated serially on the
+node at the privacy level and sharing one
+:class:`~repro.core.lp.ConstraintStructure` across sibling sub-trees with
+congruent geometry.  Sub-trees are generated serially on the
 request thread; concurrent requests for distinct keys build in parallel
 threads, and an :class:`~repro.service.pool.EnginePool` adds process
-parallelism across shards.  Three LRU-bounded, content-addressed
+parallelism across shards.  Two LRU-bounded, content-addressed
 :class:`~repro.pipeline.cache.MatrixCache` instances serve repeats:
 
 * ``forest_cache`` — whole forests by forest fingerprint
   (:data:`FOREST_CACHE_ENTRIES`);
-* ``matrix_cache`` — each sub-tree's served matrix by problem fingerprint
-  (:data:`MATRIX_CACHE_ENTRIES`);
 * ``lp_cache`` — each LP's solution by a digest of the LP itself
   (:data:`LP_CACHE_ENTRIES`), consulted before every LP solve of
   Algorithm 1.
 
-A full :meth:`ForestEngine.invalidate` clears all three; a per-level one
-drops only that level's forests.
+Every input that can change a result is part of those keys, so no cache is
+ever flushed: a live prior update only installs the priors, and entries
+keyed on the old priors age out of the LRUs.
 
 The engine carries **no request semantics**: validation, coalescing,
 admission control and wire formats live in :mod:`repro.service`, and
@@ -40,33 +39,23 @@ import contextlib
 import math
 import threading
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.graphapprox import HexNeighborhoodGraph, Weighting
-from repro.core.matrix import ObfuscationMatrix
 from repro.core.objective import QualityLossModel, TargetDistribution
 from repro.core.robust import BasisRow, RobustGenerationResult
 from repro.core.solver import HIGHS_METHODS
 from repro.pipeline.cache import MatrixCache
 from repro.pipeline.executor import RobustGenerationTask, run_robust_task_groups
-from repro.pipeline.fingerprint import (
-    array_digest,
-    constraint_set_digest,
-    fingerprint_fields,
-    problem_fingerprint,
-    structure_fingerprint,
-)
+from repro.pipeline.fingerprint import array_digest, fingerprint_fields, structure_fingerprint
 from repro.server.privacy_forest import PrivacyForest
 from repro.tree.location_tree import LocationTree
 from repro.utils.logging import get_logger
 from repro.utils.timing import Stopwatch, Timer
 
 logger = get_logger(__name__)
-
-#: Bound on each engine's content-addressed per-sub-tree matrix cache (LRU).
-MATRIX_CACHE_ENTRIES = 256
 
 #: Bound on each engine's LP solution cache (LRU), keyed by a digest of the
 #: LP.  An entry holds one K² solution vector.
@@ -173,6 +162,15 @@ def validate_prior_masses(priors: Mapping[str, float]) -> Dict[str, float]:
     return vetted
 
 
+def notify_update_listeners(listeners: List[Callable[[], None]]) -> None:
+    """Call each priors-update listener; one that raises is logged, not raised."""
+    for listener in list(listeners):
+        try:
+            listener()
+        except Exception:  # noqa: BLE001 - a listener must not fail the update
+            logger.exception("priors-update listener failed")
+
+
 class ForestEngine:
     """Pure privacy-forest generation over the pipeline layer.
 
@@ -206,10 +204,8 @@ class ForestEngine:
         self._derived_targets: Optional[TargetDistribution] = None
         self._derived_targets_key: Optional[Tuple[int, int]] = None
         self.forest_cache = MatrixCache(FOREST_CACHE_ENTRIES)
-        self._invalidations = 0
         self._handoff_imports = 0
         self._handoff_prewarms = 0
-        self.matrix_cache = MatrixCache(MATRIX_CACHE_ENTRIES)
         self.lp_cache = MatrixCache(LP_CACHE_ENTRIES)
         self._structure_stats: Dict[str, int] = {"groups": 0, "builds": 0, "reuses": 0}
         self._solver_stats: Dict[str, object] = {
@@ -234,6 +230,8 @@ class ForestEngine:
         # its priors; the service's single-flight gate lets a request join
         # only a build led under the generation it read.
         self.priors_generation = 0
+        # Called with no arguments after each bump (the push gateway's hook).
+        self.update_listeners: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------ #
     # Target workload
@@ -282,8 +280,8 @@ class ForestEngine:
     #: Config fields that do not enter the forest key as config (``epsilon``
     #: enters as the per-request effective value).  Everything else is
     #: fingerprinted, so a future result-affecting field is keyed
-    #: automatically — forgetting to update this list can only
-    #: over-invalidate, never serve a stale forest.
+    #: automatically — forgetting to update this list can only cost
+    #: cache misses, never serve a stale forest.
     _NON_RESULT_CONFIG_FIELDS = frozenset({"epsilon"})
 
     def _forest_fingerprint(self, privacy_level: int, delta: int, epsilon: float) -> str:
@@ -380,26 +378,11 @@ class ForestEngine:
         forest = PrivacyForest(self.tree, privacy_level, delta, epsilon)
         with Timer() as timer:
             roots = self.tree.nodes_at_level(privacy_level)
-            prepared = [self._subtree_task(root.node_id, delta, epsilon) for root in roots]
-
-            matrices: Dict[str, ObfuscationMatrix] = {}
-            pending: List[Tuple[RobustGenerationTask, str]] = []
-            for task, problem_key in prepared:
-                with self._state_lock:
-                    hit = self.matrix_cache.get(problem_key)
-                if hit is not None:
-                    matrices[task.key] = hit
-                else:
-                    pending.append((task, problem_key))
-            generated = self._run_pending([task for task, _ in pending])
+            tasks = [self._subtree_task(root.node_id, delta, epsilon) for root in roots]
+            generated = self._run_pending(tasks)
             self._accumulate_solver_stats(generated)
-            for (task, problem_key), result in zip(pending, generated):
-                with self._state_lock:
-                    self.matrix_cache.put(problem_key, result.matrix)
-                matrices[task.key] = result.matrix
-
-            for root in roots:
-                forest.add(root.node_id, matrices[root.node_id])
+            for root, result in zip(roots, generated):
+                forest.add(root.node_id, result.matrix)
         with self._state_lock:
             elapsed = self.stopwatch.record("forest_generation", timer.elapsed)
         clamped = sum(
@@ -419,14 +402,11 @@ class ForestEngine:
                 len(generated),
             )
         logger.info(
-            "generated privacy forest: level=%d delta=%d epsilon=%.2f subtrees=%d "
-            "(%d cached, %d solved, %.2f s)",
+            "generated privacy forest: level=%d delta=%d epsilon=%.2f subtrees=%d (%.2f s)",
             privacy_level,
             delta,
             epsilon,
             len(forest),
-            len(forest) - len(pending),
-            len(pending),
             elapsed,
         )
         with self._state_lock:
@@ -434,47 +414,11 @@ class ForestEngine:
         return forest, False
 
     # ------------------------------------------------------------------ #
-    # Cache lifecycle (invalidation / live prior updates)
+    # Live prior updates
     # ------------------------------------------------------------------ #
 
-    def invalidate(self, privacy_level: Optional[int] = None) -> int:
-        """Drop cached forests — all of them, or only one privacy level's.
-
-        ``privacy_level=None`` clears the whole forest cache *and* the
-        per-sub-tree matrix and LP caches (a full flush, e.g. after a prior
-        update); an explicit level drops only forests generated for that
-        level and leaves the matrix and LP caches alone.  Returns the
-        number of forests dropped.  Correctness never depends on calling
-        this — every result-affecting input is part of the cache key — but
-        a live system uses it to release memory held by forests no client
-        should see again.
-        """
-        with self._state_lock:
-            if privacy_level is None:
-                dropped = len(self.forest_cache)
-                self.forest_cache.clear()
-                self.matrix_cache.clear()
-                self.lp_cache.clear()
-            else:
-                level = int(privacy_level)
-                stale = [
-                    key for key, forest in self.forest_cache if forest.privacy_level == level
-                ]
-                for key in stale:
-                    self.forest_cache.pop(key)
-                dropped = len(stale)
-            self._invalidations += 1
-        logger.info(
-            "invalidated %d cached forest(s) (privacy_level=%s)",
-            dropped,
-            "all" if privacy_level is None else privacy_level,
-        )
-        return dropped
-
-    def publish_priors(
-        self, priors: Mapping[str, float], *, normalize: bool = True
-    ) -> int:
-        """Install new leaf priors and flush every cache (live prior update).
+    def publish_priors(self, priors: Mapping[str, float], *, normalize: bool = True) -> None:
+        """Install new leaf priors (live prior update).
 
         *priors* maps leaf node ids to (possibly unnormalised) prior mass —
         masses are vetted finite and non-negative up front (a NaN would
@@ -482,11 +426,10 @@ class ForestEngine:
         aggregates the masses up to the root.  The update takes the writer
         side of the priors gate: it waits for in-flight builds to finish
         and holds new ones back while the tree mutates, so no request can
-        be served a forest computed from a half-applied update.  The forest
-        fingerprint folds the leaf priors in, so even without the flush no
-        *later* request could see a stale forest — the flush releases the
-        memory the now-unreachable entries hold.  Returns the number of
-        forests dropped.
+        be served a forest computed from a half-applied update.  No cache is
+        flushed: the forest fingerprint folds the leaf priors in, so no
+        later request can see a forest built on the old priors, and those
+        entries age out of the LRU.  The update listeners run last.
         """
         vetted = validate_prior_masses(priors)
         with self._priors_write_lock:  # one live update at a time
@@ -500,10 +443,9 @@ class ForestEngine:
                 with self._state_lock:
                     self._prior_writers -= 1
                     self._build_cond.notify_all()
-        dropped = self.invalidate(None)
         with self._state_lock:
             self.priors_generation += 1
-        return dropped
+        notify_update_listeners(self.update_listeners)
 
     # ------------------------------------------------------------------ #
     # Warm hand-off hooks (cache export / import)
@@ -514,15 +456,25 @@ class ForestEngine:
     ) -> List[Dict[str, object]]:
         """Snapshot the forest cache for warm hand-off to a replica.
 
-        Returns one plain dict per cached forest, least recently used first:
-        the semantic request key (``privacy_level`` / ``delta`` /
-        ``epsilon``) and — while the cumulative ``payload_budget_bytes``
-        allows — the per-sub-tree matrices as the payload (``None`` once the
-        budget is spent; the receiver pre-warms key-only entries by
-        rebuilding).
+        Returns one plain dict per cached forest built on the current
+        priors, least recently used first: the semantic request key
+        (``privacy_level`` / ``delta`` / ``epsilon``) and — while the
+        cumulative ``payload_budget_bytes`` allows — the per-sub-tree
+        matrices as the payload (``None`` once the budget is spent; the
+        receiver pre-warms key-only entries by rebuilding).  A forest whose
+        cache key is not the fingerprint its semantic key has now (built on
+        priors a later publish replaced) is left out: the receiver installs
+        payloads under its own fingerprint of the semantic key, so shipping
+        it would serve old-priors matrices under the new priors.
         """
-        with self._state_lock:
-            cached = [forest for _, forest in self.forest_cache]
+        with self._priors_reader():
+            with self._state_lock:
+                cached = list(self.forest_cache)
+            cached = [
+                forest
+                for key, forest in cached
+                if key == self._forest_fingerprint(forest.privacy_level, forest.delta, forest.epsilon)
+            ]
         entries: List[Dict[str, object]] = []
         budget = int(payload_budget_bytes)
         for forest in cached:
@@ -587,7 +539,7 @@ class ForestEngine:
     def _accumulate_solver_stats(self, results: List[RobustGenerationResult]) -> None:
         """Fold per-solve LP diagnostics into the engine-wide solver aggregates.
 
-        Matrix-cache and LP-cache hits run no solver and contribute nothing.
+        LP-cache hits run no solver and contribute nothing.
         """
         solves = 0
         stage_times: Dict[str, float] = {}
@@ -608,7 +560,7 @@ class ForestEngine:
                 time_s[stage] = time_s.get(stage, 0.0) + elapsed
 
     def _run_pending(self, tasks: List[RobustGenerationTask]) -> List[RobustGenerationResult]:
-        """Execute uncached sub-tree tasks, sharing structures across congruent siblings.
+        """Execute sub-tree tasks, sharing structures across congruent siblings.
 
         Tasks are grouped by :func:`structure_fingerprint`; each group shares
         one :class:`~repro.core.lp.ConstraintStructure` (the ROADMAP lever —
@@ -648,8 +600,8 @@ class ForestEngine:
         subtree_root_id: str,
         delta: int,
         epsilon: float,
-    ) -> Tuple[RobustGenerationTask, str]:
-        """Build the picklable generation task and cache key for one sub-tree."""
+    ) -> RobustGenerationTask:
+        """Build the picklable generation task for one sub-tree."""
         leaves = self.tree.descendant_leaves(subtree_root_id)
         node_ids = [leaf.node_id for leaf in leaves]
         cells = [leaf.cell for leaf in leaves]
@@ -665,7 +617,7 @@ class ForestEngine:
         constraint_set = graph.constraint_set() if self.config.use_graph_approximation else None
 
         quality_model = QualityLossModel(centers, self.targets, priors)
-        task = RobustGenerationTask(
+        return RobustGenerationTask(
             key=subtree_root_id,
             node_ids=node_ids,
             distance_matrix_km=distance_matrix,
@@ -683,20 +635,6 @@ class ForestEngine:
             level=0,
             metadata={"subtree_root": subtree_root_id},
         )
-        problem_key = problem_fingerprint(
-            node_ids,
-            distance_matrix,
-            epsilon,
-            delta,
-            quality_digest=quality_model.digest(),
-            constraint_digest=constraint_set_digest(constraint_set),
-            weighting=str(self.config.graph_weighting),
-            basis_row=str(self.config.rpb_basis_row),
-            rpb_method=str(self.config.rpb_method),
-            max_iterations=int(self.config.robust_iterations),
-            solver_method=str(self.config.solver_method),
-        )
-        return task, problem_key
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -718,16 +656,13 @@ class ForestEngine:
             return len(self.forest_cache)
 
     def cache_diagnostics(self) -> Dict[str, object]:
-        """Forest-, matrix-, LP- and structure-cache state for monitoring and the perf harness."""
+        """Forest-, LP- and structure-cache state for monitoring and the perf harness."""
         with self._state_lock:
             return {
                 "forest_entries": len(self.forest_cache),
                 "forest_stats": self.forest_cache.stats.as_dict(),
-                "invalidations": self._invalidations,
                 "handoff_imports": self._handoff_imports,
                 "handoff_prewarms": self._handoff_prewarms,
-                "matrix_entries": len(self.matrix_cache),
-                "matrix_stats": self.matrix_cache.stats.as_dict(),
                 "lp_entries": len(self.lp_cache),
                 "lp_stats": self.lp_cache.stats.as_dict(),
                 "structure_sharing": dict(self._structure_stats),

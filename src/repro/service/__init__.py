@@ -13,7 +13,7 @@ logic / control separation the related DB-nets work argues for):
   the wire formats of :mod:`repro.server.messages`;
 * :class:`~repro.service.pool.EnginePool` /
   :mod:`repro.service.shard` — N engine replicas in shard processes with
-  consistent-hash routing, crash respawn and broadcast cache invalidation,
+  consistent-hash routing, crash respawn and broadcast prior updates,
   behind the same service API;
 * :mod:`repro.service.wire` / :mod:`repro.service.netshard` — the one shard
   transport: length-prefixed JSON frames with heartbeat liveness and
@@ -21,12 +21,12 @@ logic / control separation the related DB-nets work argues for):
   slot or by a ``python -m repro.service.netshard`` server on another
   machine for a remote one;
 * :mod:`repro.service.controllog` / :mod:`repro.service.store` — the
-  durable state tier: a crash-safe priors/invalidation write-ahead log
+  durable state tier: a crash-safe priors write-ahead log
   replayed on boot, plus a compressed, checksummed snapshot store that
   pre-warms a restarted fleet (``EnginePool(state_dir=...)``);
 * :mod:`repro.service.gateway` — the asyncio push front-end: clients hold
   one connection, subscribe to keys, and get refreshed matrices *pushed*
-  on invalidate/priors events (async single-flight over a bounded
+  when new priors are installed (async single-flight over a bounded
   executor, per-connection queues, slow-consumer eviction, generation
   tags).  The sync HTTP transport stays a thin adapter over the same core.
 

@@ -1,10 +1,10 @@
-"""Crash-safe append-only control log for priors/invalidation events.
+"""Crash-safe append-only control log for priors events.
 
-The pool's control plane — ``publish_priors`` and ``invalidate`` — is what
-makes replicas diverge after a crash: PR 5 had to patch a split-brain edge
-where a replica outlived a head restart carrying a priors generation the
-new head had never seen, and the only safe answer in RAM-only operation was
-to reset the replica defensively.  This module makes the control plane
+The pool's control plane — ``publish_priors`` — is what makes replicas
+diverge after a crash: PR 5 had to patch a split-brain edge where a replica
+outlived a head restart carrying a priors generation the new head had never
+seen, and the only safe answer in RAM-only operation was to reset the
+replica defensively.  This module makes the control plane
 durable instead, following the store-and-forward durable-queue pattern from
 the MSMQ multi-branch synchronization literature: every control event is
 appended to an fsync'd log *before* it is applied or broadcast, each record

@@ -1,14 +1,14 @@
 """Async push gateway: one held connection per client, refreshes are pushed.
 
 The thread-per-request HTTP transport answers exactly one forest per
-exchange, so after every ``/admin/invalidate`` or ``/admin/priors`` each
-mobile client re-polls for a fresh obfuscation matrix — at millions of
-users that is a reconnect storm per configuration change.  The gateway
+exchange, so after every ``/admin/priors`` each mobile client re-polls for
+a fresh obfuscation matrix — at millions of users that is a reconnect
+storm per priors update.  The gateway
 inverts the flow, following the store-and-forward delivery model of the
 MSMQ multi-branch synchronization design (PAPERS.md): a client holds
 **one** long-lived connection, subscribes to the ``(privacy_level, δ, ε)``
-keys it cares about, and the server *pushes* refreshed matrices when the
-admin surface fires — queued per connection, tagged with a generation so a
+keys it cares about, and the server *pushes* refreshed matrices when new
+priors are installed — queued per connection, tagged with a generation so a
 client can never install a matrix older than the one it holds.
 
 Layering (the sync HTTP transport stays a thin adapter over the same
@@ -41,9 +41,9 @@ core)::
   connections get heartbeat frames so NATs stay open and dead peers
   surface as queue growth.
 * **Generation tags** — every subscribed key carries a monotonic
-  generation, bumped per invalidate/priors event.  Refresh pushes are
-  coalesced per key (a storm of invalidations converges to one rebuild +
-  one push of the final generation) and a rebuild that raced an update is
+  generation, bumped per priors install.  Refresh pushes are coalesced
+  per key (a storm of publishes converges to one rebuild + one push of
+  the final generation) and a rebuild that raced an update is
   re-run, so no subscriber is pushed a stale generation.
 
 Counters flow into :class:`~repro.service.metrics.ServiceMetrics` (the
@@ -545,29 +545,27 @@ class GatewayServer:
             self._async.close()
 
     # ------------------------------------------------------------------ #
-    # Update fan-out (invalidate / priors → push)
+    # Update fan-out (priors install → push)
     # ------------------------------------------------------------------ #
 
-    def _on_update(self, kind: str, privacy_level: Optional[int]) -> None:
-        """Service update listener — called on the admin caller's thread."""
+    def _on_update(self) -> None:
+        """Engine update listener — called on the priors-installing thread."""
         loop = self._loop
         if loop is None or loop.is_closed():
             return
         try:
-            loop.call_soon_threadsafe(self._mark_updated, kind, privacy_level)
+            loop.call_soon_threadsafe(self._mark_updated)
         except RuntimeError:
             pass  # loop shut down between the check and the call
 
-    def _mark_updated(self, kind: str, privacy_level: Optional[int]) -> None:
-        """Bump generations of affected subscribed keys and schedule refreshes."""
+    def _mark_updated(self) -> None:
+        """Bump every subscribed key's generation and schedule refreshes."""
         for key in list(self._subscribers):
-            if privacy_level is not None and key[0] != privacy_level:
-                continue
             self._generations[key] = self._generations.get(key, 1) + 1
             if key not in self._refreshing:
-                self._refreshing[key] = asyncio.create_task(self._refresh(key, kind))
+                self._refreshing[key] = asyncio.create_task(self._refresh(key))
 
-    async def _refresh(self, key: RequestKey, reason: str) -> None:
+    async def _refresh(self, key: RequestKey) -> None:
         """Rebuild *key* and fan the result out — once per settled generation.
 
         A storm of updates while the build runs keeps bumping the key's
@@ -609,7 +607,7 @@ class GatewayServer:
                         "type": "forest",
                         "key": key_to_wire(key),
                         "generation": generation,
-                        "reason": reason,
+                        "reason": "priors",
                         "response": response,
                     }
                 )

@@ -19,23 +19,18 @@ adds routing, status codes and JSON framing, nothing else:
   a replicated head the payload adds a ``replication`` block — primary:
   per-follower acked cursors and lag against the durable log head;
   follower: source address, durable cursor, applied/skipped/reset
-  counters and lag.  A control write (``/admin/priors``,
-  ``/admin/invalidate``) sent to a *follower* head is refused with a
-  structured 400 (:class:`~repro.service.replication
+  counters and lag.  A control write (``/admin/priors``) sent to a
+  *follower* head is refused with a structured 400 (:class:`~repro.service.replication
   .ReplicationRoleError`) naming the primary — replicated state converges
   through the primary's log, never through side writes.
 * ``GET /admin/diagnostics`` — engine cache/solver diagnostics
-  (:meth:`CORGIService.diagnostics`): forest/matrix cache stats, structure
+  (:meth:`CORGIService.diagnostics`): forest and LP cache stats, structure
   sharing, and the aggregate LP-solver block (solve count and per-stage
   time totals) — summed across shards on a pool.
-* ``POST /admin/invalidate`` — body ``{"privacy_level": <int|null>}``
-  (field optional); drops cached forests — on a sharded
-  :class:`~repro.service.pool.EnginePool` across every shard — and answers
-  ``{"invalidated": <count>}``.
 * ``POST /admin/priors`` — body ``{"priors": {<leaf_id>: <mass>, ...},
-  "normalize": <bool>}``; installs new leaf priors (a live prior update),
-  flushes affected caches on every shard and answers
-  ``{"invalidated": <count>, "leaves": <len(priors)>}``.
+  "normalize": <bool>}``; installs new leaf priors (a live prior update)
+  — on a sharded :class:`~repro.service.pool.EnginePool` on every shard —
+  and answers ``{"leaves": <len(priors)>}``.
 * ``POST /admin/drain`` — body ``{"slot": <int>}``; gracefully drains one
   shard slot of a sharded :class:`~repro.service.pool.EnginePool` (warm
   cache hand-off to its ring siblings, then retirement) and answers the
@@ -104,8 +99,6 @@ class CORGIRequestHandler(BaseHTTPRequestHandler):
                     raise ValueError('batch body must be {"requests": [...]}')
                 responses = self.service.handle_batch_dicts(requests)
                 self._send_json(200, {"responses": responses})
-            elif self.path == "/admin/invalidate":
-                self._send_json(200, self._handle_invalidate(payload))
             elif self.path == "/admin/priors":
                 self._send_json(200, self._handle_publish_priors(payload))
             elif self.path == "/admin/drain":
@@ -116,15 +109,8 @@ class CORGIRequestHandler(BaseHTTPRequestHandler):
             self._send_mapped_error(error)
 
     # ------------------------------------------------------------------ #
-    # Admin ops (cache lifecycle)
+    # Admin ops
     # ------------------------------------------------------------------ #
-
-    def _handle_invalidate(self, payload: Dict[str, object]) -> Dict[str, object]:
-        privacy_level = payload.get("privacy_level")
-        if privacy_level is not None:
-            privacy_level = int(privacy_level)  # type: ignore[arg-type]
-        dropped = self.service.invalidate(privacy_level)
-        return {"invalidated": dropped}
 
     def _handle_publish_priors(self, payload: Dict[str, object]) -> Dict[str, object]:
         priors = payload.get("priors")
@@ -134,8 +120,8 @@ class CORGIRequestHandler(BaseHTTPRequestHandler):
         if not isinstance(normalize, bool):
             raise ValueError("normalize must be a boolean")
         coerced = {str(node_id): float(mass) for node_id, mass in priors.items()}
-        dropped = self.service.publish_priors(coerced, normalize=normalize)
-        return {"invalidated": dropped, "leaves": len(coerced)}
+        self.service.publish_priors(coerced, normalize=normalize)
+        return {"leaves": len(coerced)}
 
     def _handle_drain(self, payload: Dict[str, object]) -> Dict[str, object]:
         if "slot" not in payload:

@@ -30,7 +30,6 @@ COUNTER_NAMES: Tuple[str, ...] = (
     "batches",
     "batch_requests",
     "batch_coalesced",
-    "invalidated",
     # Push-gateway lifecycle (incremented by repro.service.gateway so held
     # connections, pushes and evictions land in the same snapshot as the
     # request counters they amortize).

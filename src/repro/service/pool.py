@@ -23,10 +23,10 @@ end of a ``socketpair`` (:func:`~repro.service.netshard.serve_local_shard`),
 and one session thread per slot heartbeats it, so EOF (a SIGKILLed child)
 or silence past ``liveness_timeout_s`` (a frozen one) reports its death.
 
-Cache lifecycle is a broadcast concern: :meth:`EnginePool.invalidate` and
-:meth:`EnginePool.publish_priors` fan out to every shard so a live prior
-update flushes all replicas' caches at once (exposed on the wire as
-``POST /admin/priors`` / ``POST /admin/invalidate``).
+A live prior update is a broadcast: :meth:`EnginePool.publish_priors`
+installs the priors on every shard (exposed on the wire as
+``POST /admin/priors``).  No cache is flushed: every replica keys its
+caches on the priors, so entries built on the old ones age out.
 
 Shards also retire *warm*: :meth:`EnginePool.drain` runs the graceful
 hand-off protocol (stop new assignments, flush in-flight work, ship the
@@ -50,9 +50,9 @@ are the same code for both, so a pool can mix shard processes on this
 machine with replicas on other machines behind one service.
 
 With ``state_dir`` set, the pool gains a **durable state tier**: control
-events (``publish_priors`` / ``invalidate``) are committed to a crash-safe
-write-ahead log (:mod:`repro.service.controllog`) before they are applied,
-and every built forest is persisted to a compressed snapshot store
+events (``publish_priors``) are committed to a crash-safe write-ahead log
+(:mod:`repro.service.controllog`) before they are applied, and every
+built forest is persisted to a compressed snapshot store
 (:mod:`repro.service.store`) by a background thread.  A fresh pool booted
 over the same directory replays the log — recovering the authoritative
 priors generation from disk instead of resetting replicas defensively —
@@ -93,11 +93,11 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.exceptions import CORGIError
 from repro.core.objective import TargetDistribution
-from repro.server.engine import ServerConfig, validate_prior_masses
+from repro.server.engine import ServerConfig, notify_update_listeners, validate_prior_masses
 from repro.server.privacy_forest import PrivacyForest
 from repro.service.controllog import ControlLog
 from repro.service.handoff import (
@@ -404,6 +404,8 @@ class EnginePool:
         # single-flight gate lets a request join only a build led under the
         # generation it read.
         self.priors_generation = 0
+        # Called with no arguments after each bump (the push gateway's hook).
+        self.update_listeners: List[Callable[[], None]] = []
         # Durable state tier (optional): replay the control log *before*
         # spawning shards, so every shard is stamped with the recovered
         # priors generation and carries the replayed tree priors.
@@ -418,8 +420,9 @@ class EnginePool:
         self._persister: Optional[threading.Thread] = None
         # Orders write-through persists against store purges: every purge
         # bumps the epoch, and a persist dispatched under an older epoch is
-        # dropped, so a forest queued before an invalidate can never land in
-        # the store after its purge (and be pre-warmed by the next boot).
+        # dropped, so a forest queued before a split-brain reset can never
+        # land in the store after its purge (and be pre-warmed by the next
+        # boot).
         self._store_lock = threading.Lock()
         self._store_epoch = 0
         self._prewarm_done = threading.Event()
@@ -632,13 +635,13 @@ class EnginePool:
                 self._store.count_write_error()
                 logger.exception("snapshot persistence failed for key %s", entry.key)
 
-    def _purge_store(self, privacy_level: Optional[int]) -> None:
-        """Purge stored snapshots (one level, or all) and drop in-flight persists."""
+    def _purge_store(self) -> None:
+        """Purge every stored snapshot and drop in-flight persists."""
         if self._store is None:
             return
         with self._store_lock:
             self._store_epoch += 1
-            self._store.purge(privacy_level)
+            self._store.purge()
 
     def _store_entry(
         self,
@@ -826,11 +829,11 @@ class EnginePool:
     def apply_replicated_control(self, record: Mapping[str, object]) -> None:
         """Apply one replicated control record at the *primary's* version.
 
-        The follower-side twin of ``publish_priors`` / ``invalidate``:
-        same tree mutation, same broadcast, but no local version
-        allocation and no local log append — the replication client
-        already committed the record verbatim (store-and-forward), so this
-        head's log carries the primary's exact sequence.
+        The follower-side twin of ``publish_priors``: same tree mutation,
+        same broadcast, but no local version allocation and no local log
+        append — the replication client already committed the record
+        verbatim (store-and-forward), so this head's log carries the
+        primary's exact sequence.
         """
         record_type = record.get("type")
         version = record.get("version")
@@ -846,10 +849,7 @@ class EnginePool:
                 self._current_priors = payload
             self._broadcast_priors(version, payload)
         elif record_type == "invalidate":
-            level = record.get("privacy_level")
-            level = None if level is None else int(level)
-            self._purge_store(level)
-            self._broadcast("invalidate", level)
+            pass  # retired cache command, still in older primaries' logs
         else:
             raise ValueError(f"unknown replicated control record type {record_type!r}")
 
@@ -866,20 +866,21 @@ class EnginePool:
         .split-brain``), a fresh log is seeded with the primary's
         authoritative priors at its durable version (store-and-forward
         applies to the reset itself: a reboot replays it), the parent tree
-        adopts those priors, every shard's cache is flushed at the
-        primary's version, and the local snapshot store is purged — every
-        snapshot it holds was built under versions that never happened.
+        adopts those priors, every shard installs them at the primary's
+        version, and the local snapshot store is purged — every snapshot it
+        holds was built under versions that never happened.  A reset that
+        carries no priors keeps this head's own tree priors.
         """
         version = int(last_version)
-        vetted: Optional[Dict[str, float]] = None
-        if priors is not None:
-            vetted = validate_prior_masses(priors)
+        if priors is None:
+            priors, normalize = self._replication_state()
+        vetted = validate_prior_masses(priors)
         log = self._control_log
         if log is not None:
             log.close()
             self._rotate_split_brain_log(log.path)
             self._control_log = ControlLog(log.path)
-            if version > 0 and vetted is not None:
+            if version > 0:
                 self._control_log.append_replicated(
                     {
                         "type": "publish_priors",
@@ -889,14 +890,12 @@ class EnginePool:
                         "reset": True,
                     }
                 )
-        payload = None
-        if vetted is not None:
-            self._apply_tree_priors(vetted, bool(normalize))
-            payload = (vetted, bool(normalize), version)
+        self._apply_tree_priors(vetted, bool(normalize))
+        payload = (vetted, bool(normalize), version)
         with self._lifecycle_lock:
             self._priors_version = version
             self._current_priors = payload
-        self._purge_store(None)
+        self._purge_store()
         self._broadcast_priors(version, payload, reset=True)
         logger.warning(
             "replication reset complete: this head now serves the primary's "
@@ -1044,9 +1043,8 @@ class EnginePool:
             # The replica carries a priors generation this pool never
             # published — e.g. a warm netshard server outliving a head-node
             # restart.  Its live priors are unreconcilable with ours, so
-            # reset it to this pool's authoritative tree priors (which also
-            # flushes its stale forest cache) instead of silently serving
-            # split-brain forests next to the other shards.
+            # reset it to this pool's authoritative tree priors instead of
+            # silently serving split-brain forests next to the other shards.
             with self._tree_lock:
                 masses = {leaf.node_id: leaf.prior for leaf in self.tree.leaves()}
             reset_priors = (masses, False, current_version)
@@ -1582,7 +1580,7 @@ class EnginePool:
         slot to that home — so routing and cache placement agree again.
         Source copies are left in place (they are unreachable through
         routing while the home is live, and merely occupy memory until
-        invalidated or evicted).
+        evicted).
         """
         if self._closed:
             raise EnginePoolError("engine pool is closed")
@@ -1725,7 +1723,7 @@ class EnginePool:
             return {leaf.node_id: leaf.prior for leaf in leaves}
 
     # ------------------------------------------------------------------ #
-    # Broadcast cache lifecycle
+    # Broadcasts and live prior updates
     # ------------------------------------------------------------------ #
 
     def _broadcast(
@@ -1738,10 +1736,9 @@ class EnginePool:
     ) -> Dict[int, object]:
         """Run one op on every shard that can take it; return answers by slot.
 
-        Shards that are respawning are skipped — a fresh worker starts with
-        a cold cache, which is exactly the post-broadcast state (and a live
-        prior update is re-sent at READY) — and a shard that dies
-        mid-broadcast counts as flushed for the same reason.  With
+        Shards that are respawning are skipped — a live prior update is
+        re-sent to a fresh worker at READY — and a shard that dies
+        mid-broadcast is skipped for the same reason.  With
         ``partial=True`` a shard that does not answer within the timeout is
         simply omitted from the result (monitoring must not fail wholesale
         because one worker is deep in a long build); otherwise the timeout
@@ -1776,34 +1773,15 @@ class EnginePool:
             results[shard.slot] = entry.result
         return results
 
-    def invalidate(self, privacy_level: Optional[int] = None) -> int:
-        """Drop cached forests on every shard; return the total dropped.
-
-        With a durable tier, the event is committed to the control log
-        first (write-ahead: a crash mid-broadcast converges on replay) and
-        the matching stored snapshots are purged — an operator invalidation
-        must not be resurrected from disk by the next boot's pre-warm.
-        """
-        self._require_primary("invalidate")
-        level = None if privacy_level is None else int(privacy_level)
-        if self._control_log is not None:
-            self._control_log.append("invalidate", {"privacy_level": level})
-        self._purge_store(level)
-        answers = self._broadcast("invalidate", level)
-        return sum(int(count) for count in answers.values())
-
-    def publish_priors(
-        self, priors: Mapping[str, float], *, normalize: bool = True
-    ) -> int:
-        """Install new leaf priors everywhere and flush every shard's caches.
+    def publish_priors(self, priors: Mapping[str, float], *, normalize: bool = True) -> None:
+        """Install new leaf priors on the parent tree and every shard.
 
         Masses are vetted (finite, non-negative) and the parent tree is
         updated first — so a bad payload never reaches a worker — then the
         update is broadcast.  A shard that cannot take the broadcast right
         now (respawning) gets it re-sent the moment it turns READY, keyed
         by a monotonically increasing priors version, so no replica is left
-        serving pre-update priors.  Returns the total number of forests
-        flushed across the shards that answered.
+        serving pre-update priors.
         """
         self._require_primary("publish_priors")
         vetted = validate_prior_masses(priors)
@@ -1816,8 +1794,7 @@ class EnginePool:
             if self._control_log is not None:
                 # Write-ahead: commit (append + fsync) before the broadcast,
                 # so a crash in between converges on replay instead of
-                # losing the generation.  The log allocates the version —
-                # one monotonic sequence shared with invalidation events.
+                # losing the generation.  The log allocates the version.
                 version = self._control_log.append(
                     "publish_priors",
                     {
@@ -1833,8 +1810,7 @@ class EnginePool:
             # own priors generation (the import_cache skew check).
             payload = (vetted, bool(normalize), version)
             self._current_priors = payload
-        answers = self._broadcast_priors(version, payload)
-        return sum(int(count) for count in answers.values())
+        self._broadcast_priors(version, payload)
 
     def _apply_tree_priors(self, vetted: Mapping[str, float], normalize: bool) -> None:
         """Install vetted leaf priors on the parent tree (forked shards copy it)."""
@@ -1844,22 +1820,21 @@ class EnginePool:
     def _broadcast_priors(
         self,
         version: int,
-        payload: Optional[Tuple[Dict[str, float], bool, int]],
+        payload: Tuple[Dict[str, float], bool, int],
         *,
         reset: bool = False,
-    ) -> Dict[int, object]:
-        """Broadcast ``set_priors`` (``invalidate`` for a reset without priors)
-        and move each answering shard's priors version to *version*.
+    ) -> None:
+        """Broadcast ``set_priors``, move each answering shard's priors
+        version to *version*, then run the update listeners.
 
         A publish only moves versions up (``max``).  A reset moves them
         exactly, downward included: the replica's old generation never
         happened, so ``max`` would preserve exactly the lie the reset is
-        erasing.
+        erasing.  Every priors install passes here — a local publish, a
+        replicated one and a reset — so a push gateway over a follower
+        head learns of them too.
         """
-        if payload is None:
-            answers = self._broadcast("invalidate", None)
-        else:
-            answers = self._broadcast("set_priors", payload)
+        answers = self._broadcast("set_priors", payload)
         for slot in answers:
             shard = self._shards[slot]
             with shard.lock:
@@ -1868,7 +1843,7 @@ class EnginePool:
                 )
         with self._lifecycle_lock:
             self.priors_generation += 1
-        return answers
+        notify_update_listeners(self.update_listeners)
 
     # ------------------------------------------------------------------ #
     # Health and introspection

@@ -1,13 +1,13 @@
 """Control-plane replication: one primary's control log, tailed by N heads.
 
-PR 6 made the priors/invalidation control plane a durable write-ahead log
-that one head replays on boot (:mod:`repro.service.controllog`).  This
-module ships that log across heads, following the store-and-forward
-durable-queue design of the MSMQ multi-branch synchronization literature:
+PR 6 made the priors control plane a durable write-ahead log that one head
+replays on boot (:mod:`repro.service.controllog`).  This module ships that
+log across heads, following the store-and-forward durable-queue design of
+the MSMQ multi-branch synchronization literature:
 
-* A **primary** head keeps accepting ``publish_priors`` / ``invalidate``
-  writes exactly as before — the control log allocates the version and
-  commits the record with write+fsync.  A :class:`ReplicationServer`
+* A **primary** head keeps accepting ``publish_priors`` writes exactly as
+  before — the control log allocates the version and commits the record
+  with write+fsync.  A :class:`ReplicationServer`
   attached to that log streams every *durable* record to subscribed
   followers over the same CRGF frames, read loop and dial helper every
   shard session uses (length-prefixed JSON, heartbeat liveness; see
@@ -110,8 +110,8 @@ class ReplicationRoleError(ReplicationError, ValueError):
     """A control write landed on a follower head.
 
     Followers converge on the primary's log; accepting a local
-    ``publish_priors`` / ``invalidate`` would fork the version sequence —
-    exactly the split-brain this layer exists to prevent.  Subclasses
+    ``publish_priors`` would fork the version sequence — exactly the
+    split-brain this layer exists to prevent.  Subclasses
     :class:`ValueError` so HTTP transports map it to the 400 class.
     """
 

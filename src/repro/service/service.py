@@ -217,46 +217,35 @@ class CORGIService:
         self._inflight: Dict[RequestKey, _InFlightBuild] = {}
         self._pending_leaders = 0
         self._build_slots = threading.BoundedSemaphore(self.config.max_in_flight)
-        # Cache-update listeners (the push gateway subscribes here): called
-        # after invalidate / publish_priors so held connections learn about
-        # refreshes without polling.  A raising listener is logged and must
-        # never fail the admin operation itself.
-        self._update_listeners: List = []
         # Attached gateway diagnostics providers (callables returning a
         # JSON-friendly dict), merged into diagnostics()/snapshot().
         self._gateway_diagnostics: List = []
 
     # ------------------------------------------------------------------ #
-    # Cache-update listeners (push-gateway hook)
+    # Priors-update listeners (push-gateway hook)
     # ------------------------------------------------------------------ #
 
     def add_update_listener(self, listener) -> None:
-        """Register ``listener(kind, privacy_level)`` for cache updates.
+        """Register ``listener()`` to run after each priors install.
 
-        Called after every successful :meth:`invalidate` (``kind =
-        "invalidate"``, ``privacy_level`` as requested — ``None`` for a full
-        flush) and :meth:`publish_priors` (``kind = "priors"``,
-        ``privacy_level = None``).  The gateway uses this to push refreshed
-        matrices to held connections.  Listeners run on the admin caller's
-        thread and must not block.
+        The listener joins the engine's ``update_listeners``, which the
+        engine calls wherever it installs priors: a local
+        :meth:`publish_priors` and, on a replication follower, every
+        replicated publish and reset.  The gateway uses this to push
+        refreshed matrices to held connections.  Listeners run on the
+        installing thread and must not block; one that raises is logged and
+        never fails the update.
         """
         if not callable(listener):
             raise TypeError("update listener must be callable")
-        self._update_listeners.append(listener)
+        self.engine.update_listeners.append(listener)
 
     def remove_update_listener(self, listener) -> None:
         """Unregister a listener previously added (missing ones are ignored)."""
         try:
-            self._update_listeners.remove(listener)
+            self.engine.update_listeners.remove(listener)
         except ValueError:
             pass
-
-    def _notify_update(self, kind: str, privacy_level: Optional[int]) -> None:
-        for listener in list(self._update_listeners):
-            try:
-                listener(kind, privacy_level)
-            except Exception:  # noqa: BLE001 - a listener must not fail admin ops
-                logger.exception("cache-update listener failed (kind=%s)", kind)
 
     def attach_gateway_diagnostics(self, provider) -> None:
         """Register a gateway stats provider merged into :meth:`diagnostics`."""
@@ -467,39 +456,19 @@ class CORGIService:
         return self.engine.publish_leaf_priors(subtree_root_id)
 
     # ------------------------------------------------------------------ #
-    # Cache lifecycle (admin surface)
+    # Admin surface
     # ------------------------------------------------------------------ #
 
-    def invalidate(self, privacy_level: Optional[int] = None) -> int:
-        """Drop cached forests on the engine (all levels, or one).
-
-        On an :class:`~repro.service.pool.EnginePool` this broadcasts to
-        every shard.  Returns the number of forests dropped; exposed on the
-        wire as ``POST /admin/invalidate``.  A pool configured as a
-        replication *follower* refuses with
-        :class:`~repro.service.replication.ReplicationRoleError` (HTTP 400)
-        — control writes go to the primary and replicate back.
-        """
-        dropped = int(self.engine.invalidate(privacy_level))
-        self.metrics.increment("invalidated", dropped)
-        self._notify_update("invalidate", None if privacy_level is None else int(privacy_level))
-        return dropped
-
-    def publish_priors(
-        self, priors: Mapping[str, float], *, normalize: bool = True
-    ) -> int:
-        """Install new leaf priors and flush affected caches (live update).
+    def publish_priors(self, priors: Mapping[str, float], *, normalize: bool = True) -> None:
+        """Install new leaf priors (live update).
 
         Exposed on the wire as ``POST /admin/priors``; on a pool the update
         reaches every shard — and, when the pool is a replication primary,
-        every follower head tailing its control log.  Returns the number of
-        forests flushed.  A follower pool refuses the local write with
+        every follower head tailing its control log.  A follower pool
+        refuses the local write with
         :class:`~repro.service.replication.ReplicationRoleError` (HTTP 400).
         """
-        dropped = int(self.engine.publish_priors(priors, normalize=normalize))
-        self.metrics.increment("invalidated", dropped)
-        self._notify_update("priors", None)
-        return dropped
+        self.engine.publish_priors(priors, normalize=normalize)
 
     def drain(self, slot: int) -> Dict[str, object]:
         """Gracefully drain one shard slot with warm hand-off to its siblings.

@@ -168,10 +168,9 @@ class ShardOpExecutor:
 
     * ``build`` — payload ``(privacy_level, delta, epsilon)``;
       result ``{"privacy_level", "delta", "epsilon", "matrices", "cached"}``.
-    * ``invalidate`` — payload ``privacy_level | None``; result = #dropped.
     * ``set_priors`` — payload ``(priors_mapping, normalize, version)``;
-      result = #forests flushed.  The executor records *version* as its
-      current priors generation.
+      result ``None``.  The executor records *version* as its current
+      priors generation.
     * ``export_cache`` — payload ``payload_budget_bytes``; result = the
       replica's forest cache as an encoded snapshot blob
       (:func:`repro.service.handoff.encode_snapshot`) stamped with this
@@ -226,13 +225,11 @@ class ShardOpExecutor:
                 "matrices": dict(forest),
                 "cached": cached,
             }
-        if op == "invalidate":
-            return self.engine.invalidate(payload)
         if op == "set_priors":
             priors, normalize, version = payload
-            result = self.engine.publish_priors(priors, normalize=normalize)
+            self.engine.publish_priors(priors, normalize=normalize)
             self.priors_version = int(version)
-            return result
+            return None
         if op == "export_cache":
             entries = self.engine.export_cache_entries(payload_budget_bytes=int(payload))
             return encode_snapshot(
@@ -321,7 +318,7 @@ def encode_request(op: str, ticket: int, payload: object) -> Dict[str, object]:
             raise FrameFormatError("import_cache payload must be a snapshot blob")
         body = {"snapshot": bytes(payload).decode("utf-8")}
     else:
-        # invalidate (int | None), export_cache (int), diagnostics / ping (None)
+        # export_cache (int), diagnostics / ping (None)
         body = payload
     return {"kind": "request", "op": str(op), "ticket": int(ticket), "payload": body}
 

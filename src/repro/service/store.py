@@ -358,17 +358,16 @@ class SnapshotStore:
         self._quarantine(self.root / name, StoreFormatError(str(error)))
 
     # ------------------------------------------------------------------ #
-    # Invalidation
+    # Purge
     # ------------------------------------------------------------------ #
 
-    def purge(self, privacy_level: Optional[int] = None) -> int:
-        """Delete stored snapshots (optionally for one privacy level only)."""
+    def purge(self) -> int:
+        """Delete every stored snapshot."""
         if self.read_only:
             logger.warning("snapshot store %s is read-only; refusing purge", self.root)
             return 0
-        prefix = "" if privacy_level is None else f"L{int(privacy_level)}_"
         removed = 0
-        for path in list(self.root.glob(f"{prefix}*{_SNAPSHOT_SUFFIX}")):
+        for path in list(self.root.glob(f"*{_SNAPSHOT_SUFFIX}")):
             try:
                 path.unlink()
                 removed += 1

@@ -1,8 +1,7 @@
-"""Canonical content hashing shared by the quality model and the pipeline.
+"""Canonical content hashing of numpy arrays.
 
 One rule for hashing numpy arrays (dtype + shape + raw bytes, SHA-256)
-lives here so the quality-model digest and the pipeline fingerprints can
-never drift apart; :data:`repro.pipeline.fingerprint.FINGERPRINT_VERSION`
+lives here; :data:`repro.pipeline.fingerprint.FINGERPRINT_VERSION`
 versions the composite encodings built on top.
 """
 

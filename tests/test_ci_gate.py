@@ -56,7 +56,7 @@ def test_clean_run_gates_green_and_writes_summary_table(tmp_path):
     assert "## Bench regression gate — ✅ passed" in summary
     assert "| file | metric | baseline (s) | fresh (s) | ratio | verdict |" in summary
     assert "`replication.propagation_s.p50`" in summary
-    assert "`gateway.push_latency_s.p50`" in summary
+    assert "`gateway_publish.push_latency_s.p50`" in summary
     assert "1.00x | ✅ ok" in summary
     assert "❌" not in summary
 
@@ -100,7 +100,7 @@ def test_missing_fresh_file_fails_and_marks_every_metric(tmp_path):
     assert completed.returncode == 1
     assert "fresh results missing" in completed.stderr
     assert "`forest_generation_s.cold`" in summary
-    assert summary.count("❌ MISSING") == 4  # every BENCH_pipeline gate
+    assert summary.count("❌ MISSING") == 3  # every BENCH_pipeline gate
 
 
 def test_no_summary_env_still_gates(tmp_path):

@@ -3,8 +3,8 @@
 Covers the ISSUE acceptance surface: deterministic consistent-hash
 routing, single-flight coalescing staying effective across shards,
 kill-a-worker-mid-burst recovery (no request lost — they complete via
-respawn/retry on a sibling), the forest cache's LRU bound and explicit
-invalidation, concurrent builds sharing one engine's LP cache, and
+respawn/retry on a sibling), the forest cache's LRU bound and live prior
+updates, concurrent builds sharing one engine's LP cache, and
 byte-identical forests between pooled and single-process engines.  The
 shard lifecycle state machine is unit-tested directly.
 
@@ -14,6 +14,7 @@ All synchronization goes through the conftest helpers (`run_burst`,
 
 import copy
 import json
+import logging
 import multiprocessing
 import sys
 import threading
@@ -160,7 +161,7 @@ class TestServiceOverPool:
         merged = pool.cache_diagnostics()
         assert set(key_paths(engine.cache_diagnostics())) - set(key_paths(merged)) == set()
         rates = [value for name, value in merged.items() if name.endswith("_stats")]
-        assert len(rates) == 3
+        assert len(rates) == 2  # forest_stats and lp_stats
         for stats in rates:
             assert stats["hits"] + stats["misses"] > 0
             assert stats["hit_rate"] == stats["hits"] / (stats["hits"] + stats["misses"])
@@ -396,7 +397,7 @@ def _running(pid: int) -> bool:
 
 
 # --------------------------------------------------------------------- #
-# Cache lifecycle: LRU bound, explicit invalidation, live prior updates
+# Cache lifecycle: LRU bound and live prior updates
 # --------------------------------------------------------------------- #
 
 
@@ -450,35 +451,54 @@ class TestEngineLPCache:
         assert reference.cache_diagnostics()["lp_stats"]["hits"] == 0
 
 
-class TestEngineInvalidation:
-    def test_invalidate_by_level(self, small_tree_with_priors):
-        engine = ForestEngine(small_tree_with_priors, ServerConfig(**POOL_CONFIG))
-        engine.build_forest_traced(0, 0)
-        engine.build_forest_traced(1, 0)
-        engine.build_forest_traced(1, 1)
-        assert engine.invalidate(1) == 2
-        assert engine.cache_size() == 1
-        assert engine.cache_diagnostics()["forest_stats"]["evictions"] == 0
-        _, cached = engine.build_forest_traced(0, 0)
-        assert cached  # level 0 untouched
-
-    def test_invalidate_all_flushes_matrix_cache_too(self, small_tree_with_priors):
-        engine = ForestEngine(small_tree_with_priors, ServerConfig(**POOL_CONFIG))
-        engine.build_forest_traced(1, 1)
-        assert engine.invalidate() == 1
-        diagnostics = engine.cache_diagnostics()
-        assert diagnostics["forest_entries"] == 0
-        assert diagnostics["matrix_entries"] == 0
-        assert diagnostics["invalidations"] == 1
-
+class TestEnginePublishPriors:
     def test_publish_priors_rekeys_the_cache(self, small_tree_with_priors):
         tree = copy.deepcopy(small_tree_with_priors)
         engine = ForestEngine(tree, ServerConfig(**POOL_CONFIG))
         engine.build_forest_traced(1, 1)
         new_priors = {leaf.node_id: index + 1.0 for index, leaf in enumerate(tree.leaves())}
-        assert engine.publish_priors(new_priors) == 1
+        engine.publish_priors(new_priors)
+        assert engine.cache_size() == 1  # nothing flushed; the old forest ages out
         _, cached = engine.build_forest_traced(1, 1)
         assert not cached
+
+    def test_update_listeners_run_once_after_the_priors_are_installed(self, small_tree_with_priors):
+        tree = copy.deepcopy(small_tree_with_priors)
+        engine = ForestEngine(tree, ServerConfig(**POOL_CONFIG))
+        seen = []
+        engine.update_listeners.append(
+            lambda: seen.append((engine.priors_generation, tree.leaves()[0].prior))
+        )
+        engine.publish_priors({leaf.node_id: index + 1.0 for index, leaf in enumerate(tree.leaves())})
+        assert seen == [(1, pytest.approx(1.0 / 28.0))]
+
+    def test_a_raising_listener_fails_neither_the_publish_nor_its_peers(
+        self, small_tree_with_priors, caplog
+    ):
+        tree = copy.deepcopy(small_tree_with_priors)
+        engine = ForestEngine(tree, ServerConfig(**POOL_CONFIG))
+        calls = []
+
+        def broken():
+            raise RuntimeError("listener bug")
+
+        engine.update_listeners.extend([broken, lambda: calls.append("peer")])
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            engine.publish_priors({leaf.node_id: index + 1.0 for index, leaf in enumerate(tree.leaves())})
+        assert calls == ["peer"]
+        assert engine.priors_generation == 1
+        assert "priors-update listener failed" in caplog.text
+
+    def test_a_rejected_publish_runs_no_listener(self, small_tree_with_priors):
+        engine = ForestEngine(copy.deepcopy(small_tree_with_priors), ServerConfig(**POOL_CONFIG))
+        calls = []
+        engine.update_listeners.append(lambda: calls.append(1))
+        with pytest.raises(ValueError):
+            engine.publish_priors({engine.tree.leaves()[0].node_id: float("nan")})
+        with pytest.raises(KeyError):
+            engine.publish_priors({"no-such-leaf": 1.0})
+        assert calls == []
+        assert engine.priors_generation == 0
 
     def test_publish_priors_rejects_poisonous_masses(self, small_tree_with_priors):
         """Regression: json.loads parses NaN/Infinity, and a NaN mass would
@@ -547,22 +567,6 @@ class TestEngineInvalidation:
 
 
 class TestPoolCacheLifecycle:
-    def test_explicit_invalidation_broadcasts(self, pool):
-        _, cached = pool.build_forest_traced(1, 1)
-        assert not cached
-        _, cached = pool.build_forest_traced(1, 1)
-        assert cached
-        assert pool.invalidate() == 1
-        _, cached = pool.build_forest_traced(1, 1)
-        assert not cached
-
-    def test_invalidate_by_level_counts_across_shards(self, pool):
-        pool.build_forest_traced(0, 0)
-        pool.build_forest_traced(1, 0)
-        pool.build_forest_traced(1, 1)
-        assert pool.invalidate(privacy_level=1) == 2
-        assert pool.cache_diagnostics()["forest_entries"] == 1
-
     def test_publish_priors_reaches_every_shard(self, pool, pool_tree):
         # Warm both shards with distinct keys, then broadcast new priors.
         keys = [(0, 0), (1, 0), (1, 1), (1, 2)]
@@ -570,15 +574,59 @@ class TestPoolCacheLifecycle:
             pool.build_forest_traced(level, delta)
         warmed = pool.cache_diagnostics()["forest_entries"]
         assert warmed == len(keys)
+        assert len({pool.shard_for(level, delta) for level, delta in keys}) == 2
         new_priors = {
             leaf.node_id: index + 1.0 for index, leaf in enumerate(pool_tree.leaves())
         }
-        assert pool.publish_priors(new_priors) == warmed
-        assert pool.cache_diagnostics()["forest_entries"] == 0
+        pool.publish_priors(new_priors)
+        assert pool.cache_diagnostics()["forest_entries"] == warmed  # nothing flushed
+        # Every shard rebuilds on the new priors, exactly as a fresh engine does.
+        reference = ForestEngine(copy.deepcopy(pool_tree), ServerConfig(**POOL_CONFIG))
+        for level, delta in keys:
+            forest, cached = pool.build_forest_traced(level, delta)
+            assert not cached
+            assert {root: m.to_dict() for root, m in forest} == {
+                root: m.to_dict() for root, m in reference.build_forest(level, delta)
+            }
         # The parent-side published priors reflect the update.
         published = pool.publish_leaf_priors(pool_tree.root.node_id)
         assert sum(published.values()) == pytest.approx(1.0)
         assert max(published.values()) == pytest.approx(7.0 / 28.0)
+
+    def test_pool_listeners_run_once_per_priors_install(self, pool, pool_tree):
+        """A local publish, a replicated publish and a split-brain reset each
+        run the update listeners once; a retired ``invalidate`` record runs
+        none and changes nothing."""
+        calls = []
+        pool.update_listeners.append(lambda: calls.append(pool.priors_generation))
+        masses = {leaf.node_id: index + 1.0 for index, leaf in enumerate(pool_tree.leaves())}
+        pool.publish_priors(masses)
+        assert calls == [1]
+        pool.apply_replicated_control(
+            {"type": "publish_priors", "version": 2, "priors": masses, "normalize": True}
+        )
+        assert calls == [1, 2]
+        pool.apply_replicated_control({"type": "invalidate", "version": 3, "privacy_level": None})
+        assert calls == [1, 2]
+        assert pool.priors_version == 2
+        pool.reset_for_replication(5, None)
+        assert calls == [1, 2, 3]
+
+    def test_reset_without_priors_reinstalls_the_tree_priors_at_the_primary_version(
+        self, pool, pool_tree
+    ):
+        masses = {leaf.node_id: index + 1.0 for index, leaf in enumerate(pool_tree.leaves())}
+        pool.publish_priors(masses)
+        pool.publish_priors(masses)
+        kept = {leaf.node_id: leaf.prior for leaf in pool.tree.leaves()}
+        before = pool.build_forest(1, 1)
+        pool.reset_for_replication(1, None)  # versions move exactly, downward included
+        assert pool.priors_version == 1
+        assert [shard.priors_version for shard in pool._shards] == [1, 1]
+        assert {leaf.node_id: leaf.prior for leaf in pool.tree.leaves()} == kept
+        forest, cached = pool.build_forest_traced(1, 1)
+        assert cached  # same priors, same forest key
+        assert {root: m.to_dict() for root, m in forest} == {root: m.to_dict() for root, m in before}
 
     def test_health_check(self, pool):
         assert pool.health_check(timeout_s=10.0) == {0: True, 1: True}
@@ -623,14 +671,20 @@ class TestPoolCacheLifecycle:
 
 
 class TestPoolOverHTTP:
-    def test_admin_invalidate_over_the_wire(self, pool):
+    def test_admin_priors_over_the_wire(self, pool, pool_tree):
         from repro.client.transport import HTTPTransport
 
         service = CORGIService(pool)
         with CORGIHTTPServer(service, port=0) as server:
             transport = HTTPTransport(server.url)
-            transport.fetch_forest(ObfuscationRequest(privacy_level=1, delta=1))
-            assert transport.invalidate() == 1
+            request = ObfuscationRequest(privacy_level=1, delta=1)
+            transport.fetch_forest(request)
+            transport.publish_priors(
+                {leaf.node_id: index + 1.0 for index, leaf in enumerate(pool_tree.leaves())}
+            )
+            transport.fetch_forest(request)
             metrics = transport.metrics()
-            assert metrics["engine"]["forest_entries"] == 0
-            assert metrics["service"]["invalidated"] == 1
+            # The publish re-keyed the forest: a second build, and the
+            # first forest stays cached until the LRU evicts it.
+            assert metrics["service"]["engine_builds"] == 2
+            assert metrics["engine"]["forest_entries"] == 2

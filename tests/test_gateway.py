@@ -1,12 +1,12 @@
 """Tests for the asyncio push gateway (`repro.service.gateway`).
 
 Covers the held-connection protocol end to end — subscribe → pushed
-snapshot, push-on-invalidate/priors byte-identical to a direct build,
+snapshot, push-on-publish byte-identical to a direct build,
 generation-tag monotonicity, slow-consumer eviction, heartbeats, protocol
 error answers — the async single-flight rendezvous of
 :class:`AsyncCORGIService` (coalescing, follower deadline, wrapped
 re-raise, generation-aware staleness guard), and the acceptance storm:
-many concurrently held connections surviving an invalidate storm with the
+many concurrently held connections surviving a publish storm with the
 refreshed matrix delivered exactly once per subscriber.
 
 All waiting is event-driven (`wait_forest`, `pump_until`) or uses the
@@ -16,6 +16,7 @@ to 200 connections locally; CI's `gateway-stress` job pins
 """
 
 import asyncio
+import copy
 import json
 import os
 import socket
@@ -41,8 +42,9 @@ KEY = (1, 1, 2.0)  # the normalized form of privacy_level=1, delta=1
 
 @pytest.fixture()
 def engine(small_tree_with_priors):
+    # A private tree copy: publishes mutate leaf priors.
     return ForestEngine(
-        small_tree_with_priors,
+        copy.deepcopy(small_tree_with_priors),
         ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=1),
     )
 
@@ -59,6 +61,14 @@ def gateway(service):
     ).start()
     yield server
     server.close()
+
+
+def publish_new_priors(service) -> None:
+    """Publish priors no earlier call published, so every key rebuilds."""
+    leaves = service.engine.tree.leaves()
+    service.publish_priors(
+        {leaf.node_id: leaf.prior + (0.01 if index == 0 else 0.0) for index, leaf in enumerate(leaves)}
+    )
 
 
 def direct_response_bytes(service, privacy_level=1, delta=1) -> str:
@@ -85,22 +95,6 @@ class TestPushEndToEnd:
                 service
             )
 
-    def test_invalidate_pushes_refresh_byte_identical_to_direct_build(
-        self, service, gateway
-    ):
-        with GatewayClient(gateway.host, gateway.port) as client:
-            key = client.subscribe(1, 1)
-            first = client.wait_forest(key)
-            service.invalidate()
-            refreshed = client.wait_forest(key, min_generation=first.generation + 1)
-            assert refreshed.reason == "invalidate"
-            # The engine cache was flushed, so this is a *rebuild* — and the
-            # pipeline is deterministic, so the bytes must match a direct
-            # post-invalidate build exactly.
-            assert json.dumps(
-                refreshed.response, sort_keys=True
-            ) == direct_response_bytes(service)
-
     def test_priors_publish_pushes_rebuilt_matrix(self, small_tree_with_priors, service, gateway):
         with GatewayClient(gateway.host, gateway.port) as client:
             key = client.subscribe(1, 1)
@@ -120,24 +114,6 @@ class TestPushEndToEnd:
             assert json.dumps(refreshed.response, sort_keys=True) != json.dumps(
                 first.response, sort_keys=True
             )
-
-    def test_level_scoped_invalidate_only_refreshes_matching_subscriptions(
-        self, small_tree_with_priors, service, gateway
-    ):
-        if small_tree_with_priors.height < 1:
-            pytest.skip("needs a tree with at least two levels")
-        with GatewayClient(gateway.host, gateway.port) as client:
-            key_level0 = client.subscribe(0, 1)
-            key_level1 = client.subscribe(1, 1)
-            client.wait_forest(key_level0)
-            client.wait_forest(key_level1)
-            service.invalidate(privacy_level=1)
-            refreshed = client.wait_forest(key_level1, min_generation=2)
-            assert refreshed.generation == 2
-            # The level-0 subscription saw no refresh push: its held
-            # generation is still 1 after the level-1 refresh landed.
-            held = client.held(key_level0)
-            assert held is not None and held.generation == 1
 
     def test_heartbeats_reach_idle_connections(self, gateway):
         with GatewayClient(gateway.host, gateway.port) as client:
@@ -244,7 +220,7 @@ class TestProtocolErrors:
                 timeout_s=10.0,
                 message="subscription registry emptied after unsubscribe",
             )
-            service.invalidate()
+            publish_new_priors(service)
             # No refresh push may arrive: heartbeats keep flowing, the held
             # generation stays 1.
             baseline = client.stats()["heartbeats"]
@@ -452,7 +428,7 @@ class TestGenerationGuard:
         store = _PushStore()
         key_wire = {"privacy_level": 1, "delta": 1, "epsilon": 2.0}
         store.apply(
-            {"type": "forest", "key": key_wire, "generation": 3, "reason": "invalidate",
+            {"type": "forest", "key": key_wire, "generation": 3, "reason": "priors",
              "response": {"fresh": True}}
         )
         # A late snapshot frame from before the refresh arrives afterwards.
@@ -468,7 +444,7 @@ class TestGenerationGuard:
         store = _PushStore()
         key_wire = {"privacy_level": 1, "delta": 1, "epsilon": 2.0}
         frame = {"type": "forest", "key": key_wire, "generation": 2,
-                 "reason": "invalidate", "response": {"n": 1}}
+                 "reason": "priors", "response": {"n": 1}}
         store.apply(frame)
         store.apply(dict(frame))
         assert store.pushes == 1
@@ -482,7 +458,7 @@ class TestGenerationGuard:
         key_wire = {"privacy_level": 1, "delta": 1, "epsilon": 2.0}
         store.apply(
             {"type": "forest", "key": key_wire, "generation": 5,
-             "reason": "invalidate", "response": {"epoch": "old"}}
+             "reason": "priors", "response": {"epoch": "old"}}
         )
         store.apply({"type": "subscribed", "key": key_wire, "generation": 1})
         assert KEY not in store.forests  # held entry belongs to a dead epoch
@@ -500,8 +476,8 @@ class TestGenerationGuard:
 
 
 class TestRefreshRaces:
-    def test_snapshot_racing_invalidate_cannot_wedge_client(self, service):
-        """An invalidate landing while the subscribe snapshot builds must
+    def test_snapshot_racing_publish_cannot_wedge_client(self, service):
+        """A publish landing while the subscribe snapshot builds must
         not let the stale snapshot usurp the new generation's tag — the
         client would then drop the genuine refresh push and wedge on
         pre-update data tagged as fresh."""
@@ -527,7 +503,7 @@ class TestRefreshRaces:
                     timeout_s=10.0,
                     message="snapshot build entered the executor",
                 )
-                service.invalidate()  # generation -> 2 mid-snapshot-build
+                publish_new_priors(service)  # generation -> 2 mid-snapshot-build
                 release.set()
                 refreshed = client.wait_forest(key, min_generation=2, timeout_s=30.0)
                 assert refreshed.generation == 2
@@ -564,9 +540,9 @@ class TestRefreshRaces:
                     return original(k)
 
                 gateway._async._build_sync = failing_once
-                service.invalidate()  # generation -> 2; refresh build will fail
+                publish_new_priors(service)  # generation -> 2; refresh build will fail
                 assert started.wait(timeout=10.0)
-                service.invalidate()  # generation -> 3 lands mid-failing-build
+                publish_new_priors(service)  # generation -> 3 lands mid-failing-build
                 release.set()
                 refreshed = client.wait_forest(key, min_generation=3, timeout_s=30.0)
                 assert refreshed.generation == 3
@@ -582,7 +558,7 @@ class TestRefreshRaces:
         with GatewayClient(gateway.host, gateway.port) as client:
             key = client.subscribe(1, 1)
             client.wait_forest(key)
-            service.invalidate()
+            publish_new_priors(service)
             assert client.wait_forest(key, min_generation=2).generation == 2
             client._send({"op": "unsubscribe", "privacy_level": 1, "delta": 1})
             wait_until(
@@ -600,17 +576,17 @@ class TestRefreshRaces:
 
 
 # --------------------------------------------------------------------- #
-# Acceptance: the invalidate storm over many held connections
+# Acceptance: the publish storm over many held connections
 # --------------------------------------------------------------------- #
 
 
 STORM_CONNECTIONS = int(os.environ.get("GATEWAY_STORM_CONNECTIONS", "200"))
-STORM_INVALIDATES = 5
+STORM_PUBLISHES = 5
 
 
-class TestInvalidateStorm:
+class TestPublishStorm:
     def test_storm_delivers_exactly_once_per_subscriber(self, service):
-        """N held connections, an invalidate storm: every subscriber ends
+        """N held connections, a publish storm: every subscriber ends
         up holding the refreshed matrix, generations observed per client
         are strictly increasing (no duplicate push, no stale generation
         installed), all clients converge on the same settled generation,
@@ -650,8 +626,8 @@ class TestInvalidateStorm:
             # The storm: fired from a worker thread like real admin traffic
             # (the update listener crosses into the gateway loop thread-safely).
             def fire():
-                for _ in range(STORM_INVALIDATES):
-                    service.invalidate()
+                for _ in range(STORM_PUBLISHES):
+                    publish_new_priors(service)
 
             await asyncio.get_running_loop().run_in_executor(None, fire)
 

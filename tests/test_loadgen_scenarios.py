@@ -161,8 +161,9 @@ def test_scenario_validation_guards():
         ).validate()
     with pytest.raises(ValueError, match="at_fraction"):
         ScenarioOp(at_fraction=1.5, action="drain").validate()
-    with pytest.raises(ValueError, match="unknown scenario op"):
-        ScenarioOp(at_fraction=0.5, action="reboot").validate()
+    for retired_or_unknown in ("reboot", "invalidate"):
+        with pytest.raises(ValueError, match="unknown scenario op"):
+            ScenarioOp(at_fraction=0.5, action=retired_or_unknown).validate()
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario("no_such_scenario")
     with pytest.raises(ValueError, match="unknown transport"):

@@ -180,8 +180,6 @@ class TestMessageCodec:
         "op,payload",
         [
             ("build", (1, 2, 2.5)),
-            ("invalidate", None),
-            ("invalidate", 3),
             ("set_priors", ({"a": 0.25, "b": 0.75}, True, 7)),
             ("export_cache", 1024),
             ("import_cache", b'{"format": "corgi-cache-snapshot"}'),
@@ -377,7 +375,7 @@ class TestRemotePool:
     ):
         """A replica that outlives its head node keeps live-published priors
         the new pool never saw; the new pool must reset it to its own tree
-        priors (flushing the stale cache) instead of serving split-brain."""
+        priors instead of serving split-brain."""
         _, port = shard_server()
         first_head = remote_pool(copy.deepcopy(pool_tree), [port])
         try:
@@ -392,10 +390,25 @@ class TestRemotePool:
             handle = second_head._shards[0]
             with handle.lock:
                 assert handle.priors_version == 0  # reset, not trusted
-            _, cached = second_head.build_forest_traced(1, 1)
-            # Without the reset this would be a stale cache hit built under
-            # priors this pool never published.
-            assert cached is False
+            forest = second_head.build_forest(1, 1)
+        # Without the reset this would be the replica's forest built under
+        # priors this pool never published.
+        reference = ForestEngine(copy.deepcopy(small_tree_with_priors), ServerConfig(**POOL_CONFIG))
+        assert {root: m.to_dict() for root, m in forest} == {
+            root: m.to_dict() for root, m in reference.build_forest(1, 1)
+        }
+
+    def test_retired_invalidate_op_is_answered_as_unknown(self, pool_tree, shard_server):
+        """A head built before ``invalidate`` was retired may still send it:
+        the shard answers a typed ValueError and keeps serving."""
+        _, port = shard_server()
+        with remote_pool(pool_tree, [port]) as pool:
+            handle = pool._shards[0]
+            pending = handle.submit("invalidate", None, pool._next_ticket())
+            assert pending.event.wait(timeout=60), "retired op never answered"
+            assert isinstance(pending.error, ValueError)
+            assert "unknown shard op" in str(pending.error)
+            pool.build_forest(1, 1)
 
     def test_priors_published_over_the_socket(self, pool_tree, shard_server):
         _, port = shard_server()
@@ -406,10 +419,11 @@ class TestRemotePool:
             assert cached is True  # warm before the update
             leaves = [leaf.node_id for leaf in pool_tree.leaves()]
             masses = {leaf: 1.0 + index for index, leaf in enumerate(leaves)}
-            flushed = pool.publish_priors(masses)
-            assert flushed >= 1  # the socket shard reported its flush
+            pool.publish_priors(masses)
+            # Only a shard that answered the broadcast has its version moved.
+            assert pool._shards[0].priors_version == 1
             _, cached = pool.build_forest_traced(1, 1)
-            assert cached is False  # the update flushed the remote cache
+            assert cached is False  # the update re-keyed the remote cache
             # And the parent-side published priors reflect the new masses.
             root_id = pool_tree.root.node_id
             published = pool.publish_leaf_priors(root_id)

@@ -37,13 +37,7 @@ from repro.pipeline.executor import (
     run_robust_task_groups,
     run_robust_tasks,
 )
-from repro.pipeline.fingerprint import (
-    array_digest,
-    constraint_set_digest,
-    fingerprint_fields,
-    geometry_fingerprint,
-    problem_fingerprint,
-)
+from repro.pipeline.fingerprint import array_digest, fingerprint_fields
 from repro.server import engine as engine_module
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.service.pool import EnginePool
@@ -174,44 +168,6 @@ class TestFingerprints:
         data = np.arange(6, dtype=float)
         assert array_digest(data) != array_digest(data.astype(np.float32))
         assert array_digest(data) != array_digest(data.reshape(2, 3))
-
-    def test_geometry_fingerprint_sensitive_to_order(self):
-        distances = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert geometry_fingerprint(["a", "b"], distances) != geometry_fingerprint(
-            ["b", "a"], distances
-        )
-
-    def test_problem_fingerprint_sensitive_to_every_field(self, small_location_set):
-        constraints = small_location_set["graph"].constraint_set()
-        base = dict(
-            quality_digest=small_location_set["quality_model"].digest(),
-            constraint_digest=constraint_set_digest(constraints),
-            weighting="paper",
-            basis_row="real",
-            rpb_method="approx",
-            max_iterations=4,
-            solver_method="highs",
-        )
-        args = (small_location_set["node_ids"], small_location_set["distance_matrix"], 2.0, 1)
-        reference = problem_fingerprint(*args, **base)
-        assert problem_fingerprint(*args, **base) == reference
-
-        variations = dict(
-            quality_digest="0" * 64,
-            constraint_digest="all-pairs-default",
-            weighting="euclidean",
-            basis_row="max",
-            rpb_method="exact",
-            max_iterations=5,
-            solver_method="highs-ipm",
-        )
-        for field_name, changed in variations.items():
-            kwargs = dict(base)
-            kwargs[field_name] = changed
-            assert problem_fingerprint(*args, **kwargs) != reference, field_name
-        # Scalars in the positional part.
-        assert problem_fingerprint(args[0], args[1], 3.0, 1, **base) != reference
-        assert problem_fingerprint(args[0], args[1], 2.0, 2, **base) != reference
 
 
 class TestMatrixCache:
@@ -407,30 +363,12 @@ class TestServerPipeline:
             leaf.prior = original_prior
         assert first is not second
 
-    def test_matrix_cache_serves_repeat_subproblems(self, pipeline_engine):
-        pipeline_engine.build_forest(privacy_level=1, delta=1)
-        solved = pipeline_engine.matrix_cache.stats.misses
-        assert solved >= 1
-        # Drop only the forest-level cache: the per-sub-tree problems are
-        # unchanged, so the rebuild is served from the matrix cache.
-        pipeline_engine.forest_cache.clear()
-        rebuilt = pipeline_engine.build_forest(privacy_level=1, delta=1)
-        assert pipeline_engine.matrix_cache.stats.hits >= 1
-        assert pipeline_engine.matrix_cache.stats.misses == solved
-        assert rebuilt.is_complete()
-
     def test_cache_diagnostics(self, pipeline_engine):
         pipeline_engine.build_forest(privacy_level=1, delta=0)
         diagnostics = pipeline_engine.cache_diagnostics()
         assert diagnostics["forest_entries"] >= 1
-        assert diagnostics["matrix_entries"] >= 1
-        assert 0.0 <= diagnostics["matrix_stats"]["hit_rate"] <= 1.0
-
-    def test_invalidate_drops_both_layers(self, pipeline_engine):
-        pipeline_engine.build_forest(privacy_level=1, delta=0)
-        pipeline_engine.invalidate()
-        assert pipeline_engine.cache_size() == 0
-        assert len(pipeline_engine.matrix_cache) == 0
+        assert diagnostics["lp_entries"] >= 1
+        assert 0.0 <= diagnostics["lp_stats"]["hit_rate"] <= 1.0
 
     def test_config_validation(self, small_tree_with_priors):
         # The engine validates the config it snapshots, and the per-build
@@ -586,18 +524,20 @@ class TestLPCache:
         uncached = _uncached_forest(lp_tree, monkeypatch, 1, 2.0, robust_iterations=4)
         assert _forest_dicts(forest) == _forest_dicts(uncached)
 
-    def test_full_invalidation_and_publish_empty_it(self, lp_tree):
+    def test_publish_keeps_the_caches_and_serves_the_new_priors(self, lp_tree):
         tree = copy.deepcopy(lp_tree)
         engine = _lp_engine(tree)
-        engine.build_forest(1, 0)
-        assert engine.cache_diagnostics()["lp_entries"] == SUBTREES
-        engine.invalidate(1)
-        assert engine.cache_diagnostics()["lp_entries"] == SUBTREES
-        engine.invalidate()
-        assert engine.cache_diagnostics()["lp_entries"] == 0
-        engine.build_forest(1, 0)
-        engine.publish_priors({leaf.node_id: index + 1.0 for index, leaf in enumerate(tree.leaves())})
-        assert engine.cache_diagnostics()["lp_entries"] == 0
+        before = engine.build_forest(1, 0)
+        priors = {leaf.node_id: index + 1.0 for index, leaf in enumerate(tree.leaves())}
+        engine.publish_priors(priors)
+        diagnostics = engine.cache_diagnostics()
+        assert (diagnostics["forest_entries"], diagnostics["lp_entries"]) == (1, SUBTREES)
+        after = engine.build_forest(1, 0)
+        fresh = _lp_engine(copy.deepcopy(tree)).build_forest(1, 0)
+        assert _forest_dicts(after) == _forest_dicts(fresh) != _forest_dicts(before)
+        # The same priors again keep the forest key: a cache hit, not a rebuild.
+        engine.publish_priors(priors)
+        assert engine.build_forest(1, 0) is after
 
     def test_pool_sums_lp_stats_over_shards(self, lp_tree):
         config = ServerConfig(epsilon=15.0, num_targets=5, robust_iterations=1)
@@ -636,13 +576,6 @@ class TestLPCache:
 
 
 class TestLinearQualityModel:
-    def test_digest_matches_content(self, small_location_set):
-        model = small_location_set["quality_model"]
-        clone = LinearQualityModel(model.cost_matrix.copy(), model.priors.copy())
-        assert clone.digest() == model.digest()
-        perturbed = LinearQualityModel(model.cost_matrix + 1e-9, model.priors)
-        assert perturbed.digest() != model.digest()
-
     def test_objective_vector_matches(self, small_location_set):
         model = small_location_set["quality_model"]
         clone = LinearQualityModel(model.cost_matrix, model.priors)

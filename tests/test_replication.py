@@ -4,7 +4,10 @@ Covers the ISSUE acceptance surface for `repro.service.replication`:
 
 * **three-head fleet** — a primary plus two followers converge on the
   primary's priors generation after ``publish_priors`` and serve
-  byte-identical forests; ``invalidate`` replicates the same way;
+  byte-identical forests; a retired ``invalidate`` record an older primary
+  still ships is committed and skipped;
+* **follower push** — a push gateway over a follower head pushes the
+  matrix rebuilt on a replicated publish;
 * **role guards** — a follower refuses local control writes with a typed
   400-class error (:class:`ReplicationRoleError`, a ``ValueError``) and the
   HTTP admin surface maps it to 400;
@@ -43,7 +46,9 @@ import pytest
 from helpers_concurrency import free_port, wait_until
 from repro.geometry.haversine import LatLng
 from repro.server.engine import ServerConfig
+from repro.client.gateway import GatewayClient
 from repro.service.controllog import ControlLog
+from repro.service.gateway import GatewayConfig, GatewayServer
 from repro.service.http import CORGIHTTPServer
 from repro.service.pool import EnginePool
 from repro.service.replication import (
@@ -226,23 +231,35 @@ class TestThreeHeadFleet:
             for follower in followers:
                 follower.close()
 
-    def test_invalidate_replicates(self, primary, fleet_tree, tmp_path):
+    def test_retired_invalidate_record_is_committed_and_skipped(
+        self, primary, fleet_tree, tmp_path
+    ):
+        """A primary that still logs ``invalidate`` records (one written
+        before that control event was retired) keeps replicating: the
+        follower commits the record, applies it as a no-op without an apply
+        error, advances its cursor, and keeps tailing."""
         follower = follower_of(primary, copy.deepcopy(fleet_tree), tmp_path / "f")
         try:
             primary.publish_priors(sample_priors(fleet_tree))
             wait_follower_at(follower, 1)
             follower.build_forest(0, 0)
-            primary.invalidate()  # version 2 in the shared sequence
+            # Version 2 in the shared sequence, as an older primary logged it.
+            assert primary._control_log.append("invalidate", {"privacy_level": None}) == 2
             wait_until(
                 lambda: replication_info(follower).get("cursor", 0) >= 2,
                 timeout_s=CONVERGE_S,
                 message="invalidate record to reach the follower",
             )
-            # The invalidation purged the follower's local snapshot store.
-            store = follower.durability_diagnostics()["store"]
-            assert store["entries"] == 0
+            info = replication_info(follower)
+            assert info["apply_errors"] == 0
+            assert info["records_applied"] == 2
+            assert follower.durability_diagnostics()["control_log"]["last_version"] == 2
+            assert follower.priors_version == 1
             _, cached = follower.build_forest_traced(0, 0)
-            assert not cached, "forest survived a replicated invalidate"
+            assert cached  # content-addressed: nothing to drop
+            primary.publish_priors(sample_priors(fleet_tree, mass=4.0))  # v3
+            wait_follower_at(follower, 3)
+            assert_identical_forests([primary, follower])
         finally:
             follower.close()
 
@@ -255,8 +272,6 @@ class TestThreeHeadFleet:
             with pytest.raises(ReplicationRoleError) as error:
                 follower.publish_priors(priors)
             assert isinstance(error.value, ValueError)  # HTTP maps it to 400
-            with pytest.raises(ReplicationRoleError):
-                follower.invalidate()
             assert follower.priors_version == 0  # nothing forked locally
         finally:
             follower.close()
@@ -416,12 +431,43 @@ class TestDurabilityEndpoint:
                 assert error.value.code == 400
                 body = json.loads(error.value.read().decode("utf-8"))
                 assert "primary" in body["detail"]
-                with pytest.raises(urllib.error.HTTPError) as error:
-                    _post_json(head_b.url + "/admin/invalidate", {})
-                assert error.value.code == 400
                 # The same write against the primary head succeeds.
                 _post_json(head_a.url + "/admin/priors", {"priors": priors})
                 wait_follower_at(follower, 2)
+        finally:
+            follower.close()
+
+
+# --------------------------------------------------------------------- #
+# Push gateway over a follower head
+# --------------------------------------------------------------------- #
+
+
+class TestFollowerGateway:
+    def test_gateway_on_a_follower_pushes_a_replicated_publish(
+        self, primary, fleet_tree, tmp_path
+    ):
+        """A follower installs the primary's publish through
+        ``apply_replicated_control``, never through
+        ``CORGIService.publish_priors``; a push gateway over it must still
+        push the matrix rebuilt on the new priors."""
+        follower = follower_of(primary, copy.deepcopy(fleet_tree), tmp_path / "f")
+        try:
+            config = GatewayConfig(heartbeat_interval_s=30.0)
+            with GatewayServer(CORGIService(follower), config) as gateway, GatewayClient(
+                gateway.host, gateway.port
+            ) as client:
+                key = client.subscribe(0, 0)
+                assert client.wait_forest(key, timeout_s=CONVERGE_S).generation == 1
+                primary.publish_priors(sample_priors(fleet_tree, mass=3.0))
+                pushed = client.wait_forest(key, min_generation=2, timeout_s=CONVERGE_S)
+            assert (pushed.generation, pushed.reason) == (2, "priors")
+            assert follower.priors_version == 1
+            expected = forest_matrices(primary.build_forest(0, 0))
+            matrices = pushed.forest().matrices
+            assert set(matrices) == set(expected)
+            for root_id, values in expected.items():
+                assert np.array_equal(np.asarray(matrices[root_id].values), values)
         finally:
             follower.close()
 

@@ -13,11 +13,13 @@ Covers the ISSUE acceptance surface for the durable state tier:
   diagnostic, never a crash); a bit-flipped snapshot file is quarantined
   and its key cold-rebuilds; orphaned temp files are swept on boot; a full
   disk degrades to cold operation with counted write errors;
-* **consistency** — ``invalidate`` purges the store so a later boot cannot
-  resurrect dropped forests; snapshots from a superseded priors
-  generation, or written under another pipeline fingerprint, are skipped
-  at pre-warm (zero stale serving); and a write-through is stamped with
-  the priors version its build was dispatched under.
+* **consistency** — a write-through still queued when the store is purged
+  never lands; snapshots from a superseded priors generation, or written
+  under another pipeline fingerprint, are skipped at pre-warm (zero stale
+  serving); and a write-through is stamped with the priors version its
+  build was dispatched under;
+* **old state** — a control log that still holds the retired
+  ``invalidate`` records boots to its last publish.
 
 All synchronization goes through the conftest helpers (``wait_until``) —
 no ad-hoc sleeps.
@@ -25,8 +27,10 @@ no ad-hoc sleeps.
 
 import copy
 import json
+import shutil
 import threading
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ import pytest
 from helpers_concurrency import wait_until
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.service.controllog import ControlLog
+from repro.service.handoff import CacheSnapshot, encode_snapshot
 from repro.service import pool as pool_module
 from repro.service.http import CORGIHTTPServer
 from repro.service.pool import EnginePool
@@ -45,6 +50,12 @@ POOL_CONFIG = dict(epsilon=2.0, num_targets=5, robust_iterations=1)
 
 #: Two distinct keys (different ε) so the store holds more than one file.
 WARM_KEYS = [(0, 0, 2.0), (0, 0, 1.5)]
+
+#: A control log written while ``invalidate`` was still a control event:
+#: ``publish_priors`` v1 (``sample_priors(mass=2.0)``), ``invalidate`` v2,
+#: ``publish_priors`` v3 (``sample_priors(mass=5.0)``), ``invalidate`` v4
+#: (level 1), over the 7-leaf test tree.
+LEGACY_CONTROL_LOG = Path(__file__).parent / "data" / "control_log_with_invalidate.log"
 
 
 @pytest.fixture()
@@ -137,18 +148,43 @@ class TestControlLogReplay:
         pool = make_pool(copy.deepcopy(small_tree_with_priors), tmp_path)
         try:
             pool.publish_priors(sample_priors(small_tree_with_priors))
-            pool.invalidate()
+            pool.publish_priors(sample_priors(small_tree_with_priors, mass=3.0))
             assert log_stats(pool)["last_version"] == 2
         finally:
             pool.close()
 
         reborn = make_pool(copy.deepcopy(small_tree_with_priors), tmp_path)
         try:
-            assert reborn.priors_version == 1  # last *publish*, not invalidate
-            reborn.publish_priors(sample_priors(small_tree_with_priors, mass=3.0))
+            assert reborn.priors_version == 2
+            reborn.publish_priors(sample_priors(small_tree_with_priors, mass=4.0))
             assert reborn.priors_version == 3  # allocated after both records
         finally:
             reborn.close()
+
+    def test_log_with_retired_invalidate_records_still_boots(
+        self, small_tree_with_priors, tmp_path
+    ):
+        """A state_dir written while ``invalidate`` was a control event
+        replays to its last publish (v3, with v3's masses), skipping the
+        ``invalidate`` records, and the next publish is allocated after
+        every record in the log."""
+        shutil.copy(LEGACY_CONTROL_LOG, tmp_path / "control.log")
+        pool = make_pool(copy.deepcopy(small_tree_with_priors), tmp_path)
+        try:
+            assert pool.priors_version == 3
+            stats = log_stats(pool)
+            assert stats["records_replayed"] == 4
+            assert stats["replay_error"] is None
+            assert pool.durability_diagnostics()["errors"] == []
+            expected = sample_priors(small_tree_with_priors, mass=5.0)
+            total = sum(expected.values())
+            recovered = {str(leaf.node_id): leaf.prior for leaf in pool.tree.leaves()}
+            for node_id, mass in expected.items():
+                assert recovered[node_id] == pytest.approx(mass / total)
+            pool.publish_priors(sample_priors(small_tree_with_priors, mass=6.0))
+            assert pool.priors_version == 5
+        finally:
+            pool.close()
 
     def test_torn_wal_tail_replays_valid_prefix(
         self, small_tree_with_priors, tmp_path
@@ -394,40 +430,57 @@ class TestStoreFaultInjection:
 
 
 # --------------------------------------------------------------------- #
-# Consistency: invalidation and priors drift can never serve stale state
+# Consistency: store purges and priors drift can never serve stale state
 # --------------------------------------------------------------------- #
 
 
 class TestDurableConsistency:
-    def test_invalidate_purges_store_so_reboot_cannot_resurrect(
+    def test_store_purge_deletes_every_snapshot(self, tmp_path):
+        store = SnapshotStore(tmp_path / "snapshots")
+        blob = encode_snapshot(CacheSnapshot(shard_slot=0, priors_version=0, entries=()))
+        for level in (0, 1):
+            assert store.put(level, 0, 2.0, blob)
+        assert store.entry_count() == 2
+        assert store.purge() == 2
+        assert store.entry_count() == 0
+        assert store.stats()["deletes"] == 2
+
+    def test_read_only_store_refuses_purge(self, tmp_path):
+        store = SnapshotStore(tmp_path / "snapshots")
+        store.put(0, 0, 2.0, encode_snapshot(CacheSnapshot(shard_slot=0, priors_version=0, entries=())))
+        assert SnapshotStore(tmp_path / "snapshots", read_only=True).purge() == 0
+        assert store.entry_count() == 1
+
+    def test_reset_without_priors_is_durable_at_the_primary_version(
         self, small_tree_with_priors, tmp_path
     ):
+        """A reset frame without priors keeps the head's own tree priors at
+        the primary's version, and the fresh log it seeds makes that state
+        survive a reboot."""
         pool = make_pool(copy.deepcopy(small_tree_with_priors), tmp_path)
         try:
-            pool.build_forest(0, 0)
-            wait_until(
-                lambda: store_stats(pool).get("writes", 0) >= 1,
-                timeout_s=60,
-                message="write-through persistence before the invalidation",
-            )
-            pool.invalidate(0)
-            assert store_stats(pool)["entries"] == 0
-            assert store_stats(pool)["deletes"] >= 1
+            pool.publish_priors(sample_priors(small_tree_with_priors))
+            pool.publish_priors(sample_priors(small_tree_with_priors, mass=3.0))
+            kept = {str(leaf.node_id): leaf.prior for leaf in pool.tree.leaves()}
+            pool.reset_for_replication(1, None)
+            assert pool.priors_version == 1
+            assert (tmp_path / "control.log.split-brain").exists()
         finally:
             pool.close()
 
         reborn = make_pool(copy.deepcopy(small_tree_with_priors), tmp_path)
         try:
-            assert reborn.wait_prewarmed(timeout_s=60)
-            _, cached = reborn.build_forest_traced(0, 0)
-            assert not cached, "an invalidated forest was resurrected from disk"
+            assert reborn.priors_version == 1
+            assert {str(leaf.node_id): leaf.prior for leaf in reborn.tree.leaves()} == kept
+            reborn.publish_priors(sample_priors(small_tree_with_priors, mass=4.0))
+            assert reborn.priors_version == 2
         finally:
             reborn.close()
 
-    def test_invalidate_drops_a_write_through_still_queued(self, pool_tree, tmp_path, monkeypatch):
-        """Regression: a forest built before an invalidate whose write-through
+    def test_purge_drops_a_write_through_still_queued(self, pool_tree, tmp_path, monkeypatch):
+        """Regression: a forest built before a store purge whose write-through
         reaches the store after the purge must be dropped, or the next boot
-        pre-warms the invalidated forest."""
+        pre-warms the purged forest.  The split-brain reset purges."""
         release = threading.Event()
         encode = pool_module.encode_snapshot
 
@@ -439,7 +492,7 @@ class TestDurableConsistency:
         pool = make_pool(pool_tree, tmp_path)
         try:
             pool.build_forest(0, 0)  # its write-through now waits in the persister
-            pool.invalidate(0)
+            pool.reset_for_replication(0, None)
         finally:
             release.set()
             pool.close()  # the persister drains its queue, then exits

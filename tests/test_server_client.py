@@ -66,8 +66,6 @@ class TestForestEngine:
         second = engine.build_forest(privacy_level=1, delta=1)
         assert first is second
         assert engine.cache_size() >= 1
-        engine.invalidate()
-        assert engine.cache_size() == 0
 
     def test_epsilon_override(self, engine):
         forest = engine.build_forest(privacy_level=1, delta=0, epsilon=3.0)

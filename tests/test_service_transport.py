@@ -298,7 +298,7 @@ class TestSingleFlight:
         engine = ForestEngine(copy.deepcopy(small_tree_with_priors), config)
         service = CORGIService(engine)
         stale = engine.build_forest(1, 1)
-        engine.invalidate()
+        engine.forest_cache.clear()
         original = engine.build_forest_traced
         parked = threading.Event()
         release = threading.Event()
@@ -363,8 +363,8 @@ class TestSingleFlight:
         config = ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=1)
         with EnginePool(copy.deepcopy(small_tree_with_priors), config, num_shards=1) as pool:
             service = CORGIService(pool)
-            stale = pool.build_forest(1, 1)
-            pool.invalidate()
+            # The pool has not built this key, so the parked leader's build is a miss.
+            stale = ForestEngine(copy.deepcopy(pool.tree), config).build_forest(1, 1)
             original = pool.build_forest_traced
             parked = threading.Event()
             release = threading.Event()
@@ -614,7 +614,7 @@ class TestStructureSharing:
         shared_forest = shared_engine.build_forest(privacy_level=1, delta=1)
         assert shared_engine.cache_diagnostics()["structure_sharing"]["reuses"] > 0
         for root_id, matrix in shared_forest:
-            task, _ = shared_engine._subtree_task(root_id, 1, shared_forest.epsilon)
+            task = shared_engine._subtree_task(root_id, 1, shared_forest.epsilon)
             reference = execute_robust_task(task)
             assert np.array_equal(matrix.values, reference.matrix.values)
 
@@ -716,8 +716,44 @@ class TestHTTPEndToEnd:
             transport.health()
 
 
+class TestUpdateListeners:
+    """The push gateway's hook: listeners registered through the service
+    run on the engine, once per priors install."""
+
+    @pytest.fixture()
+    def listened(self, small_tree_with_priors):
+        engine = ForestEngine(
+            copy.deepcopy(small_tree_with_priors),
+            ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=1),
+        )
+        return engine, CORGIService(engine)
+
+    def test_a_service_publish_notifies_each_listener_once(self, listened):
+        engine, service = listened
+        calls = []
+
+        def listener():
+            calls.append(engine.priors_generation)
+
+        service.add_update_listener(listener)
+        assert engine.update_listeners == [listener]
+        masses = {leaf.node_id: index + 1.0 for index, leaf in enumerate(engine.tree.leaves())}
+        service.publish_priors(masses)
+        assert calls == [1]
+        service.remove_update_listener(listener)
+        service.remove_update_listener(listener)  # a missing one is ignored
+        service.publish_priors(masses)
+        assert calls == [1]
+
+    def test_a_non_callable_listener_is_refused(self, listened):
+        engine, service = listened
+        with pytest.raises(TypeError, match="callable"):
+            service.add_update_listener("not a listener")
+        assert engine.update_listeners == []
+
+
 class TestAdminEndpoints:
-    """Cache lifecycle over the wire: /admin/invalidate and /admin/priors."""
+    """Live prior updates over the wire: /admin/priors."""
 
     @pytest.fixture()
     def admin_stack(self, small_tree_with_priors):
@@ -734,29 +770,25 @@ class TestAdminEndpoints:
         finally:
             server.shutdown()
 
-    def test_invalidate_endpoint(self, admin_stack):
-        _, service, transport = admin_stack
-        transport.fetch_forest(ObfuscationRequest(privacy_level=1, delta=1))
-        assert transport.invalidate() == 1
-        assert transport.invalidate() == 0  # nothing left to drop
-        assert service.metrics.count("invalidated") == 1
-        assert transport.metrics()["engine"]["forest_entries"] == 0
+    def test_invalidate_path_is_an_unknown_route(self, admin_stack):
+        _, _, transport = admin_stack
+        for body in ({}, {"privacy_level": 1}, {"privacy_level": "not-a-level"}):
+            with pytest.raises(TransportError) as excinfo:
+                transport._post("/admin/invalidate", body)
+            assert excinfo.value.status == 404
 
-    def test_invalidate_by_level_endpoint(self, admin_stack):
-        _, service, transport = admin_stack
-        transport.fetch_forest(ObfuscationRequest(privacy_level=0, delta=0))
-        transport.fetch_forest(ObfuscationRequest(privacy_level=1, delta=0))
-        assert transport.invalidate(privacy_level=1) == 1
-        assert transport.metrics()["engine"]["forest_entries"] == 1
-
-    def test_priors_endpoint_flushes_and_republishes(self, admin_stack):
+    def test_priors_endpoint_republishes(self, admin_stack):
         tree, service, transport = admin_stack
-        transport.fetch_forest(ObfuscationRequest(privacy_level=1, delta=1))
+        request = ObfuscationRequest(privacy_level=1, delta=1)
+        transport.fetch_forest(request)
         masses = {leaf.node_id: index + 1.0 for index, leaf in enumerate(tree.leaves())}
-        assert transport.publish_priors(masses) == 1
-        assert service.metrics.count("invalidated") == 1
+        assert transport._post("/admin/priors", {"priors": masses}) == {"leaves": len(masses)}
         published = transport._get(f"/priors/{tree.root.node_id}")
         assert max(published.values()) == pytest.approx(7.0 / 28.0)
+        # Nothing was flushed, and the next request rebuilds on the new priors.
+        assert transport.metrics()["engine"]["forest_entries"] == 1
+        transport.fetch_forest(request)
+        assert service.metrics.count("engine_builds") == 2
 
     def test_priors_endpoint_rejects_bad_payloads(self, admin_stack):
         tree, _, transport = admin_stack
@@ -776,11 +808,6 @@ class TestAdminEndpoints:
         with pytest.raises(TransportError) as excinfo:
             transport._post("/admin/priors", {"priors": {"bogus-node": 1.0}})
         assert excinfo.value.status == 404  # unknown node id
-        with pytest.raises(TransportError) as excinfo:
-            transport._post(
-                "/admin/invalidate", {"privacy_level": "not-a-level"}
-            )
-        assert excinfo.value.status == 400
 
 
 class TestProviderNormalization:

@@ -11,13 +11,14 @@ Covers the ISSUE acceptance surface for the hand-off protocol:
   sibling so its keys are pre-warmed there;
 * **determinism** — a drained-then-respawned pool keeps returning
   responses byte-identical to a single-process engine;
-* **hygiene** — exports ship payloads only within their byte budget and
-  carry the replica's own priors version, imports skip keys this tree
-  cannot hold, and foreign-topology payloads are rebuilt instead of
-  mis-served;
+* **hygiene** — exports ship payloads only within their byte budget,
+  carry the replica's own priors version and only forests built on the
+  current priors (so a hand-off right after a publish ships nothing
+  stale), imports skip keys this tree cannot hold, and foreign-topology
+  payloads are rebuilt instead of mis-served;
 * **admin surface** — ``POST /admin/drain`` answers structured 4xx (never
   500) for bad slot ids, and ``HTTPTransport.drain`` propagates typed
-  errors like the existing ``invalidate`` helper.
+  errors like every admin call.
 
 All synchronization goes through the conftest helpers (``run_burst``,
 ``wait_until``) — no ad-hoc sleeps.
@@ -52,6 +53,15 @@ MIXED_KEYS = [(level, delta) for level in (0, 1) for delta in (0, 1, 2)]
 def pool_tree(small_tree_with_priors):
     """A private copy of the priors-annotated tree (pools may mutate priors)."""
     return copy.deepcopy(small_tree_with_priors)
+
+
+def encoded(forest):
+    """Root id → matrix wire dict of (root id, matrix) pairs, the byte-identity surface."""
+    return {root_id: matrix.to_dict() for root_id, matrix in forest}
+
+
+def new_priors(tree):
+    return {leaf.node_id: index + 1.0 for index, leaf in enumerate(tree.leaves())}
 
 
 def victim_and_keys(pool):
@@ -97,6 +107,35 @@ class TestGracefulDrain:
             assert stats["crash_failures"] == 0
             diagnostics = pool.cache_diagnostics()
             assert diagnostics["handoff_imports"] == len(victim_keys)
+
+    def test_drain_after_publish_hands_off_no_pre_publish_forest(
+        self, pool_tree, small_tree_with_priors, tmp_path
+    ):
+        """A drain right after a publish, before any key is re-requested,
+        ships nothing built on the old priors: every key the sibling then
+        serves — and every key a pool rebooted over the same state_dir
+        serves — equals a fresh single-process engine's at the new priors."""
+        config = ServerConfig(**POOL_CONFIG)
+        with EnginePool(pool_tree, config, num_shards=2, state_dir=tmp_path) as pool:
+            victim, _ = victim_and_keys(pool)
+            for level, delta in MIXED_KEYS:
+                pool.build_forest(level, delta)
+            pool.publish_priors(new_priors(pool_tree))
+            report = pool.drain(victim)
+            assert report["exported"] == 0
+            reference = ForestEngine(copy.deepcopy(pool_tree), config)
+            expected = {key: encoded(reference.build_forest(*key)) for key in MIXED_KEYS}
+            for key in MIXED_KEYS:
+                assert encoded(pool.build_forest(*key)) == expected[key], key
+
+        with EnginePool(
+            copy.deepcopy(small_tree_with_priors), config, num_shards=2, state_dir=tmp_path
+        ) as reborn:
+            reborn.wait_ready()
+            assert reborn.priors_version == 1
+            assert reborn.wait_prewarmed(timeout_s=60)
+            for key in MIXED_KEYS:
+                assert encoded(reborn.build_forest(*key)) == expected[key], key
 
     def test_drain_mid_burst_loses_no_requests(self, pool_tree):
         """Acceptance: draining a shard under a live mixed-key burst — every
@@ -442,13 +481,65 @@ class TestSnapshotHygiene:
         assert [entry.key for entry in snapshot.entries] == [(1, 1, POOL_CONFIG["epsilon"])]
         assert snapshot.entries[0].matrices is not None
 
+    def test_export_after_publish_ships_no_pre_publish_forest(self, small_tree_with_priors):
+        """A forest built before a publish is keyed on the old priors, but an
+        importer installs a payload under its own key for the semantic key
+        at *its* priors; so the export leaves such a forest out until the
+        key is built again on the current priors."""
+        from repro.service.shard import ShardOpExecutor, ShardSpec
+
+        config = ServerConfig(**POOL_CONFIG)
+        source, sibling = (
+            ShardOpExecutor(
+                ShardSpec(shard_id=slot, tree=copy.deepcopy(small_tree_with_priors), config=config)
+            )
+            for slot in (0, 1)
+        )
+        key = (1, 1, POOL_CONFIG["epsilon"])
+        source.execute("build", key)
+        for replica in (source, sibling):
+            replica.execute("set_priors", (new_priors(replica.spec.tree), True, 1))
+        assert decode_snapshot(source.execute("export_cache", 1 << 20)).entries == ()
+
+        source.execute("build", key)
+        blob = source.execute("export_cache", 1 << 20)
+        (entry,) = decode_snapshot(blob).entries
+        reference = ForestEngine(copy.deepcopy(source.spec.tree), config).build_forest(1, 1)
+        assert encoded(entry.matrices.items()) == encoded(reference)
+        assert sibling.execute("import_cache", blob) == {"imported": 1, "prewarmed": 0, "skipped": 0}
+        served = sibling.execute("build", key)
+        assert served["cached"]
+        assert encoded(served["matrices"].items()) == encoded(reference)
+
+    def test_export_after_publish_ships_only_keys_rebuilt_since(self, small_tree_with_priors):
+        engine = self.make_engine(copy.deepcopy(small_tree_with_priors))
+        engine.build_forest_traced(1, 0)
+        engine.build_forest_traced(1, 1)
+        engine.publish_priors(new_priors(engine.tree))
+        engine.build_forest_traced(1, 1)
+        entries = engine.export_cache_entries(payload_budget_bytes=1 << 20)
+        assert [(entry["privacy_level"], entry["delta"]) for entry in entries] == [(1, 1)]
+
+    def test_republished_priors_make_their_forests_exportable_again(self, small_tree_with_priors):
+        """Forests are keyed on content: publishing the earlier priors again
+        restores their key, so the forests built on them ship once more."""
+        tree = copy.deepcopy(small_tree_with_priors)
+        engine = self.make_engine(tree)
+        forest, _ = engine.build_forest_traced(1, 1)
+        original = {leaf.node_id: leaf.prior for leaf in tree.leaves()}
+        engine.publish_priors(new_priors(tree))
+        assert engine.export_cache_entries(payload_budget_bytes=1 << 20) == []
+        engine.publish_priors(original, normalize=False)
+        (entry,) = engine.export_cache_entries(payload_budget_bytes=1 << 20)
+        assert encoded(entry["matrices"].items()) == encoded(forest)
+
     def test_import_foreign_topology_rebuilds(self, small_tree_with_priors):
         """A payload whose sub-tree roots don't match this tree must be
         rebuilt, never installed (replica-mismatch guard)."""
         engine = self.make_engine(small_tree_with_priors)
         forest, _ = engine.build_forest_traced(1, 1)
         matrices = {f"alien-{index}": matrix for index, (_, matrix) in enumerate(forest)}
-        engine.invalidate()
+        engine.forest_cache.clear()
         outcome = engine.import_cache_entry(1, 1, POOL_CONFIG["epsilon"], matrices=matrices)
         assert outcome == "prewarmed"
         _, cached = engine.build_forest_traced(1, 1)
@@ -559,7 +650,7 @@ class TestAdminDrainHTTP:
 
     def test_transport_drain_propagates_typed_errors(self, small_tree_with_priors):
         """An engine-backed (non-pool) server answers 400, and the transport
-        raises the same typed error shape as ``invalidate``."""
+        raises the typed error shape every admin call raises."""
         engine = ForestEngine(small_tree_with_priors, ServerConfig(**POOL_CONFIG))
         with CORGIHTTPServer(CORGIService(engine), port=0) as server:
             transport = HTTPTransport(server.url)

@@ -680,7 +680,7 @@ class TestBackoffProperties:
 # Control-log (WAL) records: round-trip, prefix replay, corruption
 # --------------------------------------------------------------------- #
 
-#: JSON-object control events, as publish_priors / invalidate would log.
+#: JSON-object control events, as publish_priors would log.
 wal_events = st.dictionaries(
     st.text(max_size=10),
     st.one_of(
@@ -1073,18 +1073,6 @@ class TestHTTPNever500:
     def test_batch_endpoint(self, live_server, requests):
         status = _post_status(
             live_server.url + "/forest/batch", {"requests": requests}
-        )
-        assert status in CLIENT_CLASS
-
-    @DETERMINISTIC
-    @given(
-        level=st.one_of(
-            st.none(), st.integers(min_value=-3, max_value=9), junk_scalars
-        )
-    )
-    def test_admin_invalidate_endpoint(self, live_server, level):
-        status = _post_status(
-            live_server.url + "/admin/invalidate", {"privacy_level": level}
         )
         assert status in CLIENT_CLASS
 
