@@ -57,7 +57,7 @@ from repro.datasets import (
 )
 from repro.geometry import BoundingBox, LatLng, haversine_km
 from repro.hexgrid import HexCell, HexGridSystem
-from repro.pipeline import CacheStats, MatrixCache, RobustGenerationTask, run_robust_tasks
+from repro.pipeline import CacheStats, MatrixCache, PreparedProblem, RobustGenerationTask, run_robust_tasks
 from repro.policy import Policy, Predicate, annotate_tree_with_dataset, user_location_profile
 from repro.server import ForestEngine, PrivacyForest, ServerConfig
 from repro.service import CORGIHTTPServer, CORGIService, EnginePool, ServiceConfig
@@ -104,6 +104,7 @@ __all__ = [
     # Pipeline
     "MatrixCache",
     "CacheStats",
+    "PreparedProblem",
     "RobustGenerationTask",
     "run_robust_tasks",
     # Server / service / client

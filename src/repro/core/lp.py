@@ -112,8 +112,12 @@ class ConstraintStructure:
             self.a_eq = coo_matrix(
                 (np.ones(size * size), (eq_rows, eq_cols)), shape=(size, size * size)
             ).tocsr()
+            # Read-only: a solver session keeps its HiGHS model's row bounds
+            # while it is handed these same arrays.
             self.b_ub = np.zeros(self.num_inequality_rows)
             self.b_eq = np.ones(size)
+            self.b_ub.flags.writeable = False
+            self.b_eq.flags.writeable = False
         self.build_time_s = timer.elapsed
         self.refresh_count = 0
 
@@ -262,6 +266,9 @@ class ObfuscationLP:
         self._session: Optional[SolverSession] = session
         self._session_shared = session is not None
         self._lp_cache = lp_cache
+        self._objective = quality_model.objective_vector()
+        self._objective.flags.writeable = False
+        self._key_prefixes: Dict[str, hashlib.blake2b] = {}
 
     # ------------------------------------------------------------------ #
     # Problem construction
@@ -326,18 +333,22 @@ class ObfuscationLP:
         factors = np.exp(self.effective_epsilons(reserved_budget) * distances)
         return self.structure.inequality_matrix(factors)
 
-    def _lp_key(self, objective: np.ndarray, factors: np.ndarray, solver_method: str) -> str:
+    def _lp_key(self, factors: np.ndarray, solver_method: str) -> str:
         """Digest of everything that defines the LP a session is handed.
 
         The constraint pattern and right-hand sides are functions of K and
         the pairs, and the coefficients of the per-pair factors, so these
-        inputs fix the LP byte for byte.
+        inputs and the objective fix the LP byte for byte.  The digest of the
+        method, K, the pairs and the objective is taken once per method.
         """
-        digest = hashlib.blake2b(f"{solver_method}|{self.size}".encode(), digest_size=20)
-        for array in (self.constraint_set.pairs, objective, factors):
-            array = np.ascontiguousarray(array)
-            digest.update(f"|{array.dtype.str}{array.shape}|".encode())
-            digest.update(array.data)
+        prefix = self._key_prefixes.get(solver_method)
+        if prefix is None:
+            prefix = hashlib.blake2b(f"{solver_method}|{self.size}".encode(), digest_size=20)
+            for array in (self.constraint_set.pairs, self._objective):
+                _digest_array(prefix, array)
+            self._key_prefixes[solver_method] = prefix
+        digest = prefix.copy()
+        _digest_array(digest, factors)
         return digest.hexdigest()
 
     def build_equalities(self):
@@ -382,21 +393,20 @@ class ObfuscationLP:
             it returns a degenerate all-zero probability row (which would
             turn into NaNs under row normalization).
         """
-        objective = self.quality_model.objective_vector()
         structure = self.structure
         structure_was_fresh = structure.refresh_count == 0
         cache = self._lp_cache
         with Timer() as refresh_timer:
             epsilons, clamped_pairs = self._effective_epsilons(reserved_budget)
             factors = np.exp(epsilons * self.constraint_set.distances_km)
-            key = None if cache is None else self._lp_key(objective, factors, solver_method)
+            key = None if cache is None else self._lp_key(factors, solver_method)
             raw: Optional[RawSolution] = None if cache is None else cache.get(key)
             if raw is None:
                 a_ub = structure.inequality_matrix(factors)
         cache_hit = raw is not None
         if not cache_hit:
             raw = self.session().solve(
-                objective,
+                self._objective,
                 a_ub,
                 structure.b_ub,
                 structure.a_eq,
@@ -470,7 +480,13 @@ class ObfuscationLP:
 
 
 #: Stage times of a solution served from the LP cache: no stage ran.
-_NO_SOLVER_TIME = {"presolve": 0.0, "build": 0.0, "solve": 0.0, "extract": 0.0}
+_NO_SOLVER_TIME = {"solve": 0.0, "extract": 0.0}
+
+
+def _digest_array(digest, array: np.ndarray) -> None:
+    array = np.ascontiguousarray(array)
+    digest.update(f"|{array.dtype.str}{array.shape}|".encode())
+    digest.update(array.data)
 
 
 def _cacheable(raw: RawSolution) -> RawSolution:

@@ -1,4 +1,4 @@
-"""The LP solver session: scipy's bundled HiGHS, bit-identical to ``linprog``.
+"""The LP solver session: scipy's bundled HiGHS with presolve off.
 
 Every obfuscation LP in the repo is a HiGHS solve.  Reached through
 :func:`scipy.optimize.linprog`, HiGHS's own ``run`` was only ~24% of the
@@ -13,13 +13,18 @@ grid, so the stacked pattern can be bound once per constraint structure.
 
 :class:`SolverSession` drives the HiGHS bindings bundled with scipy
 (``scipy.optimize._highspy._core``, the ones ``linprog(method="highs*")``
-calls) with ``linprog``'s options and checks, so its ``x`` equals
-``linprog``'s bit for bit.  It binds the stacked ``[A_ub; A_eq]``
-column-wise pattern once per :class:`~repro.core.lp.ConstraintStructure`
-through :class:`StackedPattern` and builds the model with
-:func:`highs_lp`.  Every solve is cold, so a solve's ``x`` is a function of
-the LP alone and an LP cache may serve it.  Where scipy does not ship the
-bindings, every solve is a ``linprog`` call.
+calls) with ``linprog``'s options and checks, presolve excepted, so its
+``x`` equals ``linprog(..., options={"presolve": False})``'s bit for bit.
+HiGHS's presolve reduced none of the obfuscation LPs it was run on (a
+K = 7 to 70 census, every ``x`` bit-identical with it off) and took ~29%
+of ``run``, so the session runs without it.  It binds the stacked
+``[A_ub; A_eq]`` column-wise pattern once per
+:class:`~repro.core.lp.ConstraintStructure` through :class:`StackedPattern`
+and keeps one ``HighsLp`` per bound pattern (:class:`HighsModel`), into
+which a solve pushes only the costs and coefficients.  Every solve is cold,
+so a solve's ``x`` is a function of the LP alone and an LP cache may serve
+it.  Where scipy does not ship the bindings, every solve is a ``linprog``
+call with the same options.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ except ImportError:  # pragma: no cover - scipy releases without the module
 #: ``solver`` option each one sets (``None`` leaves HiGHS's choice).
 _HIGHS_SOLVER_OPTION = {"highs": None, "highs-ds": "simplex", "highs-ipm": "ipm"}
 HIGHS_METHODS = tuple(_HIGHS_SOLVER_OPTION)
+
+#: The options every solve runs with, as ``linprog`` spells them: HiGHS's
+#: presolve reduced none of the obfuscation LPs it was measured on, so it is
+#: off, and a session's ``x`` equals ``linprog(..., options=LINPROG_OPTIONS)``'s.
+LINPROG_OPTIONS = {"presolve": False}
 
 #: ``linprog``'s post-solve feasibility tolerance (``_check_result``:
 #: the square root of its default ``tol`` of 1e-9, times 10).
@@ -105,43 +115,81 @@ class StackedPattern:
         return np.concatenate((self.a_ub.data, self.a_eq.data))[self.perm]
 
 
-def highs_lp(pattern: StackedPattern, objective, b_ub, b_eq, bounds):
-    """The stacked LP as a ``HighsLp`` of scipy's bundled bindings.
+def _check_finite(name: str, array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must not contain values inf, nan, or None")
 
-    Like :func:`~scipy.optimize.linprog`, raises :class:`ValueError` for
-    non-finite or mis-sized data instead of handing it to HiGHS.
+
+def _frozen(array: np.ndarray) -> bool:
+    """Whether no one can write *array*'s values: read-only and owning them."""
+    return not array.flags.writeable and array.flags.owndata
+
+
+class HighsModel:
+    """One ``HighsLp`` of scipy's bundled bindings over a bound pattern.
+
+    The pattern's column starts and row indices are pushed once.  A solve
+    pushes the costs and the current coefficients; the row and column bounds
+    are pushed again only when the right-hand sides are not the same
+    read-only arrays as before (a :class:`~repro.core.lp.ConstraintStructure`
+    hands out the same frozen pair on every solve) or the variable bounds
+    differ.  Like :func:`~scipy.optimize.linprog`, :meth:`load` raises
+    :class:`ValueError` for non-finite or mis-sized data instead of handing
+    it to HiGHS.
     """
-    cost = np.asarray(objective, dtype=float)
-    b_ub = np.asarray(b_ub, dtype=float)
-    b_eq = np.asarray(b_eq, dtype=float)
-    values = pattern.values()
-    if (
-        cost.shape != (pattern.num_cols,)
-        or b_ub.shape != (pattern.num_ub_rows,)
-        or b_eq.shape != (pattern.num_rows - pattern.num_ub_rows,)
-    ):
-        raise ValueError("objective and right-hand sides do not match the constraint matrices")
-    for name, array in (("c", cost), ("A_ub/A_eq", values), ("b_ub", b_ub), ("b_eq", b_eq)):
-        if not np.isfinite(array).all():
-            raise ValueError(f"{name} must not contain values inf, nan, or None")
-    bindings = _scipy_highs
-    lp = bindings.HighsLp()
-    lp.num_col_ = pattern.num_cols
-    lp.num_row_ = pattern.num_rows
-    lp.sense_ = bindings.ObjSense.kMinimize
-    lp.offset_ = 0.0
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.full(pattern.num_cols, float(bounds[0]))
-    lp.col_upper_ = np.full(pattern.num_cols, float(bounds[1]))
-    lp.row_lower_ = np.concatenate((np.full(pattern.num_ub_rows, -bindings.kHighsInf), b_eq))
-    lp.row_upper_ = np.concatenate((b_ub, b_eq))
-    lp.a_matrix_.format_ = bindings.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = pattern.num_cols
-    lp.a_matrix_.num_row_ = pattern.num_rows
-    lp.a_matrix_.start_ = pattern.indptr
-    lp.a_matrix_.index_ = pattern.indices
-    lp.a_matrix_.value_ = values
-    return lp
+
+    def __init__(self, pattern: StackedPattern) -> None:
+        bindings = _scipy_highs
+        self.pattern = pattern
+        lp = bindings.HighsLp()
+        lp.num_col_ = pattern.num_cols
+        lp.num_row_ = pattern.num_rows
+        lp.sense_ = bindings.ObjSense.kMinimize
+        lp.offset_ = 0.0
+        lp.a_matrix_.format_ = bindings.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_ = pattern.num_cols
+        lp.a_matrix_.num_row_ = pattern.num_rows
+        lp.a_matrix_.start_ = pattern.indptr
+        lp.a_matrix_.index_ = pattern.indices
+        self.lp = lp
+        self._sides: Optional[Tuple[np.ndarray, np.ndarray, Tuple[float, float]]] = None
+
+    def load(self, objective, b_ub, b_eq, bounds):
+        """The model with this solve's data pushed, ready for ``passModel``."""
+        pattern = self.pattern
+        cost = np.asarray(objective, dtype=float)
+        b_ub = np.asarray(b_ub, dtype=float)
+        b_eq = np.asarray(b_eq, dtype=float)
+        bounds = (float(bounds[0]), float(bounds[1]))
+        if (
+            cost.shape != (pattern.num_cols,)
+            or b_ub.shape != (pattern.num_ub_rows,)
+            or b_eq.shape != (pattern.num_rows - pattern.num_ub_rows,)
+        ):
+            raise ValueError("objective and right-hand sides do not match the constraint matrices")
+        values = pattern.values()
+        _check_finite("c", cost)
+        _check_finite("A_ub/A_eq", values)
+        lp = self.lp
+        sides = self._sides
+        if not (
+            sides is not None
+            and sides[0] is b_ub
+            and sides[1] is b_eq
+            and sides[2] == bounds
+            and _frozen(b_ub)
+            and _frozen(b_eq)
+        ):
+            _check_finite("b_ub", b_ub)
+            _check_finite("b_eq", b_eq)
+            lp.col_lower_ = np.full(pattern.num_cols, bounds[0])
+            lp.col_upper_ = np.full(pattern.num_cols, bounds[1])
+            lp.row_lower_ = np.concatenate((np.full(pattern.num_ub_rows, -_scipy_highs.kHighsInf), b_eq))
+            lp.row_upper_ = np.concatenate((b_ub, b_eq))
+            self._sides = (b_ub, b_eq, bounds)
+        lp.col_cost_ = cost
+        lp.a_matrix_.value_ = values
+        return lp
 
 
 def _linprog_status(model_status) -> int:
@@ -163,9 +211,8 @@ class RawSolution:
     """Outcome of one LP solve.
 
     ``x`` is the raw variable vector (``None`` on failure); ``timings_s``
-    breaks the solve into ``presolve`` / ``build`` / ``solve`` / ``extract``
-    stages.  The session reports its whole call, model push and presolve
-    included, as ``solve`` (``presolve`` and ``build`` read 0.0), on its
+    breaks the solve into ``solve`` and ``extract`` stages.  The session
+    reports its whole call, model push included, as ``solve``, on its
     bundled-HiGHS and its ``linprog`` path alike.
     """
 
@@ -179,22 +226,23 @@ class RawSolution:
 
 
 class SolverSession:
-    """Cold solves, bit-identical to ``linprog``, reused across congruent LPs.
+    """Cold solves, bit-identical to ``linprog`` with presolve off, reused across congruent LPs.
 
     The session drives the HiGHS bindings that ``linprog`` itself calls.  It
-    binds the stacked pattern once per constraint structure, holds one
-    ``_Highs`` (cleared before every model push, so every solve is cold),
-    and passes ``linprog``'s options for the method.  It keeps
+    binds the stacked pattern once per constraint structure and keeps one
+    :class:`HighsModel` for it, holds one ``_Highs`` (cleared before every
+    model push, so every solve is cold), and passes ``linprog``'s options
+    for the method with presolve off (:data:`LINPROG_OPTIONS`).  It keeps
     ``linprog``'s contract: non-finite data raises :class:`ValueError`, a
     solution is rechecked against the constraints within
     :data:`LINPROG_FEASIBILITY_TOL`, and statuses are ``linprog``'s numbers.
     Where scipy does not ship those bindings, every solve is a ``linprog``
-    call.
+    call with :data:`LINPROG_OPTIONS`.
     """
 
     def __init__(self) -> None:
         self._highs = None if _scipy_highs is None else _scipy_highs._Highs()
-        self._pattern: Optional[StackedPattern] = None
+        self._model: Optional[HighsModel] = None
         self._options: Dict[str, object] = {}
 
     def solve(
@@ -220,6 +268,7 @@ class SolverSession:
                     b_eq=b_eq,
                     bounds=bounds,
                     method=solver_method,
+                    options=LINPROG_OPTIONS,
                 )
             else:
                 result = self._solve_bundled(objective, a_ub, b_ub, a_eq, b_eq, bounds, solver_method)
@@ -237,21 +286,16 @@ class SolverSession:
             status=str(result.status),
             message=str(result.message),
             iterations=iterations,
-            timings_s={
-                "presolve": 0.0,  # folded into solve, as linprog folds it
-                "build": 0.0,
-                "solve": solve_timer.elapsed,
-                "extract": extract_timer.elapsed,
-            },
+            timings_s={"solve": solve_timer.elapsed, "extract": extract_timer.elapsed},
         )
 
     def _linprog_options(self, solver_method: str):
-        """``HighsOptions`` with exactly the settings ``linprog`` passes."""
+        """``HighsOptions`` with exactly the settings ``linprog`` passes for :data:`LINPROG_OPTIONS`."""
         options = self._options.get(solver_method)
         if options is None:
             bindings = _scipy_highs
             options = bindings.HighsOptions()
-            options.presolve = "on"
+            options.presolve = "off"
             if _HIGHS_SOLVER_OPTION[solver_method] is not None:
                 options.solver = _HIGHS_SOLVER_OPTION[solver_method]
             options.highs_debug_level = bindings.HighsDebugLevel.kHighsDebugLevelNone
@@ -264,9 +308,9 @@ class SolverSession:
     def _solve_bundled(self, objective, a_ub, b_ub, a_eq, b_eq, bounds, solver_method):
         """One cold solve on the bundled bindings, as ``linprog`` reports it."""
         bindings = _scipy_highs
-        if self._pattern is None or not self._pattern.matches(a_ub, a_eq):
-            self._pattern = StackedPattern.bind(a_ub, a_eq)
-        lp = highs_lp(self._pattern, objective, b_ub, b_eq, bounds)
+        if self._model is None or not self._model.pattern.matches(a_ub, a_eq):
+            self._model = HighsModel(StackedPattern.bind(a_ub, a_eq))
+        lp = self._model.load(objective, b_ub, b_eq, bounds)
         highs = self._highs
         highs.clearSolver()
         highs.passOptions(self._linprog_options(solver_method))
@@ -292,7 +336,7 @@ class SolverSession:
             result.x = np.array(solution.col_value)
             result.fun = info.objective_function_value
             rows = np.array(solution.row_value)
-            num_ub_rows = self._pattern.num_ub_rows
+            num_ub_rows = self._model.pattern.num_ub_rows
             tol = LINPROG_FEASIBILITY_TOL
             feasible = (
                 not np.isnan(result.fun)

@@ -19,7 +19,7 @@ from repro.core.lp import ConstraintStructure
 from repro.core.robust import RobustMatrixGenerator
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workloads import ExperimentWorkload, LocationSet, build_workload
-from repro.pipeline.executor import RobustGenerationTask, run_robust_tasks
+from repro.pipeline.executor import PreparedProblem, RobustGenerationTask, run_robust_tasks
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -123,18 +123,18 @@ def _generate_sweep(
     serially, sharing the pre-built constraint structure.
     """
     if config.max_workers > 1:
+        problem = PreparedProblem(
+            location_set.node_ids,
+            location_set.distance_matrix_km,
+            location_set.quality_model,
+            location_set.constraint_set,
+        )
         tasks = [
             RobustGenerationTask(
                 key=f"eps={epsilon}:delta={delta}",
-                node_ids=location_set.node_ids,
-                distance_matrix_km=location_set.distance_matrix_km,
-                cost_matrix=location_set.quality_model.cost_matrix,
-                priors=location_set.quality_model.priors,
+                problem=problem,
                 epsilon=epsilon,
                 delta=delta,
-                constraint_pairs=location_set.constraint_set.pairs,
-                constraint_distances_km=location_set.constraint_set.distances_km,
-                constraint_description=location_set.constraint_set.description,
                 max_iterations=config.robust_iterations,
                 solver_method=config.solver_method,
             )

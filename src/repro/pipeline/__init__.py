@@ -6,7 +6,7 @@ pipeline:
 * :mod:`repro.pipeline.fingerprint` — canonical content-addressed keys for
   forests and shared constraint structures;
 * :mod:`repro.pipeline.cache` — an LRU :class:`MatrixCache` with hit/miss
-  statistics (the engine's forest and LP caches);
+  statistics (the engine's forest, prepared-level and LP caches);
 * :mod:`repro.pipeline.executor` — process-parallel fan-out of independent
   per-sub-tree robust generations with deterministic, order-stable results.
 
@@ -18,6 +18,7 @@ architecture overview and the perf harness.
 
 from repro.pipeline.cache import CacheStats, MatrixCache
 from repro.pipeline.executor import (
+    PreparedProblem,
     RobustGenerationTask,
     execute_robust_task,
     execute_robust_task_group,
@@ -34,6 +35,7 @@ from repro.pipeline.fingerprint import (
 __all__ = [
     "CacheStats",
     "MatrixCache",
+    "PreparedProblem",
     "RobustGenerationTask",
     "execute_robust_task",
     "execute_robust_task_group",

@@ -5,7 +5,7 @@ The cache is keyed by the canonical fingerprints of
 every result-affecting input (geometry, ε, δ, weighting, basis row,
 quality model, iteration count, solver) is identical — the fix for the
 stale-forest bug the old ``(privacy_level, delta, epsilon)`` key had.  The
-engine keeps three instances: LP solutions, per-sub-tree matrices and
+engine keeps three instances: LP solutions, prepared privacy levels and
 whole forests.
 
 Eviction is LRU with a configurable entry bound; statistics (hits, misses,

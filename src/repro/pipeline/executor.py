@@ -1,10 +1,11 @@
 """Execution of independent robust-generation problems.
 
 Algorithm 3 generates one robust matrix per sub-tree at the privacy level;
-the problems share no state.  A task carries only plain arrays (node ids,
-distances, cost matrix, priors, constraint pairs) plus scalar knobs; the
-executor rebuilds the LP objective with
-:class:`~repro.core.objective.LinearQualityModel`.
+the problems share no state.  A task is a :class:`PreparedProblem` (node
+ids, distances, quality model, constraint set and the structure key that
+groups congruent problems) plus scalar knobs.  A prepared problem is never
+modified once built, so the serving engine prepares each sub-tree once per
+(level, engine state) and hands the same problems to every (δ, ε) request.
 
 The serving engine runs its sub-tree tasks through
 :func:`run_robust_task_groups`, serially on the request thread, grouped by
@@ -49,7 +50,7 @@ logger = get_logger(__name__)
 class _ThreadLocalSolverState(threading.local):
     """Per-thread cache of the most recent (structure, solver session) pair.
 
-    Keyed by structure fingerprint + solver method.  A thread that executes
+    Keyed by structure key + solver method.  A thread that executes
     many congruent groups in sequence (every sub-tree of a level, every
     point of an ε/δ sweep over the same location set) keeps one structure
     and one solver session, so the stacked constraint pattern is bound once
@@ -74,41 +75,49 @@ class _ThreadLocalSolverState(threading.local):
 _WORKER_SOLVER_STATE = _ThreadLocalSolverState()
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedProblem:
+    """What Algorithm 1 takes of one location set, built once (picklable).
+
+    ``constraint_set`` is ``None`` for the all-pairs formulation, which each
+    LP resolves against its own distance matrix.  ``structure_key`` is the
+    problem's :func:`~repro.pipeline.fingerprint.structure_fingerprint`:
+    problems with equal keys are congruent and can share one constraint
+    structure.
+    """
+
+    node_ids: List[str]
+    distance_matrix_km: np.ndarray
+    quality_model: LinearQualityModel
+    constraint_set: Optional[GeoIndConstraintSet] = None
+    structure_key: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        pairs = None if self.constraint_set is None else self.constraint_set.pairs
+        object.__setattr__(self, "structure_key", structure_fingerprint(len(self.node_ids), pairs))
+
+
 @dataclass
 class RobustGenerationTask:
     """One self-contained robust-generation problem (picklable).
 
-    Attributes mirror the :class:`~repro.core.robust.RobustMatrixGenerator`
-    arguments; ``key`` is an opaque caller-side identifier (the sub-tree
-    root id on the server) carried through to correlate results.
+    ``problem`` and the knobs mirror the
+    :class:`~repro.core.robust.RobustMatrixGenerator` arguments; ``key`` is
+    an opaque caller-side identifier (the sub-tree root id on the server)
+    carried through to correlate results, and ``metadata`` is copied into
+    the produced matrix.
     """
 
     key: str
-    node_ids: List[str]
-    distance_matrix_km: np.ndarray
-    cost_matrix: np.ndarray
-    priors: Optional[np.ndarray]
+    problem: PreparedProblem
     epsilon: float
     delta: int
-    constraint_pairs: Optional[np.ndarray] = None
-    constraint_distances_km: Optional[np.ndarray] = None
-    constraint_description: str = "custom"
     max_iterations: int = 10
     rpb_method: str = "approx"
     basis_row: str = "real"
     solver_method: str = "highs"
     level: int = 0
     metadata: dict = field(default_factory=dict)
-
-    def constraint_set(self) -> Optional[GeoIndConstraintSet]:
-        """Rebuild the constraint set, or None for the all-pairs default."""
-        if self.constraint_pairs is None:
-            return None
-        return GeoIndConstraintSet(
-            pairs=self.constraint_pairs,
-            distances_km=self.constraint_distances_km,
-            description=self.constraint_description,
-        )
 
 
 def execute_robust_task(
@@ -134,14 +143,14 @@ def execute_robust_task(
 
     ``lp_cache`` optionally serves repeated LPs (see the module docstring).
     """
-    quality_model = LinearQualityModel(task.cost_matrix, task.priors)
+    problem = task.problem
     generator = RobustMatrixGenerator(
-        task.node_ids,
-        task.distance_matrix_km,
-        quality_model,
+        problem.node_ids,
+        problem.distance_matrix_km,
+        problem.quality_model,
         task.epsilon,
         task.delta,
-        constraint_set=task.constraint_set(),
+        constraint_set=problem.constraint_set,
         max_iterations=task.max_iterations,
         rpb_method=task.rpb_method,  # type: ignore[arg-type]
         basis_row=task.basis_row,  # type: ignore[arg-type]
@@ -166,25 +175,25 @@ def execute_robust_task_group(
     The first graph-constrained task builds the structure and the solver
     session; every later task whose pairs match reuses both (coefficient
     refresh-in-place, one bound pattern).  Both also persist in the
-    per-thread slot keyed by structure fingerprint + solver method, so a
-    thread that executes many congruent groups across calls reuses them
-    too.  Tasks without explicit constraint pairs — the all-pairs
-    formulation, whose constraint set is derived from each task's own
-    distance matrix — run unshared, as do tasks whose geometry turns out
-    not to match (defensive; the caller groups by
-    :func:`~repro.pipeline.fingerprint.structure_fingerprint`, which already
-    prevents that).  Results are identical to unshared serial execution.
+    per-thread slot keyed by structure key + solver method, so a thread
+    that executes many congruent groups across calls reuses them too.
+    Tasks without a constraint set — the all-pairs formulation, whose
+    constraint set is derived from each task's own distance matrix — run
+    unshared, as do tasks whose geometry turns out not to match
+    (defensive; the caller groups by structure key, which already prevents
+    that).  Results are identical to unshared serial execution.
     ``lp_cache`` is passed to every task.
     """
     results: List[RobustGenerationResult] = []
     state = _WORKER_SOLVER_STATE
     for task in tasks:
-        constraint_set = task.constraint_set()
+        problem = task.problem
+        constraint_set = problem.constraint_set
         if constraint_set is None:
             results.append(execute_robust_task(task, lp_cache=lp_cache))
             continue
-        size = len(task.node_ids)
-        key = (structure_fingerprint(size, task.constraint_pairs), str(task.solver_method))
+        size = len(problem.node_ids)
+        key = (problem.structure_key, str(task.solver_method))
         if (
             state.key != key
             or state.structure is None

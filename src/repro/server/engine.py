@@ -8,11 +8,17 @@ node at the privacy level and sharing one
 congruent geometry.  Sub-trees are generated serially on the
 request thread; concurrent requests for distinct keys build in parallel
 threads, and an :class:`~repro.service.pool.EnginePool` adds process
-parallelism across shards.  Two LRU-bounded, content-addressed
+parallelism across shards.  Three LRU-bounded, content-addressed
 :class:`~repro.pipeline.cache.MatrixCache` instances serve repeats:
 
 * ``forest_cache`` — whole forests by forest fingerprint
   (:data:`FOREST_CACHE_ENTRIES`);
+* ``prepared_levels`` — each sub-tree's
+  :class:`~repro.pipeline.executor.PreparedProblem` at one privacy level,
+  with the level's congruent groups (:class:`PreparedLevel`), keyed on the
+  forest fingerprint's inputs other than δ and ε
+  (:data:`PREPARED_LEVEL_ENTRIES`), so a forest miss prepares a level once
+  per engine state instead of once per request;
 * ``lp_cache`` — each LP's solution by a digest of the LP itself
   (:data:`LP_CACHE_ENTRIES`), consulted before every LP solve of
   Algorithm 1.
@@ -39,17 +45,17 @@ import contextlib
 import math
 import threading
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, get_args
 
 import numpy as np
 
 from repro.core.graphapprox import HexNeighborhoodGraph, Weighting
-from repro.core.objective import QualityLossModel, TargetDistribution
+from repro.core.objective import LinearQualityModel, QualityLossModel, TargetDistribution
 from repro.core.robust import BasisRow, RobustGenerationResult
 from repro.core.solver import HIGHS_METHODS
 from repro.pipeline.cache import MatrixCache
-from repro.pipeline.executor import RobustGenerationTask, run_robust_task_groups
-from repro.pipeline.fingerprint import array_digest, fingerprint_fields, structure_fingerprint
+from repro.pipeline.executor import PreparedProblem, RobustGenerationTask, run_robust_task_groups
+from repro.pipeline.fingerprint import array_digest, fingerprint_fields
 from repro.server.privacy_forest import PrivacyForest
 from repro.tree.location_tree import LocationTree
 from repro.utils.logging import get_logger
@@ -66,6 +72,11 @@ LP_CACHE_ENTRIES = 1024
 #: memory.  It matches the pool's per-slot hot-key ledger
 #: (``HOT_KEY_LEDGER_SIZE``), so a sibling can hold every key a ledger replays.
 FOREST_CACHE_ENTRIES = 128
+
+#: Bound on each engine's prepared levels (LRU).  A level is prepared again
+#: only when its engine state changes (priors, targets, tree or config), so
+#: the bound covers every level of a height-3 tree under two states.
+PREPARED_LEVEL_ENTRIES = 8
 
 
 @dataclass
@@ -135,10 +146,29 @@ class ServerConfig:
             raise ValueError("robust_iterations must be at least 1")
         if self.rpb_method not in ("approx", "exact"):
             raise ValueError(f"unknown rpb_method {self.rpb_method!r}")
+        if self.rpb_basis_row not in get_args(BasisRow):
+            raise ValueError(f"unknown rpb_basis_row {self.rpb_basis_row!r}; known: {get_args(BasisRow)}")
+        if self.graph_weighting not in get_args(Weighting):
+            raise ValueError(f"unknown graph_weighting {self.graph_weighting!r}; known: {get_args(Weighting)}")
         if self.solver_method not in HIGHS_METHODS:
             raise ValueError(f"unknown solver_method {self.solver_method!r}; known: {HIGHS_METHODS}")
         if self.solver_backend != "scipy":
             raise ValueError(f"unknown solver_backend {self.solver_backend!r}; the only solver is 'scipy'")
+
+
+@dataclass(frozen=True)
+class PreparedLevel:
+    """Every sub-tree problem at one privacy level, in level order.
+
+    ``groups`` partitions the problem indices by structure key, first
+    appearance first: each group is congruent and shares one constraint
+    structure when it runs.  Nothing in a prepared level is modified after
+    it is built, so concurrent builds of distinct keys share it.
+    """
+
+    roots: Tuple[str, ...]
+    problems: Tuple[PreparedProblem, ...]
+    groups: Tuple[Tuple[int, ...], ...]
 
 
 def validate_prior_masses(priors: Mapping[str, float]) -> Dict[str, float]:
@@ -204,13 +234,14 @@ class ForestEngine:
         self._derived_targets: Optional[TargetDistribution] = None
         self._derived_targets_key: Optional[Tuple[int, int]] = None
         self.forest_cache = MatrixCache(FOREST_CACHE_ENTRIES)
+        self.prepared_levels = MatrixCache(PREPARED_LEVEL_ENTRIES)
         self._handoff_imports = 0
         self._handoff_prewarms = 0
         self.lp_cache = MatrixCache(LP_CACHE_ENTRIES)
         self._structure_stats: Dict[str, int] = {"groups": 0, "builds": 0, "reuses": 0}
         self._solver_stats: Dict[str, object] = {
             "solves": 0,
-            "time_s": {"presolve": 0.0, "build": 0.0, "solve": 0.0, "extract": 0.0, "refresh": 0.0},
+            "time_s": {"solve": 0.0, "extract": 0.0, "refresh": 0.0},
         }
         self.stopwatch = Stopwatch()
         # Guards the caches, counters and stopwatch: the engine performs no
@@ -284,6 +315,23 @@ class ForestEngine:
     #: cache misses, never serve a stale forest.
     _NON_RESULT_CONFIG_FIELDS = frozenset({"epsilon"})
 
+    def _level_fields(self, privacy_level: int) -> Dict[str, object]:
+        """The forest key's inputs other than δ and ε: the level and the engine state."""
+        config_fields = {
+            spec.name: getattr(self.config, spec.name)
+            for spec in fields(self.config)
+            if spec.name not in self._NON_RESULT_CONFIG_FIELDS
+        }
+        leaves = self.tree.leaves()
+        return {
+            "privacy_level": int(privacy_level),
+            "config": config_fields,
+            "targets": self._targets_digest(),
+            "tree_root": str(self.tree.root.node_id),
+            "tree_leaves": len(leaves),
+            "leaf_priors": array_digest(np.array([leaf.prior for leaf in leaves], dtype=float)),
+        }
+
     def _forest_fingerprint(self, privacy_level: int, delta: int, epsilon: float) -> str:
         """Cache key folding the full effective configuration.
 
@@ -293,22 +341,7 @@ class ForestEngine:
         and leaf priors — so mutating any result-affecting input between
         requests can never return a stale forest.
         """
-        config_fields = {
-            spec.name: getattr(self.config, spec.name)
-            for spec in fields(self.config)
-            if spec.name not in self._NON_RESULT_CONFIG_FIELDS
-        }
-        leaves = self.tree.leaves()
-        return fingerprint_fields(
-            privacy_level=int(privacy_level),
-            delta=int(delta),
-            epsilon=float(epsilon),
-            config=config_fields,
-            targets=self._targets_digest(),
-            tree_root=str(self.tree.root.node_id),
-            tree_leaves=len(leaves),
-            leaf_priors=array_digest(np.array([leaf.prior for leaf in leaves], dtype=float)),
-        )
+        return fingerprint_fields(delta=int(delta), epsilon=float(epsilon), **self._level_fields(privacy_level))
 
     # ------------------------------------------------------------------ #
     # Matrix generation (Algorithm 3)
@@ -377,12 +410,16 @@ class ForestEngine:
 
         forest = PrivacyForest(self.tree, privacy_level, delta, epsilon)
         with Timer() as timer:
-            roots = self.tree.nodes_at_level(privacy_level)
-            tasks = [self._subtree_task(root.node_id, delta, epsilon) for root in roots]
-            generated = self._run_pending(tasks)
+            # Two concurrent misses on one level may both prepare it; the
+            # preparations are equal, and the later put keeps one.
+            level = self.prepared_levels.get_or_compute(
+                fingerprint_fields(**self._level_fields(privacy_level)),
+                lambda: self._prepare_level(privacy_level),
+            )
+            generated = self._run_level(level, delta, epsilon)
             self._accumulate_solver_stats(generated)
-            for root, result in zip(roots, generated):
-                forest.add(root.node_id, result.matrix)
+            for root_id, result in zip(level.roots, generated):
+                forest.add(root_id, result.matrix)
         with self._state_lock:
             elapsed = self.stopwatch.record("forest_generation", timer.elapsed)
         clamped = sum(
@@ -559,49 +596,61 @@ class ForestEngine:
             for stage, elapsed in stage_times.items():
                 time_s[stage] = time_s.get(stage, 0.0) + elapsed
 
-    def _run_pending(self, tasks: List[RobustGenerationTask]) -> List[RobustGenerationResult]:
-        """Execute sub-tree tasks, sharing structures across congruent siblings.
+    def _run_level(self, level: PreparedLevel, delta: int, epsilon: float) -> List[RobustGenerationResult]:
+        """Run Algorithm 1 on every sub-tree of a prepared level, in level order.
 
-        Tasks are grouped by :func:`structure_fingerprint`; each group shares
-        one :class:`~repro.core.lp.ConstraintStructure` (the ROADMAP lever —
-        sibling hexagon sub-trees at one level are usually all congruent).
-        Every LP goes through the engine's LP cache.  Results are in task
-        order and identical to unshared serial execution.
+        Each congruent group shares one :class:`~repro.core.lp.ConstraintStructure`
+        (sibling hexagon sub-trees at one level are usually all congruent),
+        and every LP goes through the engine's LP cache.  Results are
+        identical to unshared serial execution.
         """
-        if not tasks:
-            return []
-        groups: Dict[str, List[int]] = {}
-        for index, task in enumerate(tasks):
-            key = structure_fingerprint(len(task.node_ids), task.constraint_pairs)
-            groups.setdefault(key, []).append(index)
-
+        config = self.config
+        tasks = [
+            RobustGenerationTask(
+                key=root_id,
+                problem=problem,
+                epsilon=epsilon,
+                delta=int(delta),
+                max_iterations=config.robust_iterations,
+                rpb_method=config.rpb_method,
+                basis_row=config.rpb_basis_row,
+                solver_method=config.solver_method,
+                metadata={"subtree_root": root_id},
+            )
+            for root_id, problem in zip(level.roots, level.problems)
+        ]
         group_results = run_robust_task_groups(
-            [[tasks[index] for index in indices] for indices in groups.values()],
+            [[tasks[index] for index in indices] for indices in level.groups],
             lp_cache=self.lp_cache,
         )
         results: List[Optional[RobustGenerationResult]] = [None] * len(tasks)
-        for indices, group_result in zip(groups.values(), group_results):
+        for indices, group_result in zip(level.groups, group_results):
             for index, result in zip(indices, group_result):
                 results[index] = result
 
         with self._state_lock:
-            self._structure_stats["groups"] += len(groups)
-            for indices in groups.values():
-                constrained = sum(
-                    1 for index in indices if tasks[index].constraint_pairs is not None
-                )
-                if constrained:
+            self._structure_stats["groups"] += len(level.groups)
+            for indices in level.groups:
+                if level.problems[indices[0]].constraint_set is not None:
                     self._structure_stats["builds"] += 1
-                    self._structure_stats["reuses"] += constrained - 1
+                    self._structure_stats["reuses"] += len(indices) - 1
         return results  # type: ignore[return-value]
 
-    def _subtree_task(
-        self,
-        subtree_root_id: str,
-        delta: int,
-        epsilon: float,
-    ) -> RobustGenerationTask:
-        """Build the picklable generation task for one sub-tree."""
+    def _prepare_level(self, privacy_level: int) -> PreparedLevel:
+        """Prepare every sub-tree at *privacy_level* for the current engine state."""
+        roots = tuple(root.node_id for root in self.tree.nodes_at_level(privacy_level))
+        problems = tuple(self._prepare_subtree(root_id) for root_id in roots)
+        groups: Dict[str, List[int]] = {}
+        for index, problem in enumerate(problems):
+            groups.setdefault(problem.structure_key, []).append(index)
+        return PreparedLevel(roots, problems, tuple(tuple(indices) for indices in groups.values()))
+
+    def _prepare_subtree(self, subtree_root_id: str) -> PreparedProblem:
+        """One sub-tree's location set, distances, constraint set and quality model.
+
+        Its arrays are made read-only, because every request on the level
+        shares them.
+        """
         leaves = self.tree.descendant_leaves(subtree_root_id)
         node_ids = [leaf.node_id for leaf in leaves]
         cells = [leaf.cell for leaf in leaves]
@@ -615,26 +664,16 @@ class ForestEngine:
         )
         distance_matrix = graph.euclidean_distance_matrix()
         constraint_set = graph.constraint_set() if self.config.use_graph_approximation else None
-
-        quality_model = QualityLossModel(centers, self.targets, priors)
-        return RobustGenerationTask(
-            key=subtree_root_id,
-            node_ids=node_ids,
-            distance_matrix_km=distance_matrix,
-            cost_matrix=quality_model.cost_matrix,
-            priors=quality_model.priors,
-            epsilon=epsilon,
-            delta=int(delta),
-            constraint_pairs=None if constraint_set is None else constraint_set.pairs,
-            constraint_distances_km=None if constraint_set is None else constraint_set.distances_km,
-            constraint_description="custom" if constraint_set is None else constraint_set.description,
-            max_iterations=self.config.robust_iterations,
-            rpb_method=self.config.rpb_method,
-            basis_row=self.config.rpb_basis_row,
-            solver_method=self.config.solver_method,
-            level=0,
-            metadata={"subtree_root": subtree_root_id},
-        )
+        centered = QualityLossModel(centers, self.targets, priors)
+        # Served matrices are solved with the priors normalised once more by
+        # LinearQualityModel; skipping that can move their last bits.
+        quality_model = LinearQualityModel(centered.cost_matrix, centered.priors)
+        arrays = [distance_matrix, quality_model.cost_matrix, quality_model.priors]
+        if constraint_set is not None:
+            arrays += [constraint_set.pairs, constraint_set.distances_km]
+        for array in arrays:
+            array.flags.writeable = False
+        return PreparedProblem(node_ids, distance_matrix, quality_model, constraint_set)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -520,13 +520,13 @@ class TestEnginePublishPriors:
         tree = copy.deepcopy(small_tree_with_priors)
         engine = ForestEngine(tree, ServerConfig(**POOL_CONFIG))
         release_build = threading.Event()
-        original_run_pending = engine._run_pending
+        original_run_level = engine._run_level
 
-        def stalled_run_pending(tasks):
+        def stalled_run_level(*args):
             assert release_build.wait(timeout=30)
-            return original_run_pending(tasks)
+            return original_run_level(*args)
 
-        engine._run_pending = stalled_run_pending
+        engine._run_level = stalled_run_level
         build_done = threading.Event()
         publish_done = threading.Event()
 

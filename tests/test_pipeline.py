@@ -6,7 +6,8 @@ sensitivity), the process-parallel executor (parallel == serial), the
 server's full-configuration cache keys (no stale forests after a config
 change), the engine's serial build path (every LP solved on the request
 thread), the engine's LP solution cache (cached forests equal uncached
-ones byte for byte, and every solve a cache miss) and the vectorised exact
+ones byte for byte, and every solve a cache miss), the engine's prepared
+levels (one preparation per level and engine state) and the vectorised exact
 reserved-privacy-budget path (bit-identical to the original
 subset-enumeration loop).
 """
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.lp import ConstraintStructure, ObfuscationLP
-from repro.core.objective import LinearQualityModel
+from repro.core.objective import LinearQualityModel, TargetDistribution
 from repro.core.robust import (
     RobustMatrixGenerator,
     _MASS_CEILING,
@@ -33,6 +34,7 @@ from repro.core.solver import SolverSession
 from repro.pipeline import executor as executor_module
 from repro.pipeline.cache import MatrixCache
 from repro.pipeline.executor import (
+    PreparedProblem,
     RobustGenerationTask,
     run_robust_task_groups,
     run_robust_tasks,
@@ -234,20 +236,18 @@ class TestMatrixCache:
 
 class TestExecutor:
     def _tasks(self, small_location_set):
-        constraints = small_location_set["graph"].constraint_set()
-        model = small_location_set["quality_model"]
+        problem = PreparedProblem(
+            small_location_set["node_ids"],
+            small_location_set["distance_matrix"],
+            small_location_set["quality_model"],
+            small_location_set["graph"].constraint_set(),
+        )
         return [
             RobustGenerationTask(
                 key=f"delta={delta}",
-                node_ids=small_location_set["node_ids"],
-                distance_matrix_km=small_location_set["distance_matrix"],
-                cost_matrix=model.cost_matrix,
-                priors=model.priors,
+                problem=problem,
                 epsilon=TEST_EPSILON,
                 delta=delta,
-                constraint_pairs=constraints.pairs,
-                constraint_distances_km=constraints.distances_km,
-                constraint_description=constraints.description,
                 max_iterations=2,
             )
             for delta in (0, 1)
@@ -371,10 +371,20 @@ class TestServerPipeline:
         assert 0.0 <= diagnostics["lp_stats"]["hit_rate"] <= 1.0
 
     def test_config_validation(self, small_tree_with_priors):
-        # The engine validates the config it snapshots, and the per-build
-        # process fan-out knob is gone rather than ignored.
-        with pytest.raises(ValueError, match="solver_backend"):
-            ForestEngine(small_tree_with_priors, ServerConfig(solver_backend="auto"))
+        # The engine and the pool validate the config they snapshot, so a
+        # misconfigured server fails at construction instead of failing
+        # every request with an error transports map to a client's 400; the
+        # per-build process fan-out knob is gone rather than ignored.
+        for name, value in (
+            ("solver_backend", "auto"),
+            ("graph_weighting", "foo"),
+            ("rpb_basis_row", "bogus"),
+        ):
+            config = ServerConfig(**{name: value})
+            with pytest.raises(ValueError, match=name):
+                ForestEngine(small_tree_with_priors, config)
+            with pytest.raises(ValueError, match=name):
+                EnginePool(small_tree_with_priors, config, num_shards=1)
         with pytest.raises(TypeError, match="max_workers"):
             ServerConfig(max_workers=2)
 
@@ -401,12 +411,15 @@ class TestServerPipeline:
 
     def test_concurrent_builds_of_distinct_keys_equal_serial_builds(self, small_tree_with_priors, burst):
         # Request threads are the engine's only concurrency: each solves on
-        # its own solver slot, beside the shared LP and matrix caches.
+        # its own solver slot, beside the shared LP cache and prepared levels.
         keys = [(1, 0), (1, 1), (1, 2), (0, 1)]
         config = ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=2)
         engine = ForestEngine(small_tree_with_priors, config)
+        engine.build_forest(1, 0, epsilon=3.0)  # prepares level 1 for the burst to share
         outcome = burst([functools.partial(engine.build_forest, level, delta) for level, delta in keys])
         assert not outcome.errors
+        # Three builds shared the prepared level 1; level 0 was prepared once.
+        assert (engine.prepared_levels.stats.misses, len(engine.prepared_levels)) == (2, 2)
         serial = ForestEngine(small_tree_with_priors, config)
         for (level, delta), forest in zip(keys, outcome.results):
             assert _forest_dicts(forest) == _forest_dicts(serial.build_forest(level, delta))
@@ -573,6 +586,71 @@ class TestLPCache:
         with caplog.at_level(logging.WARNING, logger="repro"):
             engine.build_forest(1, 1, epsilon=15.0)
         assert clamp_warnings() == []
+
+
+class TestPreparedLevels:
+    @staticmethod
+    def _count_preparations(monkeypatch):
+        levels = []
+        prepare = ForestEngine._prepare_level
+
+        def counting_prepare(engine, privacy_level):
+            levels.append(privacy_level)
+            return prepare(engine, privacy_level)
+
+        monkeypatch.setattr(ForestEngine, "_prepare_level", counting_prepare)
+        return levels
+
+    def test_one_preparation_per_level_across_keys(self, lp_tree, monkeypatch):
+        prepared = self._count_preparations(monkeypatch)
+        engine = _lp_engine(lp_tree)
+        for delta, epsilon in itertools.product(DELTA_PARAMETERS[1], EPSILON_PARAMETERS[1]):
+            engine.build_forest(1, delta, epsilon=epsilon)
+        engine.build_forest(0, 1, epsilon=15.0)
+        assert prepared == [1, 0]
+        # A forest-cache hit looks up nothing else.
+        lookups = engine.prepared_levels.stats.lookups
+        engine.build_forest(1, 2, epsilon=15.0)
+        assert engine.prepared_levels.stats.lookups == lookups
+
+    def test_engine_state_changes_prepare_afresh(self, lp_tree, monkeypatch):
+        prepared = self._count_preparations(monkeypatch)
+        tree = copy.deepcopy(lp_tree)
+        engine = _lp_engine(tree)
+        targets = None
+
+        def assert_fresh(preparations):
+            forest = engine.build_forest(1, 1, epsilon=15.0)
+            assert len(prepared) == preparations
+            fresh = ForestEngine(copy.deepcopy(tree), engine.config, targets=targets)
+            assert _forest_dicts(forest) == _forest_dicts(fresh.build_forest(1, 1, epsilon=15.0))
+            del prepared[preparations:]  # the fresh engine's own preparation
+
+        assert_fresh(1)
+        engine.publish_priors({leaf.node_id: index + 1.0 for index, leaf in enumerate(tree.leaves())})
+        assert_fresh(2)
+        engine.config.graph_weighting = "euclidean"
+        assert_fresh(3)
+        engine.config.num_targets = 3
+        assert_fresh(4)
+        targets = TargetDistribution.uniform([leaf.center.as_tuple() for leaf in tree.leaves()[:4]])
+        engine.targets = targets
+        assert_fresh(5)
+
+    def test_prepared_problems_are_read_only(self, lp_tree):
+        engine = _lp_engine(lp_tree)
+        engine.build_forest(1, 0)
+        [(_, level)] = list(engine.prepared_levels)
+        problem = level.problems[0]
+        for array in (
+            problem.distance_matrix_km,
+            problem.quality_model.cost_matrix,
+            problem.quality_model.priors,
+            problem.constraint_set.pairs,
+            problem.constraint_set.distances_km,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 class TestLinearQualityModel:

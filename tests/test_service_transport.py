@@ -25,7 +25,7 @@ from repro.client.transport import (
     TransportForestProvider,
     as_forest_provider,
 )
-from repro.pipeline.executor import execute_robust_task
+from repro.pipeline.executor import RobustGenerationTask, execute_robust_task
 from repro.policy.policy import Policy
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.server.messages import ObfuscationRequest, PrivacyForestResponse
@@ -614,7 +614,13 @@ class TestStructureSharing:
         shared_forest = shared_engine.build_forest(privacy_level=1, delta=1)
         assert shared_engine.cache_diagnostics()["structure_sharing"]["reuses"] > 0
         for root_id, matrix in shared_forest:
-            task = shared_engine._subtree_task(root_id, 1, shared_forest.epsilon)
+            task = RobustGenerationTask(
+                key=root_id,
+                problem=shared_engine._prepare_subtree(root_id),
+                epsilon=shared_forest.epsilon,
+                delta=1,
+                max_iterations=shared_engine.config.robust_iterations,
+            )
             reference = execute_robust_task(task)
             assert np.array_equal(matrix.values, reference.matrix.values)
 

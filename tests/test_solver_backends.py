@@ -1,7 +1,8 @@
 """Tests for the LP solver session (repro.core.solver).
 
 Covers the session (its direct path on scipy's bundled HiGHS against
-``linprog`` bit for bit, its failures, and its ``linprog`` fallback), the
+``linprog`` bit for bit, with presolve off as the session runs and on as
+``linprog`` defaults, its failures, and its ``linprog`` fallback), the
 all-zero-row NaN guard in :meth:`ObfuscationLP.solve`, session reuse
 across Algorithm-1 iterations and across executor task groups (a
 session's answer independent of its history, one solver slot per
@@ -10,6 +11,7 @@ forest key it leaves unchanged, and the solver diagnostics surfaced
 through the engine / HTTP admin path.
 """
 
+import copy
 import threading
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.core.robust import RobustMatrixGenerator, reserved_privacy_budget_app
 from repro.core.solver import HIGHS_METHODS, RawSolution, SolverSession
 from repro.geometry.haversine import LatLng
 from repro.pipeline.executor import (
+    PreparedProblem,
     RobustGenerationTask,
     execute_robust_task,
     execute_robust_task_group,
@@ -34,6 +37,7 @@ from repro.pipeline.executor import (
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.service.store import pipeline_store_fingerprint
 from repro.tree.builder import tree_for_point
+from repro.tree.priors import priors_from_checkins
 
 from tests.conftest import TEST_EPSILON
 
@@ -63,18 +67,14 @@ def _lp_arguments(lp):
 
 def _robust_task(location_set, delta):
     """One graph-constrained Algorithm-1 task over the 7-leaf set."""
-    constraint_set = location_set["graph"].constraint_set()
+    problem = PreparedProblem(
+        location_set["node_ids"],
+        location_set["distance_matrix"],
+        location_set["quality_model"],
+        location_set["graph"].constraint_set(),
+    )
     return RobustGenerationTask(
-        key=f"delta={delta}",
-        node_ids=location_set["node_ids"],
-        distance_matrix_km=location_set["distance_matrix"],
-        cost_matrix=location_set["quality_model"].cost_matrix,
-        priors=location_set["quality_model"].priors,
-        epsilon=TEST_EPSILON,
-        delta=delta,
-        constraint_pairs=constraint_set.pairs,
-        constraint_distances_km=constraint_set.distances_km,
-        max_iterations=2,
+        key=f"delta={delta}", problem=problem, epsilon=TEST_EPSILON, delta=delta, max_iterations=2
     )
 
 
@@ -95,8 +95,14 @@ class TestScipySession:
     def test_solve_and_stats(self, small_location_set):
         solution = _make_lp(small_location_set).solve_nonrobust()
         breakdown = solution.diagnostics["solve_breakdown_s"]
-        assert set(breakdown) >= {"presolve", "build", "solve", "extract", "refresh"}
+        assert set(breakdown) == {"solve", "extract", "refresh"}
         assert solution.solve_time_s == breakdown["solve"]
+
+    def test_runs_without_presolve(self, small_location_set):
+        session = SolverSession()
+        _make_lp(small_location_set, session=session).solve_nonrobust()
+        statuses = solver_mod._scipy_highs.HighsPresolveStatus
+        assert session._highs.getModelPresolveStatus() == statuses.kNotPresolved
 
     def test_infeasible_reported_as_typed_error(self, small_location_set):
         # ε so small the Geo-Ind constraints admit no row-stochastic matrix
@@ -109,7 +115,7 @@ class TestScipySession:
             status="2",
             message="infeasible",
             iterations=None,
-            timings_s={"presolve": 0.0, "build": 0.0, "solve": 0.0, "extract": 0.0},
+            timings_s={"solve": 0.0, "extract": 0.0},
         )
         lp = _make_lp(small_location_set, session=FakeSession(raw))
         with pytest.raises(InfeasibleMatrixError, match="status 2"):
@@ -127,7 +133,7 @@ class TestZeroRowGuard:
             status="0",
             message="ok",
             iterations=1,
-            timings_s={"presolve": 0.0, "build": 0.0, "solve": 0.0, "extract": 0.0},
+            timings_s={"solve": 0.0, "extract": 0.0},
         )
 
     def test_all_zero_row_raises_with_row_index(self, small_location_set):
@@ -219,6 +225,23 @@ class TestSessionReuse:
             assert np.array_equal(raw.x, first.x)
             assert raw.objective_value == first.objective_value
 
+    def test_kept_model_repushes_changed_sides(self, small_location_set):
+        # The session keeps one HiGHS model per bound pattern and skips
+        # re-pushing the row and column bounds only while it is handed the
+        # same read-only right-hand sides and the same variable bounds.
+        objective, a_ub, b_ub, a_eq, b_eq = _lp_arguments(_make_lp(small_location_set))
+        assert not (b_ub.flags.writeable or b_eq.flags.writeable)
+        session = SolverSession()
+        first = session.solve(objective, a_ub, b_ub, a_eq, b_eq)
+        assert first.ok
+        assert session.solve(objective, a_ub, b_ub, a_eq, b_eq, bounds=(0.0, 0.0)).status == "2"
+        writable = b_eq.copy()
+        assert session.solve(objective, a_ub, b_ub, a_eq, writable).ok
+        writable[:] = len(writable) + 1.0  # row sums no z <= 1 can reach
+        assert session.solve(objective, a_ub, b_ub, a_eq, writable).status == "2"
+        again = session.solve(objective, a_ub, b_ub, a_eq, b_eq)
+        assert np.array_equal(again.x, first.x)
+
     def test_solver_slot_is_per_thread(self, small_location_set):
         # Concurrent requests for distinct keys run their groups on their
         # own threads; one slot shared between them would refresh a
@@ -294,11 +317,15 @@ class TestServerConfigValidation:
 class TestBundledHighsMatchesLinprog:
     """The scipy session's direct HiGHS path against ``linprog`` itself."""
 
+    @pytest.mark.parametrize("presolve", [False, True], ids=["presolve-off", "presolve-on"])
     @pytest.mark.parametrize("method", HIGHS_METHODS)
     @pytest.mark.parametrize("robust", [False, True], ids=["no-budget", "eq14-delta1"])
     @pytest.mark.parametrize("size", [1, 7])
     @pytest.mark.parametrize("constraints", ["graph", "all-pairs"])
-    def test_x_equals_linprog(self, small_location_set, constraints, size, robust, method):
+    def test_x_equals_linprog(self, small_location_set, constraints, size, robust, method, presolve):
+        # The session runs without presolve, so its contract is linprog with
+        # presolve off; linprog's default (on) gives the same bits on these
+        # LPs, the premise of leaving presolve out.
         distances = small_location_set["distance_matrix"][:size, :size]
         if constraints == "graph":
             graph = small_location_set["graph"]
@@ -335,7 +362,40 @@ class TestBundledHighsMatchesLinprog:
                 structure.b_eq,
             )
             raw = session.solve(*arguments, bounds=(0.0, 1.0), solver_method=method)
-            reference = linprog(*arguments, bounds=(0.0, 1.0), method=method)
+            reference = linprog(*arguments, bounds=(0.0, 1.0), method=method, options={"presolve": presolve})
+            assert raw.ok and reference.success
+            assert np.array_equal(raw.x, reference.x)
+            assert raw.objective_value == reference.fun
+
+    def test_forest_lps_equal_linprog_with_presolve_on(self, medium_tree, synthetic_dataset, monkeypatch):
+        # Pins the premise of running without presolve on what the engine
+        # serves: every LP of levels 0-2 of a height-2 tree (K = 1, 7 and
+        # 49), δ 0-2 and ε 2 and 15 gets linprog's presolved x bit for bit.
+        solved = []
+        solve = SolverSession.solve
+
+        def recording_solve(session, objective, a_ub, b_ub, a_eq, b_eq, **kwargs):
+            raw = solve(session, objective, a_ub, b_ub, a_eq, b_eq, **kwargs)
+            # The next solve refreshes A_ub in place, so keep this one's copy.
+            solved.append(((objective, a_ub.copy(), b_ub, a_eq, b_eq), kwargs, raw))
+            return raw
+
+        monkeypatch.setattr(SolverSession, "solve", recording_solve)
+        tree = copy.deepcopy(medium_tree)
+        priors_from_checkins(tree, synthetic_dataset)
+        engine = ForestEngine(tree, ServerConfig(num_targets=5, robust_iterations=1))
+        for level in (0, 1, 2):
+            for delta in (0, 1, 2):
+                for epsilon in (2.0, 15.0):
+                    engine.build_forest(level, delta, epsilon=epsilon)
+        assert {arguments[0].size for arguments, _, _ in solved} == {1, 7 * 7, 49 * 49}
+        for arguments, kwargs, raw in solved:
+            reference = linprog(
+                *arguments,
+                bounds=kwargs["bounds"],
+                method=kwargs["solver_method"],
+                options={"presolve": True},
+            )
             assert raw.ok and reference.success
             assert np.array_equal(raw.x, reference.x)
             assert raw.objective_value == reference.fun
@@ -375,13 +435,13 @@ class TestBundledHighsMatchesLinprog:
         calls = []
 
         def counting_linprog(*args, **kwargs):
-            calls.append(kwargs["method"])
+            calls.append((kwargs["method"], kwargs["options"]))
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod, "_scipy_highs", None)
         monkeypatch.setattr(solver_mod, "linprog", counting_linprog)
         fallback = SolverSession().solve(*arguments)
-        assert calls == ["highs"]
+        assert calls == [("highs", {"presolve": False})]
         assert np.array_equal(fallback.x, direct.x)
         assert (fallback.objective_value, fallback.status) == (direct.objective_value, direct.status)
 
@@ -412,7 +472,7 @@ class TestEngineSolverDiagnostics:
         diagnostics = engine.cache_diagnostics()
         block = diagnostics["solver"]
         assert set(block) == {"solves", "time_s"}
-        assert set(block["time_s"]) == {"presolve", "build", "solve", "extract", "refresh"}
+        assert set(block["time_s"]) == {"solve", "extract", "refresh"}
         assert block["solves"] >= 2  # initial + robust iteration
         assert block["solves"] == diagnostics["lp_stats"]["misses"]
         assert block["time_s"]["solve"] > 0.0
