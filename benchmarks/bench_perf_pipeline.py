@@ -33,6 +33,7 @@ from repro.core.lp import ObfuscationLP
 from repro.core.objective import QualityLossModel, TargetDistribution
 from repro.geometry.haversine import LatLng
 from repro.core.graphapprox import HexNeighborhoodGraph
+from repro.pipeline.executor import solver_pool
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.tree.builder import tree_for_point
 
@@ -128,6 +129,9 @@ def test_perf_pipeline_speedups():
             "delta": DELTA,
             "robust_iterations": ITERATIONS,
             "lp_solves_in_microbench": solves,
+            # The solver pool's width: the CPUs this process may run on,
+            # so baselines taken at different widths can be told apart.
+            "usable_cores": solver_pool().width,
         },
         "forest_generation_s": {
             "cold": cold_s,

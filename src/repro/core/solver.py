@@ -29,6 +29,7 @@ call with the same options.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -238,12 +239,18 @@ class SolverSession:
     :data:`LINPROG_FEASIBILITY_TOL`, and statuses are ``linprog``'s numbers.
     Where scipy does not ship those bindings, every solve is a ``linprog``
     call with :data:`LINPROG_OPTIONS`.
+
+    A session serves one thread at a time: HiGHS ``run`` releases the GIL,
+    and one ``_Highs`` driven by two threads crashes the interpreter, so a
+    :meth:`solve` entered while another thread is inside it raises
+    :class:`RuntimeError` instead of waiting.
     """
 
     def __init__(self) -> None:
         self._highs = None if _scipy_highs is None else _scipy_highs._Highs()
         self._model: Optional[HighsModel] = None
         self._options: Dict[str, object] = {}
+        self._busy = threading.Lock()
 
     def solve(
         self,
@@ -258,20 +265,28 @@ class SolverSession:
     ) -> RawSolution:
         if solver_method not in HIGHS_METHODS:
             raise ValueError(f"unknown solver_method {solver_method!r}; known: {HIGHS_METHODS}")
-        with Timer() as solve_timer:
-            if self._highs is None:
-                result = linprog(
-                    c=objective,
-                    A_ub=a_ub,
-                    b_ub=b_ub,
-                    A_eq=a_eq,
-                    b_eq=b_eq,
-                    bounds=bounds,
-                    method=solver_method,
-                    options=LINPROG_OPTIONS,
-                )
-            else:
-                result = self._solve_bundled(objective, a_ub, b_ub, a_eq, b_eq, bounds, solver_method)
+        if not self._busy.acquire(blocking=False):
+            raise RuntimeError(
+                "SolverSession.solve entered while another thread is solving on the same session; "
+                "a session serves one thread at a time"
+            )
+        try:
+            with Timer() as solve_timer:
+                if self._highs is None:
+                    result = linprog(
+                        c=objective,
+                        A_ub=a_ub,
+                        b_ub=b_ub,
+                        A_eq=a_eq,
+                        b_eq=b_eq,
+                        bounds=bounds,
+                        method=solver_method,
+                        options=LINPROG_OPTIONS,
+                    )
+                else:
+                    result = self._solve_bundled(objective, a_ub, b_ub, a_eq, b_eq, bounds, solver_method)
+        finally:
+            self._busy.release()
         with Timer() as extract_timer:
             x = None if result.x is None else np.asarray(result.x, dtype=float)
             nit = getattr(result, "nit", None)

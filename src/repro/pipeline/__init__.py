@@ -7,8 +7,9 @@ pipeline:
   forests and shared constraint structures;
 * :mod:`repro.pipeline.cache` — an LRU :class:`MatrixCache` with hit/miss
   statistics (the engine's forest, prepared-level and LP caches);
-* :mod:`repro.pipeline.executor` — process-parallel fan-out of independent
-  per-sub-tree robust generations with deterministic, order-stable results.
+* :mod:`repro.pipeline.executor` — the solver threads (one pinned per
+  usable CPU) a forest build's sub-trees run on, and the experiments'
+  process fan-out, both with deterministic, order-stable results.
 
 The structural half of the incremental story lives in
 :class:`repro.core.lp.ConstraintStructure`, which the LP builds once per

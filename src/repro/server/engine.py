@@ -5,8 +5,10 @@ This module is the *computation* half of the server-side split.  A
 :class:`~repro.server.privacy_forest.PrivacyForest` — iterating over every
 node at the privacy level and sharing one
 :class:`~repro.core.lp.ConstraintStructure` across sibling sub-trees with
-congruent geometry.  Sub-trees are generated serially on the
-request thread; concurrent requests for distinct keys build in parallel
+congruent geometry.  A build's sub-trees are solved on the process's
+solver threads, one per usable CPU
+(:func:`~repro.pipeline.executor.run_robust_task_groups`), while the
+request thread waits; concurrent requests for distinct keys share those
 threads, and an :class:`~repro.service.pool.EnginePool` adds process
 parallelism across shards.  Three LRU-bounded, content-addressed
 :class:`~repro.pipeline.cache.MatrixCache` instances serve repeats:
@@ -597,9 +599,10 @@ class ForestEngine:
                 time_s[stage] = time_s.get(stage, 0.0) + elapsed
 
     def _run_level(self, level: PreparedLevel, delta: int, epsilon: float) -> List[RobustGenerationResult]:
-        """Run Algorithm 1 on every sub-tree of a prepared level, in level order.
+        """Run Algorithm 1 on every sub-tree of a prepared level; results in level order.
 
-        Each congruent group shares one :class:`~repro.core.lp.ConstraintStructure`
+        The sub-trees are solved on the solver threads, each thread keeping
+        one :class:`~repro.core.lp.ConstraintStructure` per congruent group
         (sibling hexagon sub-trees at one level are usually all congruent),
         and every LP goes through the engine's LP cache.  Results are
         identical to unshared serial execution.

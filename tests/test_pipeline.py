@@ -4,9 +4,12 @@ Covers the incremental constraint-structure reuse in the LP layer, the
 content-addressed MatrixCache (hit/miss, eviction, fingerprint
 sensitivity), the process-parallel executor (parallel == serial), the
 server's full-configuration cache keys (no stale forests after a config
-change), the engine's serial build path (every LP solved on the request
-thread), the engine's LP solution cache (cached forests equal uncached
-ones byte for byte, and every solve a cache miss), the engine's prepared
+change), the engine's build path (every LP solved on the solver threads,
+never the request thread), the solver thread pool (pooled forests equal
+one-worker forests, the lowest-index failure, fork, re-entry, and every
+task run once with more threads than cores), the engine's LP solution
+cache (cached forests equal uncached ones byte for byte, and every solve
+a cache miss), the engine's prepared
 levels (one preparation per level and engine state) and the vectorised exact
 reserved-privacy-budget path (bit-identical to the original
 subset-enumeration loop).
@@ -18,11 +21,15 @@ import functools
 import itertools
 import logging
 import math
+import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.core.exceptions import InfeasibleMatrixError
 from repro.core.lp import ConstraintStructure, ObfuscationLP
 from repro.core.objective import LinearQualityModel, TargetDistribution
 from repro.core.robust import (
@@ -36,6 +43,7 @@ from repro.pipeline.cache import MatrixCache
 from repro.pipeline.executor import (
     PreparedProblem,
     RobustGenerationTask,
+    execute_robust_task_group,
     run_robust_task_groups,
     run_robust_tasks,
 )
@@ -388,7 +396,7 @@ class TestServerPipeline:
         with pytest.raises(TypeError, match="max_workers"):
             ServerConfig(max_workers=2)
 
-    def test_forest_build_runs_on_the_calling_thread(self, small_tree_with_priors, monkeypatch):
+    def test_forest_build_solves_on_the_solver_threads(self, small_tree_with_priors, monkeypatch):
         def no_process_pool(*args, **kwargs):
             raise AssertionError("a forest build started a process pool")
 
@@ -407,11 +415,14 @@ class TestServerPipeline:
         )
         assert engine.build_forest(privacy_level=1, delta=1).is_complete()
         assert len(solving_threads) == engine.cache_diagnostics()["solver"]["solves"] >= 2
-        assert set(solving_threads) == {threading.get_ident()}
+        # The request thread only waits; at most one solver thread per usable CPU solves.
+        assert threading.get_ident() not in solving_threads
+        assert 1 <= len(set(solving_threads)) <= executor_module.solver_pool().width
+        assert executor_module.solver_pool().width == len(os.sched_getaffinity(0))
 
     def test_concurrent_builds_of_distinct_keys_equal_serial_builds(self, small_tree_with_priors, burst):
-        # Request threads are the engine's only concurrency: each solves on
-        # its own solver slot, beside the shared LP cache and prepared levels.
+        # Concurrent builds share the solver threads, each solving on its own
+        # slot, beside the shared LP cache and prepared levels.
         keys = [(1, 0), (1, 1), (1, 2), (0, 1)]
         config = ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=2)
         engine = ForestEngine(small_tree_with_priors, config)
@@ -651,6 +662,170 @@ class TestPreparedLevels:
         ):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
+
+
+# --------------------------------------------------------------------- #
+# The solver thread pool
+# --------------------------------------------------------------------- #
+
+#: The height-2 tree's levels with several sub-trees to spread over the
+#: threads: 49 one-leaf sub-trees (whose LPs repeat across sub-trees) and 7
+#: of 7 leaves.  Level 2 is one K = 49 sub-tree, solved on one thread.
+LEVEL_PARAMETERS = ("privacy_level", [0, 1])
+
+
+@pytest.fixture()
+def solver_pool_of_width(monkeypatch):
+    """Swap in a fresh solver pool *width* threads wide for one test.
+
+    The pool reads its width from ``os.sched_getaffinity`` when it is made;
+    a thread whose CPU the process may not use runs unpinned.
+    """
+    pools = []
+
+    def make(width):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)), raising=False)
+        monkeypatch.setattr(executor_module, "_POOL", None)
+        pools.append(executor_module.solver_pool())
+        return pools[-1]
+
+    yield make
+    for pool in pools:
+        pool.shutdown()
+
+
+def _solving_threads(monkeypatch):
+    threads = []
+    solve = SolverSession.solve
+
+    def recording_solve(session, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return solve(session, *args, **kwargs)
+
+    monkeypatch.setattr(SolverSession, "solve", recording_solve)
+    return threads
+
+
+def _pool_tasks(small_location_set, count):
+    problem = PreparedProblem(
+        small_location_set["node_ids"],
+        small_location_set["distance_matrix"],
+        small_location_set["quality_model"],
+        small_location_set["graph"].constraint_set(),
+    )
+    return [
+        RobustGenerationTask(
+            key=f"task-{index}", problem=problem, epsilon=TEST_EPSILON, delta=index % 2, max_iterations=1
+        )
+        for index in range(count)
+    ]
+
+
+class TestSolverThreadPool:
+    @pytest.mark.parametrize(*LEVEL_PARAMETERS)
+    @pytest.mark.parametrize(*DELTA_PARAMETERS)
+    @pytest.mark.parametrize(*EPSILON_PARAMETERS)
+    def test_pooled_forest_equals_one_worker_forest(
+        self, lp_tree, solver_pool_of_width, epsilon, delta, privacy_level
+    ):
+        pooled = _lp_engine(lp_tree).build_forest(privacy_level, delta, epsilon=epsilon)
+        assert solver_pool_of_width(1).width == 1
+        one_worker = _lp_engine(lp_tree).build_forest(privacy_level, delta, epsilon=epsilon)
+        assert _forest_dicts(pooled) == _forest_dicts(one_worker)
+
+    def test_failure_raises_the_lowest_index_task_error(
+        self, small_location_set, solver_pool_of_width, monkeypatch
+    ):
+        # Task 3 fails only after task 5 has, so completion order and task
+        # order disagree; a serial loop would have raised task 3's error.
+        later_failed = threading.Event()
+        execute = executor_module.execute_robust_task
+
+        def failing_execute(task, **kwargs):
+            if task.key == "task-5":
+                later_failed.set()
+                raise InfeasibleMatrixError("task 5 is infeasible", solver_status="2")
+            if task.key == "task-3":
+                later_failed.wait(timeout=5.0)
+                raise InfeasibleMatrixError("task 3 is infeasible", solver_status="2")
+            return execute(task, **kwargs)
+
+        monkeypatch.setattr(executor_module, "execute_robust_task", failing_execute)
+        tasks = _pool_tasks(small_location_set, 8)
+        assert solver_pool_of_width(2).width == 2
+        with pytest.raises(InfeasibleMatrixError, match="task 3 is infeasible") as caught:
+            run_robust_task_groups([tasks[:4], tasks[4:]])
+        assert caught.value.solver_status == "2"
+        later_failed.set()
+        with pytest.raises(InfeasibleMatrixError, match="task 3 is infeasible"):
+            execute_robust_task_group(tasks)
+
+    def test_forked_shard_builds_its_own_pool(self, small_tree_with_priors):
+        config = ServerConfig(epsilon=2.0, num_targets=5, robust_iterations=2)
+        in_process = ForestEngine(small_tree_with_priors, config).build_forest(1, 1)
+        # The pool's threads exist now; a forked child has none of them.
+        assert executor_module._POOL is not None
+        started = time.monotonic()
+        with EnginePool(small_tree_with_priors, config, num_shards=1, request_timeout_s=60.0) as pool:
+            forest = pool.build_forest(1, 1)
+        assert time.monotonic() - started < 60.0
+        assert _forest_dicts(forest) == _forest_dicts(in_process)
+
+    def test_call_on_a_solver_thread_runs_inline(self, small_location_set, solver_pool_of_width, monkeypatch):
+        # A nested call that queued on the pool would wait on itself with one
+        # thread; with two, it would show up solving on the other thread.
+        solver_pool_of_width(2)
+        outer, inner = _pool_tasks(small_location_set, 2)
+        nested = {}
+        execute = executor_module.execute_robust_task
+
+        def nesting_execute(task, **kwargs):
+            if task is outer:
+                nested["thread"] = threading.get_ident()
+                threads = _solving_threads(monkeypatch)
+                [[nested["result"]]] = run_robust_task_groups([[inner]])
+                nested["solving_threads"] = set(threads)
+            return execute(task, **kwargs)
+
+        monkeypatch.setattr(executor_module, "execute_robust_task", nesting_execute)
+        caller = threading.Thread(target=run_robust_task_groups, args=([[outer]],), daemon=True)
+        caller.start()
+        caller.join(timeout=60.0)
+        assert not caller.is_alive(), "a call on a solver thread waited on the pool"
+        assert nested["solving_threads"] == {nested["thread"]}
+        [reference] = run_robust_tasks([inner])
+        assert np.array_equal(nested["result"].matrix.values, reference.matrix.values)
+
+    def test_more_threads_than_cores_run_every_task_once(
+        self, small_location_set, solver_pool_of_width, monkeypatch
+    ):
+        # A lost update on the shared task index would run a task twice or
+        # skip one; a tiny switch interval makes the threads interleave.
+        ran = []
+
+        def recording_execute(task, **kwargs):
+            ran.append(task.key)
+            time.sleep(0)  # gives up the GIL mid-task, as a solve does
+            return task.key
+
+        monkeypatch.setattr(executor_module, "execute_robust_task", recording_execute)
+        tasks = _pool_tasks(small_location_set, 2_000)
+        groups = [tasks[start : start + 7] for start in range(0, len(tasks), 7)]
+        solver_pool_of_width(8)
+        outcome = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: outcome.update(results=run_robust_task_groups(groups)), daemon=True
+            )
+            caller.start()
+            caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive(), "the pooled build did not finish"
+        assert sorted(ran) == sorted(task.key for task in tasks)
+        assert outcome["results"] == [[task.key for task in group] for group in groups]
 
 
 class TestLinearQualityModel:

@@ -6,9 +6,10 @@ Covers the session (its direct path on scipy's bundled HiGHS against
 all-zero-row NaN guard in :meth:`ObfuscationLP.solve`, session reuse
 across Algorithm-1 iterations and across executor task groups (a
 session's answer independent of its history, one solver slot per
-thread), the ``solver_backend`` config check with the store namespace and
-forest key it leaves unchanged, and the solver diagnostics surfaced
-through the engine / HTTP admin path.
+thread, a second thread refused by a busy session), the
+``solver_backend`` config check with the store namespace and forest key
+it leaves unchanged, and the solver diagnostics surfaced through the
+engine / HTTP admin path.
 """
 
 import copy
@@ -265,6 +266,41 @@ class TestSessionReuse:
         assert seen["slot"][0] is not slot[0] and seen["slot"][1] is not slot[1]
         assert _WORKER_SOLVER_STATE.structure is slot[0] and _WORKER_SOLVER_STATE.session is slot[1]
         np.testing.assert_array_equal(seen["matrix"], reference.matrix.values)
+
+    def test_second_thread_on_a_busy_session_raises(self, small_location_set):
+        # HiGHS run releases the GIL, and one _Highs driven by two threads
+        # crashes the interpreter: a session refuses a second thread.
+        arguments = _lp_arguments(_make_lp(small_location_set))
+        session = SolverSession()
+        inside_run, release = threading.Event(), threading.Event()
+
+        class ParkedHighs:
+            def __init__(self, highs):
+                self._highs = highs
+
+            def run(self):
+                inside_run.set()
+                release.wait(timeout=60.0)
+                return self._highs.run()
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+        session._highs = ParkedHighs(session._highs)
+        parked = {}
+        thread_a = threading.Thread(target=lambda: parked.update(raw=session.solve(*arguments)), daemon=True)
+        thread_a.start()
+        try:
+            assert inside_run.wait(timeout=60.0)
+            with pytest.raises(RuntimeError, match="another thread is solving on the same session"):
+                session.solve(*arguments)
+        finally:
+            release.set()
+            thread_a.join(timeout=60.0)
+        assert not thread_a.is_alive()
+        assert np.array_equal(parked["raw"].x, SolverSession().solve(*arguments).x)
+        # The refusal left the session usable.
+        assert np.array_equal(session.solve(*arguments).x, parked["raw"].x)
 
 
 class TestServerConfigValidation:
