@@ -7,7 +7,8 @@ logic / control separation the related DB-nets work argues for):
   the pipeline layer (no request semantics);
 * :class:`~repro.service.service.CORGIService` — request validation and
   normalization, single-flight coalescing of identical ``(privacy_level,
-  δ, ε)`` requests, bounded batching, admission control and
+  δ, ε)`` requests (the one in-flight table every transport shares),
+  bounded batching, admission control and
   :class:`~repro.service.metrics.ServiceMetrics`;
 * :mod:`repro.service.http` — a stdlib-only HTTP JSON transport reusing
   the wire formats of :mod:`repro.server.messages`;
@@ -26,9 +27,10 @@ logic / control separation the related DB-nets work argues for):
   pre-warms a restarted fleet (``EnginePool(state_dir=...)``);
 * :mod:`repro.service.gateway` — the asyncio push front-end: clients hold
   one connection, subscribe to keys, and get refreshed matrices *pushed*
-  when new priors are installed (async single-flight over a bounded
-  executor, per-connection queues, slow-consumer eviction, generation
-  tags).  The sync HTTP transport stays a thin adapter over the same core.
+  when new priors are installed (builds awaited through the service's
+  single-flight gate, per-connection queues, slow-consumer eviction,
+  generation tags).  It and the sync HTTP transport are both thin adapters
+  over the same core.
 
 Client-side counterparts (the transport protocol, ``InProcessTransport``
 and ``HTTPTransport``) live in :mod:`repro.client.transport`.
@@ -43,7 +45,6 @@ from repro.service.handoff import (
     encode_snapshot,
 )
 from repro.service.gateway import (
-    AsyncCORGIService,
     GatewayConfig,
     GatewayProtocolError,
     GatewayServer,
@@ -65,7 +66,6 @@ __all__ = [
     "ServiceMetrics",
     "CORGIHTTPServer",
     "serve_http",
-    "AsyncCORGIService",
     "GatewayConfig",
     "GatewayProtocolError",
     "GatewayServer",

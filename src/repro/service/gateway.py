@@ -11,8 +11,8 @@ keys it cares about, and the server *pushes* refreshed matrices when new
 priors are installed — queued per connection, tagged with a generation so a
 client can never install a matrix older than the one it holds.
 
-Layering (the sync HTTP transport stays a thin adapter over the same
-core)::
+Layering (the gateway and the sync HTTP transport are both adapters over
+the same core)::
 
     held TCP connections (asyncio)          POST /forest (ThreadingHTTPServer)
               │                                       │
@@ -20,21 +20,25 @@ core)::
         GatewayServer  ── subscriptions,              │
               │           generations, queues         │
               ▼                                       ▼
-      AsyncCORGIService ── async single-flight ──► CORGIService (sync core)
-              │   (ticket rendezvous, as in the shard layer)
-              ▼
-        bounded ThreadPoolExecutor ──► engine builds (blocking)
+        CORGIService single-flight gate (one entry per key, a Future)
+              │                                       │
+              ▼                                       ▼
+     gateway build threads ──► engine builds ◄── request threads
 
 * **Wire protocol** — newline-delimited JSON frames (one object per line),
   strict both ways: :func:`decode_gateway_frame` raises
   :class:`GatewayProtocolError` on garbage, and a malformed client frame is
   *answered* with an ``error`` frame (and counted), never a server death —
   the property suite in ``tests/test_wire_properties.py`` fuzzes this.
-* **Async single-flight** — :class:`AsyncCORGIService` reuses the ticket
-  rendezvous idiom of the shard layer: one leader awaits the blocking
-  build in a bounded executor, followers await its event with the same
-  config-derived deadline (:class:`ServiceBuildTimeoutError`, never a
-  hang) and re-raise per-follower wrapped copies of a leader error.
+* **One single-flight** — the gateway joins or registers a key in the
+  service's in-flight table on the loop.  A leader's build runs on
+  ``max_in_flight`` gateway build threads and counts against the service's
+  admission limit once it starts there; every caller, on the loop or on a
+  request thread, awaits the same entry (``asyncio.wrap_future``), a
+  follower with the service's ``build_wait_timeout_s``
+  (:class:`~repro.service.service.ServiceBuildTimeoutError`, never a hang)
+  and re-raising its own copy of a leader error.  Gateway snapshots and
+  refreshes therefore count in ``ServiceMetrics`` like HTTP requests.
 * **Subscription registry** — per-connection bounded frame queues; a
   consumer that stops reading fills its queue and is *evicted* (counted as
   ``gateway_evicted_slow``) instead of growing server memory; idle
@@ -58,23 +62,19 @@ import asyncio
 import json
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Set, Tuple
 
-from repro.service.service import (
-    CORGIService,
-    RequestKey,
-    ServiceBuildTimeoutError,
-    rewrap_for_follower,
-)
 from repro.server.messages import ObfuscationRequest
+from repro.server.privacy_forest import PrivacyForest
+from repro.service.service import CORGIService, RequestKey
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
 __all__ = [
-    "AsyncCORGIService",
     "GatewayConfig",
     "GatewayProtocolError",
     "GatewayServer",
@@ -208,120 +208,6 @@ class GatewayConfig:
             raise ValueError("write_buffer_high must be >= 0 when given")
 
 
-class _AsyncBuild:
-    """Rendezvous for one in-progress async build (ticket idiom, loop-confined)."""
-
-    __slots__ = ("event", "response", "error", "followers", "generation")
-
-    def __init__(self, generation: int = 0) -> None:
-        self.event = asyncio.Event()
-        self.response: Optional[Dict[str, object]] = None
-        self.error: Optional[BaseException] = None
-        self.followers = 0
-        self.generation = generation
-
-
-class AsyncCORGIService:
-    """Awaitable adapter over the sync :class:`CORGIService` core.
-
-    Blocking engine builds run in a bounded :class:`ThreadPoolExecutor`;
-    concurrent identical keys share one executor ticket through an async
-    single-flight rendezvous (the same leader/follower shape the shard
-    layer's ticket map uses), so N held connections refreshing the same key
-    cost one executor slot, not N.  The executor has the service's
-    ``max_in_flight`` threads, so the gateway can never demand more
-    concurrent engine builds than the sync core admits, and an async
-    follower waits the service's ``build_wait_timeout_s``.  All coroutine
-    methods are loop-confined (call them from one event loop); the executor
-    threads only touch the thread-safe sync service.
-    """
-
-    def __init__(self, service: CORGIService) -> None:
-        if not isinstance(service, CORGIService):
-            service = CORGIService(service)  # type: ignore[arg-type]
-        self.service = service
-        self._executor = ThreadPoolExecutor(
-            max_workers=service.config.max_in_flight, thread_name_prefix="gateway-build"
-        )
-        self.build_wait_timeout_s = float(service.config.build_wait_timeout_s)
-        self._inflight: Dict[RequestKey, _AsyncBuild] = {}
-
-    def normalize(self, privacy_level, delta, epsilon=None) -> RequestKey:
-        """Validate raw wire fields into a normalized request key.
-
-        Raises ``ValueError`` / ``TypeError`` for malformed fields — the
-        same client-fault class the HTTP transport maps to 400.
-        """
-        request = ObfuscationRequest(
-            privacy_level=int(privacy_level),
-            delta=int(delta),
-            epsilon=None if epsilon is None else float(epsilon),
-        )
-        return self.service.normalize(request)
-
-    async def forest_response(
-        self, key: RequestKey, *, generation: Optional[int] = None
-    ) -> Dict[str, object]:
-        """The wire response dict for *key*, built at most once concurrently.
-
-        ``generation`` is the caller's freshness requirement: an in-flight
-        build that started under an older generation may carry data from
-        before the triggering update, so instead of joining it the caller
-        waits it out and then leads a fresh build.  Callers without a
-        freshness requirement (initial subscribe snapshots) join whatever
-        is in flight.
-        """
-        while True:
-            entry = self._inflight.get(key)
-            if entry is None:
-                break
-            if generation is not None and entry.generation < generation:
-                # Joining would risk serving pre-update data under a fresh
-                # tag; drain the stale build (outcome irrelevant) and lead.
-                await self._await_entry(entry)
-                continue
-            entry.followers += 1
-            await self._await_entry(entry)
-            if entry.error is not None:
-                raise rewrap_for_follower(entry.error) from entry.error
-            assert entry.response is not None
-            return entry.response
-
-        entry = _AsyncBuild(generation if generation is not None else 0)
-        self._inflight[key] = entry
-        loop = asyncio.get_running_loop()
-        try:
-            entry.response = await loop.run_in_executor(
-                self._executor, self._build_sync, key
-            )
-            return entry.response
-        except BaseException as error:
-            entry.error = error
-            raise
-        finally:
-            self._inflight.pop(key, None)
-            entry.event.set()
-
-    async def _await_entry(self, entry: _AsyncBuild) -> None:
-        try:
-            await asyncio.wait_for(entry.event.wait(), timeout=self.build_wait_timeout_s)
-        except asyncio.TimeoutError:
-            self.service.metrics.increment("build_timeouts")
-            raise ServiceBuildTimeoutError(
-                f"async follower waited {self.build_wait_timeout_s:.1f}s for the "
-                "build leader; retry to start a fresh build"
-            ) from None
-
-    def _build_sync(self, key: RequestKey) -> Dict[str, object]:
-        """Executor-thread body: sync single-flight build, packaged for the wire."""
-        forest = self.service._forest_for(key)
-        return CORGIService._package(forest).to_dict()
-
-    def close(self) -> None:
-        """Shut the executor down (queued builds are abandoned)."""
-        self._executor.shutdown(wait=False, cancel_futures=True)
-
-
 class _GatewayConnection:
     """One held client connection: bounded outbound queue plus subscriptions."""
 
@@ -417,7 +303,7 @@ class GatewayServer:
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._async: Optional[AsyncCORGIService] = None
+        self._builds: Optional[ThreadPoolExecutor] = None
         # Loop-confined registries (touched only on the gateway loop).
         self._connections: Set[_GatewayConnection] = set()
         self._subscribers: Dict[RequestKey, Set[_GatewayConnection]] = {}
@@ -425,6 +311,7 @@ class GatewayServer:
         self._refreshing: Dict[RequestKey, asyncio.Task] = {}
         self._snapshot_tasks: Set[asyncio.Task] = set()
         self._handler_tasks: Set[asyncio.Task] = set()
+        self._packaged: Optional[Tuple[PrivacyForest, Dict[str, object]]] = None
 
     # ------------------------------------------------------------------ #
     # Address
@@ -512,7 +399,11 @@ class GatewayServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._async = AsyncCORGIService(self.service)
+        # One build thread per service build slot: the gateway never runs
+        # more engine builds at once than the service allows.
+        self._builds = ThreadPoolExecutor(
+            max_workers=self.service.config.max_in_flight, thread_name_prefix="gateway-build"
+        )
         try:
             server = await asyncio.start_server(
                 self._handle_connection,
@@ -542,7 +433,45 @@ class GatewayServer:
             # per-connection cleanup deterministic and the logs quiet.
             if self._handler_tasks:
                 await asyncio.wait(set(self._handler_tasks), timeout=5.0)
-            self._async.close()
+            # Queued builds still run and settle their entries: a request
+            # thread may have joined one, and an unsettled entry would hold
+            # it for build_wait_timeout_s.
+            self._builds.shutdown(wait=False)
+
+    # ------------------------------------------------------------------ #
+    # Builds (the service's single-flight gate, awaited on the loop)
+    # ------------------------------------------------------------------ #
+
+    async def _forest(self, key: RequestKey) -> PrivacyForest:
+        """*key*'s forest through the service's single-flight gate.
+
+        A leader's build runs on the gateway's build threads; the leader
+        and its followers, on this loop or on request threads, all wait on
+        the same service entry, followers with the service's
+        ``build_wait_timeout_s``.
+        """
+        service = self.service
+        start = time.perf_counter()
+        entry, leader = service._join(key)
+        settled = asyncio.wrap_future(entry.future)
+        try:
+            if leader:
+                self._builds.submit(service._lead, key, entry)
+            deadline = None if leader else service.config.build_wait_timeout_s
+            done, _ = await asyncio.wait((settled,), timeout=deadline)
+            if not done:
+                raise service._follower_timeout(key)
+            return service._outcome(settled, leader)
+        finally:
+            settled.cancel()  # no-op once settled; the running entry ignores it
+            service.metrics.observe_latency(time.perf_counter() - start)
+
+    def _response(self, forest: PrivacyForest) -> Dict[str, object]:
+        """*forest* as a wire response.  The callers of one entry and forest-cache
+        hits share the forest object, so a subscribe burst packages it once."""
+        if self._packaged is None or self._packaged[0] is not forest:
+            self._packaged = (forest, CORGIService._package(forest).to_dict())
+        return self._packaged[1]
 
     # ------------------------------------------------------------------ #
     # Update fan-out (priors install → push)
@@ -578,7 +507,7 @@ class GatewayServer:
                     return  # last subscriber left mid-storm; nothing to push
                 generation = self._generations.get(key, 1)
                 try:
-                    response = await self._async.forest_response(key, generation=generation)
+                    forest = await self._forest(key)
                 except asyncio.CancelledError:
                     raise
                 except BaseException as error:  # noqa: BLE001 - answered, not fatal
@@ -608,7 +537,7 @@ class GatewayServer:
                         "key": key_to_wire(key),
                         "generation": generation,
                         "reason": "priors",
-                        "response": response,
+                        "response": self._response(forest),
                     }
                 )
                 self._fan_out(key, frame, count_as="gateway_pushes")
@@ -785,14 +714,17 @@ class GatewayServer:
                 ),
             )
 
-    def _handle_subscribe(
+    def _frame_key(
         self, connection: _GatewayConnection, frame: Dict[str, object]
-    ) -> None:
+    ) -> Optional[RequestKey]:
+        """The normalized key an (un)subscribe frame names.
+
+        ``None`` means the frame was malformed and has been answered with a
+        ``bad_request`` error — the client-fault class HTTP maps to 400.
+        """
         try:
-            key = self._async.normalize(
-                frame.get("privacy_level"), frame.get("delta"), frame.get("epsilon")
-            )
-        except (ValueError, TypeError, OverflowError) as error:
+            return self.service.normalize(ObfuscationRequest.from_dict(frame))
+        except (ValueError, TypeError) as error:
             self.service.metrics.increment("gateway_rejected_frames")
             self._push_or_evict(
                 connection,
@@ -800,6 +732,13 @@ class GatewayServer:
                     {"type": "error", "error": "bad_request", "detail": str(error)}
                 ),
             )
+            return None
+
+    def _handle_subscribe(
+        self, connection: _GatewayConnection, frame: Dict[str, object]
+    ) -> None:
+        key = self._frame_key(connection, frame)
+        if key is None:
             return
         if (
             key not in connection.subscriptions
@@ -834,18 +773,8 @@ class GatewayServer:
     def _handle_unsubscribe(
         self, connection: _GatewayConnection, frame: Dict[str, object]
     ) -> None:
-        try:
-            key = self._async.normalize(
-                frame.get("privacy_level"), frame.get("delta"), frame.get("epsilon")
-            )
-        except (ValueError, TypeError, OverflowError) as error:
-            self.service.metrics.increment("gateway_rejected_frames")
-            self._push_or_evict(
-                connection,
-                encode_gateway_frame(
-                    {"type": "error", "error": "bad_request", "detail": str(error)}
-                ),
-            )
+        key = self._frame_key(connection, frame)
+        if key is None:
             return
         connection.subscriptions.discard(key)
         holders = self._subscribers.get(key)
@@ -862,17 +791,17 @@ class GatewayServer:
     ) -> None:
         """Push the current forest to one fresh subscriber.
 
-        *generation* is the key's generation at subscribe time — both the
-        freshness floor for the build (a stale in-flight build is waited
-        out, never joined) and the frame's label.  An update that lands
-        mid-build bumps the key past *generation* and its refresh task
-        pushes the newer frame separately; this frame keeps the older tag,
-        so the client's generation guard orders the two correctly instead
-        of dropping the genuine refresh because a stale payload usurped
-        its tag.
+        *generation* is the key's generation at subscribe time, and only
+        the frame's label: the build's freshness is the service's rule (a
+        request never joins a build led before the last priors install).
+        An update that lands mid-build bumps the key past *generation* and
+        its refresh task pushes the newer frame separately; this frame
+        keeps the older tag, so whichever arrives first, the client's
+        generation guard ends on the refresh instead of letting a possibly
+        stale payload usurp the newer tag.
         """
         try:
-            response = await self._async.forest_response(key, generation=generation)
+            forest = await self._forest(key)
         except asyncio.CancelledError:
             raise
         except BaseException as error:  # noqa: BLE001 - answered, not fatal
@@ -894,7 +823,7 @@ class GatewayServer:
                     "key": key_to_wire(key),
                     "generation": generation,
                     "reason": "subscribe",
-                    "response": response,
+                    "response": self._response(forest),
                 }
             )
         )

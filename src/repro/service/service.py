@@ -13,7 +13,10 @@ with exactly the concerns a serving tier owns:
   ε)`` requests share one forest build: the first caller becomes the
   *leader* and runs the engine, everyone else waits on the leader's result
   (millions of users request the handful of sanctioned parameter
-  combinations, so this is the difference between one LP campaign and N);
+  combinations, so this is the difference between one LP campaign and N).
+  The result is a ``concurrent.futures.Future``, so request threads and
+  the push gateway's event loop (:mod:`repro.service.gateway`) wait on
+  the same entry;
 * **bounded batching** — :meth:`handle_batch` deduplicates identical
   requests inside one batch and bounds the number of distinct builds a
   single batch may demand;
@@ -40,7 +43,8 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -134,10 +138,12 @@ class ServiceConfig:
     build_wait_timeout_s:
         Deadline (seconds) a coalesced follower waits for its build leader
         before failing with :class:`ServiceBuildTimeoutError` (HTTP 503).
-        Size it to the slowest legitimate cold build, not to network
-        latency — it only exists so a leader that died without reaching its
-        ``finally`` (interpreter teardown, ``SystemExit``) cannot strand
-        followers forever.
+        It bounds followers on the push gateway's event loop too; a
+        gateway follower's wait includes the time its leader queues for a
+        gateway build thread.  Size it to the slowest legitimate cold
+        build, not to network latency — it only exists so a leader that
+        died without settling its entry (interpreter teardown,
+        ``SystemExit``) cannot strand followers forever.
     """
 
     max_in_flight: int = 4
@@ -161,18 +167,21 @@ class ServiceConfig:
 
 
 class _InFlightBuild:
-    """Rendezvous for one in-progress forest build (single-flight entry).
+    """One in-progress forest build (single-flight entry).
 
+    Every caller of the key, on a thread or an event loop, waits on
+    ``future`` for the forest or the leader's error.  It is running from
+    the start because cancelling an ``asyncio.wrap_future`` awaiter cancels
+    a *pending* future, and the other callers must still get the outcome.
     ``generation`` is the engine's ``priors_generation`` when the build
     was led; only requests that read the same generation may join it.
     """
 
-    __slots__ = ("event", "forest", "error", "followers", "generation")
+    __slots__ = ("future", "followers", "generation")
 
     def __init__(self, generation: int) -> None:
-        self.event = threading.Event()
-        self.forest: Optional[PrivacyForest] = None
-        self.error: Optional[BaseException] = None
+        self.future: "Future[PrivacyForest]" = Future()
+        self.future.set_running_or_notify_cancel()
         self.followers = 0
         self.generation = generation
 
@@ -305,9 +314,31 @@ class CORGIService:
         return self._forest_for(self.normalize(request))
 
     def _forest_for(self, key: RequestKey) -> PrivacyForest:
-        """Serve one normalized request through the single-flight gate."""
-        privacy_level, delta, epsilon = key
+        """Serve one normalized request through the single-flight gate.
+
+        The caller joins *key*'s in-flight build or registers one; a leader
+        builds at once on this thread, a follower waits for the outcome.
+        """
         start = time.perf_counter()
+        entry, leader = self._join(key)
+        try:
+            if leader:
+                self._lead(key, entry)
+            elif not futures.wait((entry.future,), timeout=self.config.build_wait_timeout_s).done:
+                # The leader never settled (thread killed mid-build,
+                # interpreter teardown) or is pathologically slow; either
+                # way the follower must not hang forever.
+                raise self._follower_timeout(key)
+            return self._outcome(entry.future, leader)
+        finally:
+            self.metrics.observe_latency(time.perf_counter() - start)
+
+    def _join(self, key: RequestKey) -> Tuple[_InFlightBuild, bool]:
+        """Join *key*'s in-flight build or register one; ``(entry, leads)``.
+
+        A leader hands the entry to :meth:`_lead`, on its own thread or a
+        build thread; every caller then waits on ``entry.future``.
+        """
         self.metrics.increment("requests")
         with self._lock:
             # The engine bumps its priors generation once a publish (local or
@@ -316,60 +347,47 @@ class CORGIService:
             # lead its own build rather than join it.
             generation = getattr(self.engine, "priors_generation", 0)
             entry = self._inflight.get(key)
-            if entry is None or entry.generation != generation:
-                if self._pending_leaders >= self.config.max_in_flight + self.config.max_queue_depth:
-                    self.metrics.increment("rejected")
-                    raise ServiceOverloadedError(
-                        f"service at capacity: {self.config.max_in_flight} builds in flight "
-                        f"and {self.config.max_queue_depth} queued"
-                    )
+            leader = entry is None or entry.generation != generation
+            if leader:
                 entry = _InFlightBuild(generation)
                 self._inflight[key] = entry
-                self._pending_leaders += 1
-                leader = True
             else:
                 entry.followers += 1
-                leader = False
-
         if not leader:
             self.metrics.increment("coalesced")
-            finished = entry.event.wait(timeout=self.config.build_wait_timeout_s)
-            self.metrics.observe_latency(time.perf_counter() - start)
-            if not finished:
-                # The leader never reached its finally block (thread killed
-                # mid-build, interpreter teardown) or is pathologically slow;
-                # either way the follower must not hang forever.
-                self.metrics.increment("build_timeouts")
-                raise ServiceBuildTimeoutError(
-                    f"coalesced follower waited {self.config.build_wait_timeout_s:.1f}s "
-                    f"for the build leader of level={privacy_level} delta={delta} "
-                    f"epsilon={epsilon:g}; retry to start a fresh build"
-                )
-            if entry.error is not None:
-                # Each follower raises its own copy — re-raising the shared
-                # instance would let N threads mutate one __traceback__.
-                raise rewrap_for_follower(entry.error) from entry.error
-            assert entry.forest is not None
-            return entry.forest
+        return entry, leader
 
+    def _lead(self, key: RequestKey, entry: _InFlightBuild) -> None:
+        """Run *entry*'s build and settle it; never raises.
+
+        A leader counts against ``max_in_flight + max_queue_depth`` from
+        when it starts here, not from registration: a gateway leader queued
+        for a build thread cannot be refused.  One refused here settles its
+        entry with :class:`ServiceOverloadedError`.
+        """
+        privacy_level, delta, epsilon = key
+        capacity = self.config.max_in_flight + self.config.max_queue_depth
+        with self._lock:
+            admitted = self._pending_leaders < capacity
+            if admitted:
+                self._pending_leaders += 1
+        if not admitted:
+            self.metrics.increment("rejected")
+            overloaded = ServiceOverloadedError(
+                f"service at capacity: {self.config.max_in_flight} builds in flight "
+                f"and {self.config.max_queue_depth} queued"
+            )
+            self._settle(key, entry, overloaded, admitted=False)
+            return
         try:
             with self._build_slots:
-                forest, cached = self.engine.build_forest_traced(
-                    privacy_level, delta, epsilon=epsilon
-                )
-            entry.forest = forest
-            self.metrics.increment("engine_cache_hits" if cached else "engine_builds")
-        except BaseException as error:
-            entry.error = error
+                forest, cached = self.engine.build_forest_traced(privacy_level, delta, epsilon=epsilon)
+        except BaseException as error:  # noqa: BLE001 - the callers re-raise it
             self.metrics.increment("failed")
-            raise
-        finally:
-            with self._lock:
-                self._pending_leaders -= 1
-                if self._inflight.get(key) is entry:  # else a newer leader's
-                    del self._inflight[key]
-            entry.event.set()
-            self.metrics.observe_latency(time.perf_counter() - start)
+            self._settle(key, entry, error)
+            return
+        self.metrics.increment("engine_cache_hits" if cached else "engine_builds")
+        self._settle(key, entry, forest)
         if entry.followers:
             logger.debug(
                 "single-flight: level=%d delta=%d epsilon=%.3f served %d coalesced followers",
@@ -378,7 +396,44 @@ class CORGIService:
                 epsilon,
                 entry.followers,
             )
-        return forest
+
+    def _settle(self, key: RequestKey, entry: _InFlightBuild, outcome, *, admitted: bool = True) -> None:
+        """Retire *entry* from the table, then publish its outcome, so no
+        caller that has seen the outcome still finds the entry in the
+        :meth:`snapshot` gauges."""
+        with self._lock:
+            if admitted:
+                self._pending_leaders -= 1
+            if self._inflight.get(key) is entry:  # else a newer leader's
+                del self._inflight[key]
+        if isinstance(outcome, BaseException):
+            entry.future.set_exception(outcome)
+        else:
+            entry.future.set_result(outcome)  # type: ignore[arg-type]
+
+    def _follower_timeout(self, key: RequestKey) -> ServiceBuildTimeoutError:
+        """Count a follower that gave up on its leader; the error it raises."""
+        privacy_level, delta, epsilon = key
+        self.metrics.increment("build_timeouts")
+        return ServiceBuildTimeoutError(
+            f"coalesced follower waited {self.config.build_wait_timeout_s:.1f}s "
+            f"for the build leader of level={privacy_level} delta={delta} "
+            f"epsilon={epsilon:g}; retry to start a fresh build"
+        )
+
+    @staticmethod
+    def _outcome(settled, leader: bool) -> PrivacyForest:
+        """The forest of a settled ``entry.future`` (or its ``asyncio.wrap_future``).
+
+        The leader raises the error itself; each follower raises its own
+        copy, since N callers re-raising one instance mutate one ``__traceback__``.
+        """
+        error = settled.exception()
+        if error is None:
+            return settled.result()
+        if leader:
+            raise error
+        raise rewrap_for_follower(error) from error
 
     # ------------------------------------------------------------------ #
     # Request handling
@@ -526,6 +581,9 @@ class CORGIService:
 
         The in-flight gauges are read under the service lock so the snapshot
         is one consistent view of the single-flight table.
+        ``inflight_keys`` counts every registered build; ``pending_leaders``
+        counts only the leaders that have started, so a gateway leader
+        still queued for a gateway build thread is not in it.
         """
         with self._lock:
             gauges = {

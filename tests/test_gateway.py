@@ -3,9 +3,10 @@
 Covers the held-connection protocol end to end — subscribe → pushed
 snapshot, push-on-publish byte-identical to a direct build,
 generation-tag monotonicity, slow-consumer eviction, heartbeats, protocol
-error answers — the async single-flight rendezvous of
-:class:`AsyncCORGIService` (coalescing, follower deadline, wrapped
-re-raise, generation-aware staleness guard), and the acceptance storm:
+error answers — the service's single-flight gate as the gateway awaits it
+(coalescing with gateway and request-thread callers, follower deadline,
+wrapped re-raise, admission, cancellation, close, no join across a
+publish), and the acceptance storm:
 many concurrently held connections surviving a publish storm with the
 refreshed matrix delivered exactly once per subscriber.
 
@@ -28,7 +29,6 @@ from helpers_concurrency import wait_until
 from repro.client.gateway import AsyncGatewayClient, GatewayClient, _PushStore
 from repro.server.engine import ForestEngine, ServerConfig
 from repro.service.gateway import (
-    AsyncCORGIService,
     GatewayConfig,
     GatewayProtocolError,
     GatewayServer,
@@ -275,147 +275,287 @@ class TestProtocolErrors:
 
 
 # --------------------------------------------------------------------- #
-# AsyncCORGIService: async single-flight rendezvous
+# The service's single-flight gate, awaited on the gateway loop
 # --------------------------------------------------------------------- #
 
 
+def on_loop(gateway, coroutine):
+    """Schedule *coroutine* on the gateway's event loop; its concurrent future."""
+    return asyncio.run_coroutine_threadsafe(coroutine, gateway._loop)
+
+
+def gather_on_loop(gateway, keys):
+    """Await ``gateway._forest`` for every key at once; outcomes in order."""
+
+    async def fan_in():
+        return await asyncio.gather(*(gateway._forest(key) for key in keys), return_exceptions=True)
+
+    return on_loop(gateway, fan_in()).result(timeout=60)
+
+
+def gated_engine(engine, gate):
+    """Wrap ``engine.build_forest_traced``: each call runs ``gate(call_number)``
+    first and is recorded in the returned list."""
+    original = engine.build_forest_traced
+    calls = []
+
+    def build(*args, **kwargs):
+        calls.append(args)
+        gate(len(calls))
+        return original(*args, **kwargs)
+
+    engine.build_forest_traced = build
+    return calls
+
+
+def coalesced_at_least(service, count):
+    """An engine gate that holds the build until *count* callers joined it."""
+
+    def gate(_call):
+        wait_until(
+            lambda: service.metrics.count("coalesced") >= count,
+            timeout_s=30.0,
+            message=f"{count} callers to join the parked build",
+        )
+
+    return gate
+
+
 class TestAsyncSingleFlight:
-    def test_concurrent_identical_keys_share_one_build(self, engine):
-        service = CORGIService(engine)
-        adapter = AsyncCORGIService(service)
-        calls = []
-        original = adapter._build_sync
+    def test_concurrent_identical_keys_share_one_build(self, engine, service, gateway):
+        calls = gated_engine(engine, coalesced_at_least(service, 15))
+        forests = gather_on_loop(gateway, [KEY] * 16)
+        assert len(calls) == 1  # one engine call for 16 awaiters
+        assert all(forest is forests[0] for forest in forests)
 
-        def counted(key):
-            calls.append(key)
-            return original(key)
-
-        adapter._build_sync = counted
-
-        async def fan_in():
-            return await asyncio.gather(
-                *(adapter.forest_response(KEY) for _ in range(16))
-            )
-
-        responses = asyncio.run(fan_in())
-        adapter.close()
-        assert len(calls) == 1  # one executor ticket for 16 awaiters
-        first = json.dumps(responses[0], sort_keys=True)
-        assert all(json.dumps(r, sort_keys=True) == first for r in responses)
+    def test_gateway_subscribers_count_as_service_requests(self, engine, service, gateway):
+        """Every gateway snapshot is a request in ``ServiceMetrics`` (and so
+        in ``GET /metrics``), not only the one that reached the engine."""
+        gated_engine(engine, coalesced_at_least(service, 15))
+        clients = [GatewayClient(gateway.host, gateway.port) for _ in range(16)]
+        try:
+            for client in clients:
+                client.subscribe(1, 1)
+            for client in clients:
+                client.wait_forest(KEY)
+        finally:
+            for client in clients:
+                client.close()
+        snapshot = service.metrics.snapshot()
+        assert (snapshot["requests"], snapshot["coalesced"]) == (16, 15)
+        assert snapshot["latency_observations"] == 16
 
     def test_follower_deadline_raises_typed_timeout(self, engine):
         service = CORGIService(engine, ServiceConfig(build_wait_timeout_s=0.1))
-        adapter = AsyncCORGIService(service)
+        parked = threading.Event()
+        release = threading.Event()
 
-        async def scenario():
-            from repro.service.gateway import _AsyncBuild
+        def park_first(call):
+            if call == 1:
+                parked.set()
+                release.wait(timeout=30.0)
 
-            # A leader that never completes (its event never fires).
-            adapter._inflight[KEY] = _AsyncBuild()
+        gated_engine(engine, park_first)
+        with GatewayServer(service) as gateway:
+            leader = on_loop(gateway, gateway._forest(KEY))
+            assert parked.wait(timeout=10.0)
             with pytest.raises(ServiceBuildTimeoutError):
-                await adapter.forest_response(KEY)
+                on_loop(gateway, gateway._forest(KEY)).result(timeout=30.0)
+            assert service.metrics.count("build_timeouts") == 1
+            release.set()
+            # The follower's deadline did not cancel the leader's build.
+            assert leader.result(timeout=30.0) is not None
 
-        asyncio.run(scenario())
-        adapter.close()
-        assert service.metrics.count("build_timeouts") == 1
-
-    def test_build_threads_and_follower_deadline_follow_the_service(self, engine):
-        # The gateway can never demand more concurrent engine builds than
-        # the sync core admits, and its followers wait the core's deadline.
-        service = CORGIService(engine, ServiceConfig(max_in_flight=2, build_wait_timeout_s=7.5))
-        adapter = AsyncCORGIService(service)
-        assert adapter.build_wait_timeout_s == 7.5
-        assert adapter._executor._max_workers == 2
+    def test_build_threads_follow_the_service(self, engine):
+        # The gateway can never run more engine builds at once than the
+        # service admits.
+        service = CORGIService(engine, ServiceConfig(max_in_flight=2))
         lock = threading.Lock()
         running = [0]
         peak = [0]
         pair = threading.Barrier(2, timeout=30.0)
 
-        def held(key):
+        def held(privacy_level, delta, *, epsilon):
             with lock:
                 running[0] += 1
                 peak[0] = max(peak[0], running[0])
             pair.wait()  # passes only with two builds running at once
             with lock:
                 running[0] -= 1
-            return {"key": list(key)}
+            return (privacy_level, delta, epsilon), False
 
-        adapter._build_sync = held
-
-        async def distinct_keys():
-            return await asyncio.gather(
-                *(adapter.forest_response((1, delta, 2.0)) for delta in range(4))
-            )
-
-        responses = asyncio.run(distinct_keys())
-        adapter.close()
-        assert responses == [{"key": [1, delta, 2.0]} for delta in range(4)]
+        engine.build_forest_traced = held
+        keys = [(1, delta, 2.0) for delta in range(4)]
+        with GatewayServer(service) as gateway:
+            assert gather_on_loop(gateway, keys) == keys
         assert peak[0] == 2
 
-    def test_follower_gets_wrapped_copy_of_leader_error(self, engine):
-        service = CORGIService(engine)
-        adapter = AsyncCORGIService(service)
+    def test_follower_gets_wrapped_copy_of_leader_error(self, engine, service, gateway):
         boom = RuntimeError("solver exploded")
 
-        def failing(key):
+        def fail_once_joined(call):
+            coalesced_at_least(service, 3)(call)
             raise boom
 
-        adapter._build_sync = failing
-
-        async def scenario():
-            results = await asyncio.gather(
-                *(adapter.forest_response(KEY) for _ in range(4)),
-                return_exceptions=True,
-            )
-            return results
-
-        results = asyncio.run(scenario())
-        adapter.close()
+        gated_engine(engine, fail_once_joined)
+        results = gather_on_loop(gateway, [KEY] * 4)
         assert all(isinstance(error, RuntimeError) for error in results)
         leader_errors = [error for error in results if error is boom]
         follower_errors = [error for error in results if error is not boom]
         assert len(leader_errors) == 1
-        assert follower_errors, "followers must exist in a 4-way race"
+        assert len(follower_errors) == 3
         for error in follower_errors:
             assert error.__cause__ is boom  # provenance preserved
             assert error.args == boom.args
         # Each follower raised its *own* object — no shared instance.
         assert len({id(error) for error in follower_errors}) == len(follower_errors)
 
-    def test_generation_guard_reruns_build_started_before_update(self, engine):
-        """A build in flight when the update fired may carry pre-update
-        data; a caller with a newer generation requirement must wait it out
-        and lead a fresh build rather than join it."""
-        service = CORGIService(engine)
-        adapter = AsyncCORGIService(service)
-        builds = []
-        original = adapter._build_sync
-        release_first = threading.Event()
+    def test_request_after_publish_leads_its_own_build(self, engine, service, gateway):
+        """A build led before a priors install may carry pre-update data;
+        a gateway request made after the install must lead a fresh build
+        rather than join it."""
+        release = threading.Event()
 
-        def gated(key):
-            builds.append(key)
-            if len(builds) == 1:
-                release_first.wait(timeout=30.0)
-            return original(key)
+        def park_first(call):
+            if call == 1:
+                release.wait(timeout=30.0)
 
-        adapter._build_sync = gated
+        calls = gated_engine(engine, park_first)
+        first = on_loop(gateway, gateway._forest(KEY))
+        wait_until(lambda: len(calls) == 1, timeout_s=10.0, message="first build parked")
+        publish_new_priors(service)
+        second = on_loop(gateway, gateway._forest(KEY))
+        wait_until(lambda: len(calls) == 2, timeout_s=10.0, message="second build led")
+        release.set()
+        first.result(timeout=30.0)
+        second.result(timeout=30.0)
+        assert service.metrics.count("coalesced") == 0
 
-        async def scenario():
-            first = asyncio.ensure_future(
-                adapter.forest_response(KEY, generation=1)
+    def test_request_thread_leader_serves_gateway_followers(self, engine, service, gateway):
+        calls = gated_engine(engine, coalesced_at_least(service, 4))
+        served = {}
+        leader = threading.Thread(
+            target=lambda: served.setdefault("http", service.generate_privacy_forest(1, 1)),
+            daemon=True,
+        )
+        leader.start()
+        wait_until(lambda: len(calls) == 1, timeout_s=10.0, message="request thread leads")
+        forests = gather_on_loop(gateway, [KEY] * 4)
+        leader.join(timeout=30.0)
+        assert not leader.is_alive()
+        assert len(calls) == 1
+        assert all(forest is served["http"] for forest in forests)
+
+    def test_cancelled_gateway_awaiter_leaves_request_thread_its_forest(
+        self, engine, service, gateway
+    ):
+        """Cancelling an ``asyncio.wrap_future`` awaiter cancels a *pending*
+        wrapped future; the entry is running, so the request thread that
+        joined the same build still gets the forest."""
+        release = threading.Event()
+        calls = gated_engine(engine, lambda call: release.wait(timeout=30.0))
+
+        async def lead():
+            return asyncio.ensure_future(gateway._forest(KEY))
+
+        leader = on_loop(gateway, lead()).result(timeout=10.0)
+        wait_until(lambda: len(calls) == 1, timeout_s=10.0, message="gateway leader parked")
+        served = {}
+
+        def follow():
+            try:
+                served["forest"] = service.generate_privacy_forest(1, 1)
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                served["error"] = error
+
+        follower = threading.Thread(target=follow, daemon=True)
+        follower.start()
+        wait_until(
+            lambda: service.metrics.count("coalesced") == 1,
+            timeout_s=10.0,
+            message="request thread joined the gateway's build",
+        )
+        gateway._loop.call_soon_threadsafe(leader.cancel)
+        on_loop(gateway, asyncio.wait([leader])).result(timeout=10.0)
+        assert leader.cancelled()
+        release.set()
+        follower.join(timeout=30.0)
+        assert not follower.is_alive()
+        assert "error" not in served, served.get("error")
+        assert served["forest"] is not None
+        assert len(calls) == 1
+
+    def test_close_lets_a_queued_build_settle_for_its_request_thread(self, engine):
+        service = CORGIService(engine, ServiceConfig(max_in_flight=1))
+        release = threading.Event()
+
+        def park_first(call):
+            if call == 1:
+                release.wait(timeout=30.0)
+
+        calls = gated_engine(engine, park_first)
+        gateway = GatewayServer(service).start()
+        served = {}
+        try:
+            on_loop(gateway, gateway._forest((1, 0, 2.0)))  # holds the one build thread
+            wait_until(lambda: len(calls) == 1, timeout_s=10.0, message="build thread busy")
+            on_loop(gateway, gateway._forest(KEY))  # queued behind it
+            wait_until(
+                lambda: service.snapshot()["gauges"]["inflight_keys"] == 2,
+                timeout_s=10.0,
+                message="queued leader registered",
             )
-            await asyncio.sleep(0)  # let the leader enter the executor
-            # An update (generation 2) arrives while generation-1 builds.
-            second = asyncio.ensure_future(
-                adapter.forest_response(KEY, generation=2)
+            # A queued gateway leader is registered but not yet admitted.
+            assert service.snapshot()["gauges"]["pending_leaders"] == 1
+            follower = threading.Thread(
+                target=lambda: served.setdefault("forest", service.generate_privacy_forest(1, 1)),
+                daemon=True,
             )
-            await asyncio.sleep(0)
-            release_first.set()
-            await asyncio.gather(first, second)
+            follower.start()
+            wait_until(
+                lambda: service.metrics.count("coalesced") == 1,
+                timeout_s=10.0,
+                message="request thread joined the queued build",
+            )
+        finally:
+            gateway.close()
+            release.set()
+        follower.join(timeout=30.0)
+        assert not follower.is_alive()
+        assert served["forest"] is not None
+        assert service.snapshot()["gauges"] == {"pending_leaders": 0, "inflight_keys": 0}
 
-        asyncio.run(scenario())
-        adapter.close()
-        assert len(builds) == 2  # the gen-2 caller did NOT join the stale build
+    def test_subscribe_burst_beyond_admission_limit_is_served(self, engine, service):
+        """One connection subscribing to more distinct keys than the
+        service admits at once: the gateway queues the builds instead of
+        failing them."""
+        limits = service.config
+        gateway = GatewayServer(service).start()
+        epsilons = [2.0 + index / 10 for index in range(limits.max_in_flight + limits.max_queue_depth + 4)]
+        # Hold the first builds until every subscription is registered, so
+        # the whole burst is in flight at once.
+        gated_engine(
+            engine,
+            lambda call: wait_until(
+                lambda: gateway.diagnostics()["subscriptions"] == len(epsilons),
+                timeout_s=30.0,
+                message="every subscription registered",
+            ),
+        )
+        try:
+            with GatewayClient(gateway.host, gateway.port) as client:
+                for epsilon in epsilons:
+                    client.subscribe(1, 1, epsilon, wait_s=None)
+                keys = [(1, 1, epsilon) for epsilon in epsilons]
+                wait_until(
+                    lambda: client.stats()["errors"] or all(client.held(key) for key in keys),
+                    timeout_s=120.0,
+                    message="a forest push for every key, or an error frame",
+                )
+                assert client.stats()["errors"] == 0  # no build_failed frame
+                assert all(client.held(key) for key in keys)
+        finally:
+            gateway.close()
 
 
 # --------------------------------------------------------------------- #
@@ -476,45 +616,52 @@ class TestGenerationGuard:
 
 
 class TestRefreshRaces:
-    def test_snapshot_racing_publish_cannot_wedge_client(self, service):
-        """A publish landing while the subscribe snapshot builds must
-        not let the stale snapshot usurp the new generation's tag — the
-        client would then drop the genuine refresh push and wedge on
-        pre-update data tagged as fresh."""
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["snapshot-first", "refresh-first"])
+    def test_snapshot_racing_publish_cannot_wedge_client(self, engine, service, order):
+        """A publish lands while the subscribe snapshot builds: the
+        snapshot (built on the old priors) keeps its subscribe-time tag 1
+        and the refresh carries 2.  Whichever frame arrives first, the
+        client ends on generation 2 with the direct build's bytes — a
+        late stale snapshot is dropped, never installed over the refresh."""
         gateway = GatewayServer(
             service, GatewayConfig(heartbeat_interval_s=30.0, queue_limit=8)
         ).start()
         try:
-            builds = []
-            release = threading.Event()
-            original = gateway._async._build_sync
+            # Each of the first two engine calls (the snapshot's, then the
+            # refresh's) parks after building until the test releases it.
+            released = {1: threading.Event(), 2: threading.Event()}
+            original = engine.build_forest_traced
+            calls = []
 
-            def gated(key):
-                builds.append(key)
-                if len(builds) == 1:
-                    release.wait(timeout=30.0)
-                return original(key)
+            def gated(*args, **kwargs):
+                calls.append(args)
+                result = original(*args, **kwargs)
+                if len(calls) in released:
+                    released[len(calls)].wait(timeout=30.0)
+                return result
 
-            gateway._async._build_sync = gated
+            engine.build_forest_traced = gated
             with GatewayClient(gateway.host, gateway.port) as client:
                 key = client.subscribe(1, 1)  # ack is sync; snapshot now blocked
-                wait_until(
-                    lambda: len(builds) == 1,
-                    timeout_s=10.0,
-                    message="snapshot build entered the executor",
-                )
+                wait_until(lambda: len(calls) == 1, timeout_s=10.0, message="snapshot built")
                 publish_new_priors(service)  # generation -> 2 mid-snapshot-build
-                release.set()
-                refreshed = client.wait_forest(key, min_generation=2, timeout_s=30.0)
-                assert refreshed.generation == 2
-                # The snapshot kept its subscribe-time tag (1) and the
-                # refresh carried 2 — nothing was dropped as stale.
-                assert client.generations_seen(key) == [1, 2]
-                assert client.stats()["stale_dropped"] == 0
+                wait_until(lambda: len(calls) == 2, timeout_s=10.0, message="refresh led")
+                for generation in order:
+                    released[generation].set()
+                    wait_until(
+                        lambda: generation in client.generations_seen(key),
+                        timeout_s=30.0,
+                        message=f"generation {generation} pushed",
+                    )
+                assert client.generations_seen(key) == list(order)
+                assert client.stats()["stale_dropped"] == (0 if order == (1, 2) else 1)
+                held = client.held(key)
+                assert held.generation == 2
+                assert json.dumps(held.response, sort_keys=True) == direct_response_bytes(service)
         finally:
             gateway.close()
 
-    def test_update_during_failed_refresh_build_is_not_lost(self, service):
+    def test_update_during_failed_refresh_build_is_not_lost(self, engine, service):
         """If a refresh build fails while a newer update lands, the refresh
         task must go again for the newer generation — _mark_updated skipped
         scheduling while the task held the key, so returning would strand
@@ -528,18 +675,14 @@ class TestRefreshRaces:
                 client.wait_forest(key)
                 started = threading.Event()
                 release = threading.Event()
-                failed = []
-                original = gateway._async._build_sync
 
-                def failing_once(k):
-                    if not failed:
-                        failed.append(k)
+                def fail_first(call):
+                    if call == 1:
                         started.set()
                         release.wait(timeout=30.0)
                         raise RuntimeError("transient solver failure")
-                    return original(k)
 
-                gateway._async._build_sync = failing_once
+                gated_engine(engine, fail_first)
                 publish_new_priors(service)  # generation -> 2; refresh build will fail
                 assert started.wait(timeout=10.0)
                 publish_new_priors(service)  # generation -> 3 lands mid-failing-build
